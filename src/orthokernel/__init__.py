@@ -16,8 +16,10 @@ from .tensor_core import (
     UnsupportedConfigError,
     conv2d_ref,
     conv2d_transpose_ref,
+    conv_operator_norm,
     identity_kernel,
     kernel_transpose,
+    product_bound,
     spec_for_kernel,
     vec,
 )
@@ -32,7 +34,6 @@ from .blockconv import (
     sequential_compose,
 )
 from .orthogonalize import (
-    OrthoParams,
     ProjectorPair,
     bjorck_orthogonalize,
     cayley_rect,
@@ -61,9 +62,7 @@ from .construct import (
 from .verify import (
     SpectrumReport,
     check_orthogonality,
-    conv_operator_norm,
     grid_entries,
-    product_bound,
     robustness_certificate,
     roundtrip_check,
     run_grid,

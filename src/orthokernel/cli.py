@@ -5,20 +5,23 @@ Subcommands:
     build     config.json out.okt   -> construct a kernel, write okt-v1 + sidecar
     verify    kernel.okt [flags]    -> spectrum check, JSON report on stdout
     spectrum  kernel.okt [flags]    -> print descending singular values
-    selftest                        -> run the verification grid
+    selftest                        -> run the verification grid (one thread)
     bench                           -> fast-vs-naive fusion timings
 
+The build sidecar `out.okt.meta.json` holds "branch" (`BranchTag.to_dict`:
+branch, internal_width, group_seeds, ordering) and "config" (the resolved
+build config).
+
 Exit codes: 0 success / verification pass, 1 verification failure,
-2 invalid input, 3 unsupported configuration.  All commands are
-deterministic given their flags and seeds.  ORTHOKERNEL_THREADS optionally
-caps grid parallelism (default 1).
+2 invalid input (including an unwritable output path), 3 unsupported
+configuration.  All commands are deterministic given their flags and
+seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from statistics import median
@@ -92,7 +95,6 @@ def cmd_build(args) -> int:
     except UnsupportedConfigError as exc:
         print(f"unsupported configuration: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    kernel_io.write_kernel(args.out, K)
     sidecar = {
         "branch": tag.to_dict(),
         "config": {
@@ -104,9 +106,14 @@ def cmd_build(args) -> int:
             "ordering": cfg.ordering,
         },
     }
-    with open(str(args.out) + ".meta.json", "w", encoding="utf-8") as f:
-        json.dump(sidecar, f, sort_keys=True, indent=2)
-        f.write("\n")
+    try:
+        kernel_io.write_kernel(args.out, K)
+        with open(str(args.out) + ".meta.json", "w", encoding="utf-8") as f:
+            json.dump(sidecar, f, sort_keys=True, indent=2)
+            f.write("\n")
+    except OSError as exc:
+        print(f"invalid output path: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     print(f"wrote {args.out} (branch {tag.branch})")
     return EXIT_OK
 
@@ -150,12 +157,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    workers = int(os.environ.get("ORTHOKERNEL_THREADS", "1"))
     categories = args.category if args.category else None
     t0 = time.perf_counter()
     results = run_grid(scheme=args.scheme, seed=args.seed,
-                       tolerance=args.tol, categories=categories,
-                       max_workers=max(1, workers))
+                       tolerance=args.tol, categories=categories)
     elapsed = time.perf_counter() - t0
     by_cat: dict[str, list[bool]] = {}
     for r in results:

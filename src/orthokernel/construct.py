@@ -38,7 +38,7 @@ from .tensor_core import (
     UnsupportedConfigError,
     identity_kernel,
     kernel_transpose,
-    spec_for_kernel,
+    product_bound,
 )
 
 ORDERINGS = ("bcop", "scfac")
@@ -74,16 +74,23 @@ class BranchTag:
 
     branch "a": unstrided projector composition (s == 1)
     branch "b": reshaped-kernel orthogonalization (k == s)
-    branch "c": strided application of a full-size branch-"a" kernel
     branch "d": fusion of an s x s reshaped factor with a
-                (k-s+1)-size projector factor
+                (k-s+1)-size projector factor (every other strided case)
+
+    Channel-increasing strided groups take branch "d" too: an unstrided
+    kernel applied with stride s > 1 is never orthogonal, since stride
+    selection keeps a column-orthogonal operator orthogonal only if the
+    rows it drops vanish for every input, which no nonzero
+    translation-equivariant map does.
+
+    `to_dict` gives the "branch" object of the build sidecar, with keys
+    branch, internal_width, group_seeds and ordering.
     """
 
     branch: str
     internal_width: int | None = None
     group_seeds: tuple[int, ...] = ()
     ordering: str = "bcop"
-    fallback_from_c: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -91,7 +98,6 @@ class BranchTag:
             "internal_width": self.internal_width,
             "group_seeds": list(self.group_seeds),
             "ordering": self.ordering,
-            "fallback_from_c": self.fallback_from_c,
         }
 
 
@@ -200,43 +206,21 @@ def _unstrided_builder(ordering: str):
 
 
 def _build_group_kernel(ci, co, k1, k2, s, cfg: AocConfig, seed):
-    """Single-group decision tree; returns (kernel, branch, width, fellback)."""
+    """Single-group decision tree; returns (kernel, branch, width)."""
     build = _unstrided_builder(cfg.ordering)
     kw = dict(scheme=cfg.scheme, iters=cfg.iters, beta=cfg.beta)
 
     if k1 == s and k2 == s:
-        return rko_kernel(ci, co, s, s, seed=seed, **kw), "b", None, False
+        return rko_kernel(ci, co, s, s, seed=seed, **kw), "b", None
 
     if s == 1:
-        return build(ci, co, k1, k2, seed=seed, **kw), "a", None, False
-
-    if ci < co:
-        # candidate shortcut: an unstrided kernel used directly with stride.
-        # Only valid if the strided operator stays orthogonal, which is
-        # checked explicitly; on failure the general fusion is used.
-        try:
-            cand = build(ci, co, k1, k2, seed=seed, **kw)
-        except UnsupportedConfigError:
-            cand = None
-        if cand is not None and _candidate_is_orthogonal(cand, s, cfg):
-            return cand, "c", None, False
-        fellback = cand is not None
-    else:
-        fellback = False
+        return build(ci, co, k1, k2, seed=seed, **kw), "a", None
 
     c = max(ci, co // (s * s))
     inner = build(ci, c, k1 - s + 1, k2 - s + 1, seed=seed, **kw)
     # disjoint sub-seed namespace from the projector factors (seed, 0..t)
     outer = rko_kernel(c, co, s, s, seed=(seed, 1 << 20), **kw)
-    return block_conv_fast(outer, inner), "d", c, fellback
-
-
-def _candidate_is_orthogonal(K: KernelTensor, s: int, cfg: AocConfig) -> bool:
-    from .verify import check_orthogonality  # deferred: verify imports construct
-
-    h = 8 if 8 % s == 0 else 4 * s
-    spec = spec_for_kernel(K, stride=s)
-    return check_orthogonality(K, spec, h, h, tolerance=1e-4).passed
+    return block_conv_fast(outer, inner), "d", c
 
 
 def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
@@ -274,14 +258,13 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
 
     kernels = []
     branch = width = None
-    fellback = False
     group_seeds = tuple(cfg.seed + q for q in range(g))
     for seed in group_seeds:
-        K_q, branch, width, fellback = _build_group_kernel(ci, co, k1, k2, s, cfg, seed)
+        K_q, branch, width = _build_group_kernel(ci, co, k1, k2, s, cfg, seed)
         kernels.append(K_q.data)
     K = KernelTensor(np.concatenate(kernels, axis=0), groups=g)
     tag = BranchTag(branch=branch, internal_width=width, group_seeds=group_seeds,
-                    ordering=cfg.ordering, fallback_from_c=fellback)
+                    ordering=cfg.ordering)
     return K, tag
 
 
@@ -354,8 +337,6 @@ def soc_normalized_skew(K: KernelTensor) -> KernelTensor:
     """Skew-symmetrize a square-channel kernel and scale it under the quick
     spectral product bound, so its circular operator has norm <= ~1 and the
     truncated exponential converges fast."""
-    from .verify import product_bound  # deferred: verify imports construct
-
     S = skew_symmetrize_kernel(K)
     bound = product_bound([S])
     if bound == 0.0:

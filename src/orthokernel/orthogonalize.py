@@ -23,26 +23,6 @@ DEFAULT_ITERS = 12
 
 
 @dataclass(frozen=True)
-class OrthoParams:
-    """Unconstrained parameter bundle from which an orthogonal factor is
-    produced."""
-
-    W: np.ndarray
-    seed: int = 0
-    scheme: str = DEFAULT_SCHEME
-    iters: int = DEFAULT_ITERS
-    beta: float = DEFAULT_BETA
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if not (0.0 < self.beta <= 0.5):
-            raise ValueError(f"beta must lie in (0, 0.5], got {self.beta}")
-        if self.iters < 1:
-            raise ValueError("iters must be >= 1")
-
-
-@dataclass(frozen=True)
 class ProjectorPair:
     """Symmetric projector N and its complement I - N; both satisfy
     P = P^2 = P^T to 1e-10."""
@@ -130,23 +110,11 @@ def qr_mgs(W: DenseMatrix) -> DenseMatrix:
     modified from the classical procedure numerically.  Requires full
     column rank (square or tall input).
     """
-    W = np.asarray(W, dtype=np.float64)
-    rows, cols = W.shape
-    if rows < cols:
-        raise ValueError("qr_mgs expects a square or tall matrix")
-    Q = W.copy()
-    for j in range(cols):
-        r_jj = np.linalg.norm(Q[:, j])
-        if r_jj < 1e-12:
-            raise ValueError(f"rank deficiency detected at column {j} (r_jj={r_jj:.3e})")
-        Q[:, j] /= r_jj
-        for k in range(j + 1, cols):
-            Q[:, k] -= (Q[:, j] @ Q[:, k]) * Q[:, j]
-    return Q
+    return qr_mgs_full(W)[0]
 
 
 def qr_mgs_full(W: DenseMatrix):
-    """Full (Q, R) of the MGS factorization; same loop as `qr_mgs`."""
+    """Full (Q, R) of the MGS factorization described in `qr_mgs`."""
     W = np.asarray(W, dtype=np.float64)
     rows, cols = W.shape
     if rows < cols:
@@ -156,7 +124,7 @@ def qr_mgs_full(W: DenseMatrix):
     for j in range(cols):
         R[j, j] = np.linalg.norm(Q[:, j])
         if R[j, j] < 1e-12:
-            raise ValueError(f"rank deficiency detected at column {j}")
+            raise ValueError(f"rank deficiency detected at column {j} (r_jj={R[j, j]:.3e})")
         Q[:, j] /= R[j, j]
         for k in range(j + 1, cols):
             R[j, k] = Q[:, j] @ Q[:, k]

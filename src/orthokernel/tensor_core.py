@@ -4,7 +4,9 @@ Everything downstream (kernel fusion, constructions, spectral checks) is
 validated against the operators in this module, so they are written for
 clarity and exactness rather than speed: the convolution is a direct
 summation over kernel taps, and the transposed convolution is its exact
-adjoint (scatter of the same taps).
+adjoint (scatter of the same taps).  The matrix-free spectral-norm
+estimates `conv_operator_norm` and `product_bound` live here too, since
+they need nothing but these two operators.
 
 Index convention, fixed once for the whole package
 --------------------------------------------------
@@ -26,6 +28,7 @@ skew-symmetric operator.  Neither identity holds for any uncentred origin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -215,7 +218,7 @@ def conv2d_ref(K: KernelTensor, x: ImageTensor, spec: ConvSpec) -> ImageTensor:
                 sub[:, :, rmask[:, None] & cmask[None, :]] = xg[
                     :, :, raw_r[rmask][:, None], raw_c[cmask][None, :]
                 ].reshape(g, c_in // g, -1)
-            y += np.einsum("gmc,gcij->gmij", Kg[:, :, :, ip, jp], sub)
+            y += (Kg[..., ip, jp] @ sub.reshape(g, c_in // g, ho * wo)).reshape(y.shape)
     return y.reshape(spec.c_out, ho, wo)
 
 
@@ -234,7 +237,7 @@ def conv2d_transpose_ref(K: KernelTensor, x: ImageTensor, spec: ConvSpec) -> Ima
     h, w = ho * s, wo * s
     kh, kw = spec.k_h, spec.k_w
     oh, ow = (kh - 1) // 2, (kw - 1) // 2
-    xg = x.reshape(g, spec.c_out // g, ho, wo)
+    xg = x.reshape(g, spec.c_out // g, ho * wo)
     Kg = K.data.reshape(g, spec.c_out // g, spec.c_in // g, kh, kw)
     y = np.zeros((g, spec.c_in // g, h, w))
     I = np.arange(ho) * s
@@ -244,7 +247,7 @@ def conv2d_transpose_ref(K: KernelTensor, x: ImageTensor, spec: ConvSpec) -> Ima
         raw_r = I - (ip - oh) * d
         for jp in range(kw):
             raw_c = J - (jp - ow) * d
-            contrib = np.einsum("gmc,gmij->gcij", Kg[:, :, :, ip, jp], xg)
+            contrib = (Kg[..., ip, jp].transpose(0, 2, 1) @ xg).reshape(g, spec.c_in // g, ho, wo)
             if circular:
                 # distinct (i, j) scatter to distinct targets within one tap,
                 # so fancy += is collision-free here
@@ -256,6 +259,41 @@ def conv2d_transpose_ref(K: KernelTensor, x: ImageTensor, spec: ConvSpec) -> Ima
                     :, :, rmask[:, None] & cmask[None, :]
                 ].reshape(g, spec.c_in // g, rmask.sum(), cmask.sum())
     return y.reshape(spec.c_in, h, w)
+
+
+def conv_operator_norm(K: KernelTensor, spec: ConvSpec, h: int = 8, w: int = 8,
+                       iters: int = 100, tol: float = 1e-9) -> float:
+    """Spectral norm of the strided circular operator at the given image
+    size, by power iteration with the exact adjoint (matrix-free)."""
+    rng = np.random.Generator(np.random.PCG64(12345))
+    x = rng.standard_normal((spec.c_in, h, w))
+    x /= np.linalg.norm(x)
+    sigma = 0.0
+    for _ in range(iters):
+        y = conv2d_ref(K, x, spec)
+        ny = np.linalg.norm(y)
+        if ny == 0.0:
+            return 0.0
+        x = conv2d_transpose_ref(K, y, spec)
+        nx = np.linalg.norm(x)
+        x /= nx
+        sigma_next = np.linalg.norm(conv2d_ref(K, x, spec))
+        if abs(sigma_next - sigma) <= tol * max(sigma_next, 1.0):
+            return float(sigma_next)
+        sigma = sigma_next
+    return float(sigma)
+
+
+def product_bound(factors: Sequence[KernelTensor], h: int = 8, w: int = 8) -> float:
+    """Fast upper bound for the spectral norm of a fused chain: the product
+    of per-factor spectral-norm estimates at desk scale.  Tight for chains
+    of orthogonal factors, loose otherwise."""
+    if len(factors) == 0:
+        raise ValueError("product bound of an empty chain")
+    bound = 1.0
+    for K in factors:
+        bound *= conv_operator_norm(K, spec_for_kernel(K), h, w)
+    return bound
 
 
 def kernel_transpose(K: KernelTensor) -> KernelTensor:

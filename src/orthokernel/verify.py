@@ -4,9 +4,16 @@ The centrepiece is the impulse-response construction of the dense operator
 matrix: column (c, i, j) of `toeplitz_from_kernel` is the flattened output
 of the reference convolution applied to the unit impulse e_{c,i,j}, so the
 matrix exactly represents the strided circular operator, groups and
-dilation included, no matter what convention the reference uses.  Singular
-values of that matrix decide orthogonality; a convolution passes when its
-whole spectrum lies within `tolerance` of 1 (default 1e-4).
+dilation included, no matter what convention the reference uses.  The
+transposed operator's matrix is built by the same impulse loop from
+`conv2d_transpose_ref`.  Singular values of that matrix decide
+orthogonality; a convolution passes when its whole spectrum lies within
+`tolerance` of 1 (default 1e-4).
+
+This module sits above `construct`: the grid builds its kernels with
+`aoc_kernel`, and construction never calls back into verification (the
+matrix-free norm estimate it needs, `product_bound`, lives in
+`tensor_core`).
 
 The grid at the bottom mirrors a unit-test bank over convolution
 configurations: common CNN shapes, extended strided ones, even kernel
@@ -24,14 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .construct import AocConfig, BranchTag, aoc_kernel
+from .construct import AocConfig, aoc_kernel
 from .tensor_core import (
     PADDING_CIRCULAR,
     ConvSpec,
     KernelTensor,
     conv2d_ref,
     conv2d_transpose_ref,
-    spec_for_kernel,
 )
 
 ENTRY_BUDGET = 1 << 24
@@ -68,64 +74,54 @@ class SpectrumReport:
         return json.dumps(self.to_dict(config), sort_keys=True)
 
 
-def toeplitz_from_kernel(K: KernelTensor, spec: ConvSpec, h: int, w: int) -> np.ndarray:
-    """Dense matrix of the strided circular convolution, built column by
-    column from impulse responses.
-
-    Shape is (c_out*h*w/s^2) x (c_in*h*w); rows/columns are ordered
-    channel-major.  Guarded by an entry-count budget (this is a desk-scale
-    tool, intended for small images such as 8x8).
-    """
+def _strided_size(spec: ConvSpec, h: int, w: int) -> tuple[int, int]:
     if spec.padding != PADDING_CIRCULAR:
         raise ValueError("operator-matrix construction assumes circular padding")
     s = spec.stride
     if h % s != 0 or w % s != 0:
         raise ValueError(f"image size {h}x{w} not divisible by stride {s}")
-    n_rows = spec.c_out * (h // s) * (w // s)
-    n_cols = spec.c_in * h * w
+    return h // s, w // s
+
+
+def _impulse_matrix(apply, in_shape: tuple[int, int, int], n_rows: int) -> np.ndarray:
+    """Dense matrix whose column j is `apply(e_j)` flattened, for the unit
+    impulses e_j of an image of `in_shape` in channel-major order.  Refused
+    above the entry budget (this is a desk-scale tool, intended for small
+    images such as 8x8)."""
+    n_cols = math.prod(in_shape)
     if n_rows * n_cols > ENTRY_BUDGET:
         raise ValueError(
             f"operator matrix {n_rows}x{n_cols} exceeds the entry budget "
             f"({ENTRY_BUDGET}); use a smaller image or fewer channels"
         )
     T = np.empty((n_rows, n_cols))
-    e = np.zeros((spec.c_in, h, w))
-    col = 0
-    for c in range(spec.c_in):
-        for a in range(h):
-            for b in range(w):
-                e[c, a, b] = 1.0
-                T[:, col] = conv2d_ref(K, e, spec).ravel()
-                e[c, a, b] = 0.0
-                col += 1
+    e = np.zeros(n_cols)
+    for col in range(n_cols):
+        e[col] = 1.0
+        T[:, col] = apply(e.reshape(in_shape)).ravel()
+        e[col] = 0.0
     return T
+
+
+def toeplitz_from_kernel(K: KernelTensor, spec: ConvSpec, h: int, w: int) -> np.ndarray:
+    """Dense matrix of the strided circular convolution, built column by
+    column from impulse responses.
+
+    Shape is (c_out*h*w/s^2) x (c_in*h*w); rows/columns are ordered
+    channel-major.  Guarded by an entry-count budget.
+    """
+    ho, wo = _strided_size(spec, h, w)
+    return _impulse_matrix(lambda e: conv2d_ref(K, e, spec),
+                           (spec.c_in, h, w), spec.c_out * ho * wo)
 
 
 def toeplitz_of_transpose(K: KernelTensor, spec: ConvSpec, h: int, w: int) -> np.ndarray:
     """Dense matrix of the transposed operator, built independently from
     impulse responses of `conv2d_transpose_ref` (not by transposing the
     forward matrix)."""
-    if spec.padding != PADDING_CIRCULAR:
-        raise ValueError("operator-matrix construction assumes circular padding")
-    s = spec.stride
-    if h % s != 0 or w % s != 0:
-        raise ValueError(f"image size {h}x{w} not divisible by stride {s}")
-    ho, wo = h // s, w // s
-    n_rows = spec.c_in * h * w
-    n_cols = spec.c_out * ho * wo
-    if n_rows * n_cols > ENTRY_BUDGET:
-        raise ValueError("operator matrix exceeds the entry budget")
-    T = np.empty((n_rows, n_cols))
-    e = np.zeros((spec.c_out, ho, wo))
-    col = 0
-    for c in range(spec.c_out):
-        for a in range(ho):
-            for b in range(wo):
-                e[c, a, b] = 1.0
-                T[:, col] = conv2d_transpose_ref(K, e, spec).ravel()
-                e[c, a, b] = 0.0
-                col += 1
-    return T
+    ho, wo = _strided_size(spec, h, w)
+    return _impulse_matrix(lambda e: conv2d_transpose_ref(K, e, spec),
+                           (spec.c_out, ho, wo), spec.c_in * h * w)
 
 
 def singular_values(Mx: np.ndarray) -> np.ndarray:
@@ -189,41 +185,6 @@ def roundtrip_check(K: KernelTensor, spec: ConvSpec, h: int = 8, w: int = 8,
             raise ValueError(f"unknown direction {direction!r}")
         worst = max(worst, float(np.max(np.abs(back - x))))
     return worst
-
-
-def conv_operator_norm(K: KernelTensor, spec: ConvSpec, h: int = 8, w: int = 8,
-                       iters: int = 100, tol: float = 1e-9) -> float:
-    """Spectral norm of the strided circular operator at the given image
-    size, by power iteration with the exact adjoint (matrix-free)."""
-    rng = np.random.Generator(np.random.PCG64(12345))
-    x = rng.standard_normal((spec.c_in, h, w))
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(iters):
-        y = conv2d_ref(K, x, spec)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        x = conv2d_transpose_ref(K, y, spec)
-        nx = np.linalg.norm(x)
-        x /= nx
-        sigma_next = np.linalg.norm(conv2d_ref(K, x, spec))
-        if abs(sigma_next - sigma) <= tol * max(sigma_next, 1.0):
-            return float(sigma_next)
-        sigma = sigma_next
-    return float(sigma)
-
-
-def product_bound(factors: Sequence[KernelTensor], h: int = 8, w: int = 8) -> float:
-    """Fast upper bound for the spectral norm of a fused chain: the product
-    of per-factor spectral-norm estimates at desk scale.  Tight for chains
-    of orthogonal factors, loose otherwise."""
-    if len(factors) == 0:
-        raise ValueError("product bound of an empty chain")
-    bound = 1.0
-    for K in factors:
-        bound *= conv_operator_norm(K, spec_for_kernel(K), h, w)
-    return bound
 
 
 def robustness_certificate(logits: Sequence[float], label: int) -> float:
@@ -353,22 +314,11 @@ def run_grid_entry(entry: GridEntry, scheme: str = "bjorck", seed: int = 0,
 
 def run_grid(scheme: str = "bjorck", seed: int = 0,
              tolerance: float = DEFAULT_TOLERANCE,
-             categories: Sequence[str] | None = None,
-             max_workers: int = 1) -> list[dict]:
-    """Run the whole bank (optionally restricted to some categories);
-    results come back sorted by configuration key regardless of worker
-    count."""
+             categories: Sequence[str] | None = None) -> list[dict]:
+    """Run the whole bank (optionally restricted to some categories) in
+    one thread; results come back sorted by configuration key."""
     entries = [e for e in grid_entries()
                if categories is None or e.category in categories]
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(
-                lambda e: run_grid_entry(e, scheme=scheme, seed=seed, tolerance=tolerance),
-                entries,
-            ))
-    else:
-        results = [run_grid_entry(e, scheme=scheme, seed=seed, tolerance=tolerance)
-                   for e in entries]
+    results = [run_grid_entry(e, scheme=scheme, seed=seed, tolerance=tolerance)
+               for e in entries]
     return sorted(results, key=lambda r: r["key"])

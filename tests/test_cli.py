@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from orthokernel import read_kernel, write_kernel
+from orthokernel import ConvSpec, read_kernel, roundtrip_check, write_kernel
 from orthokernel.cli import main
 
 
@@ -160,3 +160,23 @@ def test_bench_reports_and_rejects_zero_reps(capsys):
     assert main(["bench", "--channels", "4", "--kernel", "2", "--reps", "1"]) == 0
     out = capsys.readouterr().out
     assert "naive" in out and "fused" in out
+
+
+def test_build_unwritable_output_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "missing" / "k.okt"
+    assert main(["build", str(cfg), str(out)]) == 2
+    assert "invalid output path" in capsys.readouterr().err
+
+
+def test_build_wide_channel_increasing_strided(tmp_path):
+    # large enough that a dense check of the unstrided operator would
+    # exceed the entry budget; the layer must still build through fusion
+    cfg = write_config(tmp_path / "cfg.json", c_in=96, c_out=192, seed=0)
+    out = tmp_path / "k.okt"
+    assert main(["build", str(cfg), str(out)]) == 0
+    sidecar = json.loads((tmp_path / "k.okt.meta.json").read_text())
+    assert sidecar["branch"]["branch"] == "d"
+    K = read_kernel(out)
+    spec = ConvSpec(c_in=96, c_out=192, k_h=3, k_w=3, stride=2)
+    assert roundtrip_check(K, spec, direction="row") <= 1e-8

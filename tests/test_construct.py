@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from orthokernel import construct
 from orthokernel import (
     AocConfig,
     ConvSpec,
@@ -148,20 +152,29 @@ def test_aoc_branch_d_grouped():
     cfg = make_cfg(8, 4, 3, s=2, g=2, seed=1)
     K, tag = aoc_kernel(cfg)
     assert tag.branch == "d"
-    assert not tag.fallback_from_c
     assert K.shape == (4, 4, 3, 3) and K.groups == 2
     assert tag.internal_width == 4  # max(c_in_pg, floor(c_out_pg / s^2)) = max(4, 0)
     assert spectrum_ok(K, cfg.spec).passed
 
 
-def test_aoc_shortcut_candidate_falls_back():
-    # channel-increasing strided case: the direct-stride shortcut is built,
-    # fails its verification pass, and the fused construction ships
+def test_aoc_channel_increasing_strided_uses_fusion():
+    # an unstrided kernel applied with stride is never orthogonal, so the
+    # channel-increasing strided case goes straight to the fused branch
     cfg = make_cfg(2, 8, 3, s=2, seed=1)
     K, tag = aoc_kernel(cfg)
     assert tag.branch == "d"
-    assert tag.fallback_from_c
+    assert tag.internal_width == 2  # max(c_in, floor(c_out / s^2)) = max(2, 2)
     assert spectrum_ok(K, cfg.spec).passed
+
+
+def test_construct_imports_nothing_from_verify():
+    # verify imports construct; the reverse would be an import cycle
+    tree = ast.parse(Path(construct.__file__).read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    names = [getattr(n, "module", None) or "" for n in imports]
+    names += [alias.name for n in imports for alias in n.names]
+    assert not any(name.split(".")[-1] == "verify" for name in names)
+    assert all(n in tree.body for n in imports)  # no function-level imports
 
 
 def test_aoc_internal_width_law():

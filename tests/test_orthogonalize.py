@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthokernel import (
-    OrthoParams,
     bjorck_orthogonalize,
     cayley_rect,
     cholesky_orth,
@@ -242,12 +241,3 @@ def test_product_closure():
 def test_scheme_interchangeability(scheme, tol, shape):
     W = rng((1, *shape)).standard_normal(shape)
     assert gram_residual(orthogonalize(W, scheme=scheme)) <= tol
-
-
-def test_ortho_params_validation():
-    with pytest.raises(ValueError):
-        OrthoParams(W=np.eye(2), scheme="qr")
-    with pytest.raises(ValueError):
-        OrthoParams(W=np.eye(2), beta=0.9)
-    with pytest.raises(ValueError):
-        OrthoParams(W=np.eye(2), iters=0)
