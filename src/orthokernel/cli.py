@@ -14,7 +14,8 @@ build config).
 
 Exit codes: 0 success / verification pass, 1 verification failure,
 2 invalid input (including an unwritable output path), 3 unsupported
-configuration.  All commands are deterministic given their flags and
+configuration (including one whose scheme cannot build an orthogonal
+factor).  All commands are deterministic given their flags and
 seeds.
 """
 
@@ -32,7 +33,7 @@ from . import kernel_io
 from .blockconv import block_conv_fast, block_conv_naive, scan_compose, sequential_compose
 from .construct import AocConfig, aoc_kernel
 from .orthogonalize import DEFAULT_BETA, DEFAULT_ITERS, DEFAULT_SCHEME, sample_params
-from .tensor_core import ConvSpec, KernelTensor, UnsupportedConfigError
+from .tensor_core import ConvSpec, KernelTensor
 from .verify import DEFAULT_TOLERANCE, check_orthogonality, grid_entries, run_grid, singular_values, toeplitz_from_kernel
 
 EXIT_OK = 0
@@ -92,8 +93,11 @@ def cmd_build(args) -> int:
         return EXIT_BAD_INPUT
     try:
         K, tag = aoc_kernel(cfg)
-    except UnsupportedConfigError as exc:
-        print(f"unsupported configuration: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        # UnsupportedConfigError, or a factor the chosen scheme could not
+        # make orthogonal (e.g. cholesky on a one-column projector matrix)
+        reason = str(exc).partition("\n")[0]
+        print(f"unsupported configuration: {reason}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     sidecar = {
         "branch": tag.to_dict(),
@@ -202,7 +206,7 @@ def cmd_bench(args) -> int:
     t_scan = _time_call(lambda: scan_compose(chain), reps)
     print(f"block convolution fusion, C={C}, k={k}, median of {reps}:")
     print(f"  naive quadruple loop : {t_naive * 1e3:10.3f} ms")
-    print(f"  fused correlation    : {t_fast * 1e3:10.3f} ms")
+    print(f"  fused batched GEMM   : {t_fast * 1e3:10.3f} ms")
     print(f"chain composition, 8 factors of 2x2, C={C}:")
     print(f"  sequential fold (naive op) : {t_seq * 1e3:10.3f} ms")
     print(f"  tree scan (fused op)       : {t_scan * 1e3:10.3f} ms")

@@ -89,7 +89,7 @@ class BranchTag:
 
     branch: str
     internal_width: int | None = None
-    group_seeds: tuple[int, ...] = ()
+    group_seeds: tuple[int | tuple[int, ...], ...] = ()
     ordering: str = "bcop"
 
     def to_dict(self) -> dict:
@@ -99,6 +99,18 @@ class BranchTag:
             "group_seeds": list(self.group_seeds),
             "ordering": self.ordering,
         }
+
+
+#: second seed word of group q's seed (seed, GROUP_SEED_BASE + q) in a
+#: grouped layer; it lies above every sub-seed word a builder appends
+#: (0..t for the projector factors, 1 << 20 for the fused branch's outer
+#: factor), so no group draws another group's or a sub-seed's stream
+GROUP_SEED_BASE = 1 << 21
+
+
+def _sub_seed(seed, word: int) -> tuple[int, ...]:
+    """Seed words of a sub-stream of `seed` (an int or a tuple of ints)."""
+    return (*seed, word) if isinstance(seed, tuple) else (seed, word)
 
 
 def _orth(shape, seed, scheme, iters, beta):
@@ -149,10 +161,10 @@ def _compose_projector_kernel(c_in, c_out, k1, k2, seed, scheme, iters, beta,
             f"projector construction needs a channel width >= 2 for spatial "
             f"kernels, got c_in={c_in}, c_out={c_out}"
         )
-    M = _orth((c, c_in), (seed, 0), scheme, iters, beta)
+    M = _orth((c, c_in), _sub_seed(seed, 0), scheme, iters, beta)
     chain = [KernelTensor(M.reshape(c, c_in, 1, 1))]
     for t, axis in enumerate(axes):
-        M0 = _orth((c, c // 2), (seed, 1 + t), scheme, iters, beta)
+        M0 = _orth((c, c // 2), _sub_seed(seed, 1 + t), scheme, iters, beta)
         chain.append(_projector_factor(projector_pair(M0).N, axis))
     K = scan_compose(chain)
     if c_out < c:
@@ -219,7 +231,7 @@ def _build_group_kernel(ci, co, k1, k2, s, cfg: AocConfig, seed):
     c = max(ci, co // (s * s))
     inner = build(ci, c, k1 - s + 1, k2 - s + 1, seed=seed, **kw)
     # disjoint sub-seed namespace from the projector factors (seed, 0..t)
-    outer = rko_kernel(c, co, s, s, seed=(seed, 1 << 20), **kw)
+    outer = rko_kernel(c, co, s, s, seed=_sub_seed(seed, 1 << 20), **kw)
     return block_conv_fast(outer, inner), "d", c
 
 
@@ -227,7 +239,10 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
     """Build an orthogonal convolution kernel for an arbitrary valid
     (c_in, c_out, k, s, g, d) configuration.
 
-    Groups are built independently with per-group seeds seed+q and stacked.
+    Groups are built independently and stacked.  An ungrouped layer is
+    built from `seed` itself; group q of a grouped layer from the seed
+    words (seed, GROUP_SEED_BASE + q), so layers with different seeds
+    share no group.
     Dilation returns the same kernel (orthogonality transfers to the
     dilated operator); the spec carries d.  Raises UnsupportedConfigError
     for configurations with no orthogonal kernel: s > k, per-group
@@ -258,7 +273,8 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
 
     kernels = []
     branch = width = None
-    group_seeds = tuple(cfg.seed + q for q in range(g))
+    group_seeds = ((cfg.seed,) if g == 1 else
+                   tuple((cfg.seed, GROUP_SEED_BASE + q) for q in range(g)))
     for seed in group_seeds:
         K_q, branch, width = _build_group_kernel(ci, co, k1, k2, s, cfg, seed)
         kernels.append(K_q.data)

@@ -99,6 +99,22 @@ def test_fast_equals_naive(seed):
     )
 
 
+@given(st.integers(0, 1000))
+@settings(max_examples=60, deadline=None)
+def test_grouped_fast_equals_per_group_naive(seed):
+    g = rng(seed)
+    groups = int(g.integers(1, 4))
+    cm, ci, co = (int(v) for v in g.integers(1, 7, 3))
+    k1, k2, l1, l2 = (int(v) for v in g.integers(1, 5, 4))
+    A = KernelTensor(g.standard_normal((groups * cm, ci, k1, k2)))
+    B = KernelTensor(g.standard_normal((groups * co, cm, l1, l2)))
+    fused = block_conv_fast(B, A, groups=groups).data
+    for q in range(groups):
+        expect = block_conv_naive(KernelTensor(B.data[q * co:(q + 1) * co]),
+                                  KernelTensor(A.data[q * cm:(q + 1) * cm]))
+        np.testing.assert_allclose(fused[q * co:(q + 1) * co], expect.data, atol=1e-12)
+
+
 def test_batched_matches_elementwise_naive():
     As = [random_kernel(3, 2, 2, 2, seed=10 + i) for i in range(4)]
     Bs = [random_kernel(5, 3, 3, 3, seed=20 + i) for i in range(4)]

@@ -77,6 +77,18 @@ def test_build_unsupported_exit_3(tmp_path, capsys):
     assert main(["build", str(cfg), str(tmp_path / "k.okt")]) == 3
 
 
+def test_build_unorthogonalizable_factor_exit_3(tmp_path, capsys):
+    # cholesky cannot make the 2x1 projector matrix of a 1->2 group
+    # column orthogonal; the ValueError must become exit 3, not escape
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"c_in": 2, "c_out": 4, "kernel": 3,
+                                "groups": 2, "scheme": "cholesky"}))
+    assert main(["build", str(path), str(tmp_path / "k.okt")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported configuration: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_perturbed_kernel_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "k.okt"

@@ -167,6 +167,15 @@ def test_aoc_channel_increasing_strided_uses_fusion():
     assert spectrum_ok(K, cfg.spec).passed
 
 
+def test_aoc_wide_channel_increasing_strided():
+    # 256->512 k3 s2: the widest resnet-style layer, built through fusion
+    cfg = make_cfg(256, 512, 3, s=2, seed=0)
+    K, tag = aoc_kernel(cfg)
+    assert tag.branch == "d"
+    assert tag.internal_width == 256  # max(256, floor(512 / 4))
+    assert roundtrip_check(K, cfg.spec, direction="row") <= 1e-8
+
+
 def test_construct_imports_nothing_from_verify():
     # verify imports construct; the reverse would be an import cycle
     tree = ast.parse(Path(construct.__file__).read_text())
@@ -193,8 +202,23 @@ def test_aoc_internal_width_law():
 def test_aoc_group_seeds_distinct():
     cfg = make_cfg(8, 8, 3, s=1, g=2, seed=10)
     K, tag = aoc_kernel(cfg)
-    assert tag.group_seeds == (10, 11)
+    base = construct.GROUP_SEED_BASE
+    assert tag.group_seeds == ((10, base), (10, base + 1))
     assert np.max(np.abs(K.data[:4] - K.data[4:])) > 1e-3
+    assert aoc_kernel(make_cfg(8, 8, 3, s=1, seed=10))[1].group_seeds == (10,)
+
+
+@pytest.mark.parametrize("g", [2, 4])
+def test_aoc_groups_differ_across_seeds(g):
+    # with per-group seeds seed+q, group 1 at seed s equalled group 0 at s+1
+    co = 8 // g
+    groups = []
+    for seed in range(4):
+        K, _ = aoc_kernel(make_cfg(8, 8, 3, s=1, g=g, seed=seed))
+        groups += [K.data[q * co:(q + 1) * co] for q in range(g)]
+    for i, a in enumerate(groups):
+        for b in groups[i + 1:]:
+            assert not np.array_equal(a, b)
 
 
 def test_aoc_determinism():
