@@ -7,8 +7,6 @@ and singular-value analysis.
 """
 
 from .tensor_core import (
-    PADDING_CIRCULAR,
-    PADDING_ZERO,
     ConvSpec,
     ImageTensor,
     DenseMatrix,
@@ -26,7 +24,6 @@ from .tensor_core import (
 from .kernel_io import read_kernel, write_kernel, kernel_to_json, kernel_from_json
 from .blockconv import (
     KernelChain,
-    block_conv_batched,
     block_conv_fast,
     block_conv_naive,
     compat,

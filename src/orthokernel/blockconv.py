@@ -8,12 +8,11 @@ applying A first and B second.  Entrywise,
 with A treated as zero outside its support; the result has spatial size
 (k1A + k1B - 1, k2A + k2B - 1).  `block_conv_naive` is the literal loop and
 serves as the oracle.  `block_conv_fast` splits the sum by the tap (u, v)
-of B: one batched matrix product (a BLAS GEMM per group) multiplies every
-tap's channel matrix with all of A at once, and each tap's product is then
-added into the output at spatial offset (u, v).  The product is batched
-over groups, so independent fusions of equal shape run in one call.  It
-sums in a different order than the loop, so the two agree to rounding
-(1e-12 in the tests), not bit for bit.
+of B: one matrix product (a single BLAS GEMM) multiplies every tap's
+channel matrix with all of A at once, and each tap's product is then added
+into the output at spatial offset (u, v).  It sums in a different order
+than the loop, so the two agree to rounding (1e-12 in the tests), not bit
+for bit.
 
 Under the centred tap convention, applying the fused kernel matches the
 two-step application exactly whenever at most one of the two sizes is even
@@ -40,6 +39,8 @@ def compat(A: KernelTensor, B: KernelTensor) -> bool:
 
 
 def _require_compat(A: KernelTensor, B: KernelTensor):
+    if A.groups != 1 or B.groups != 1:
+        raise ValueError("block convolution expects ungrouped kernels")
     if not compat(A, B):
         raise ValueError(
             f"incompatible kernels: B expects {B.c_in} input channels, "
@@ -49,8 +50,6 @@ def _require_compat(A: KernelTensor, B: KernelTensor):
 
 def block_conv_naive(B: KernelTensor, A: KernelTensor) -> KernelTensor:
     """Literal quadruple loop over output entries; the fast path's oracle."""
-    if A.groups != 1 or B.groups != 1:
-        raise ValueError("block_conv_naive expects ungrouped kernels")
     _require_compat(A, B)
     Ad, Bd = A.data, B.data
     cm, ci, k1, k2 = Ad.shape
@@ -69,56 +68,24 @@ def block_conv_naive(B: KernelTensor, A: KernelTensor) -> KernelTensor:
     return KernelTensor(out)
 
 
-def block_conv_fast(B: KernelTensor, A: KernelTensor, groups: int = 1) -> KernelTensor:
-    """Fused-kernel computation as one batched GEMM and a shifted sum.
+def block_conv_fast(B: KernelTensor, A: KernelTensor) -> KernelTensor:
+    """Fused-kernel computation as one GEMM and a shifted sum.
 
-    With groups=g, A stacks g kernels along its output-channel axis and B
-    stacks g kernels along its output-channel axis; fusion is performed
-    independently per group.  The product of the (l1*l2*co/g) x (cm/g)
-    stack of B's taps with the (cm/g) x (ci*k1*k2) flattening of A gives
-    every tap's contribution; tap (u, v) lands at out[..., u:u+k1, v:v+k2].
+    The product of the (l1*l2*co) x cm stack of B's taps with the
+    cm x (ci*k1*k2) flattening of A gives every tap's contribution; tap
+    (u, v) lands at out[..., u:u+k1, v:v+k2].
     """
+    _require_compat(A, B)
     Ad, Bd = A.data, B.data
     cm, ci, k1, k2 = Ad.shape
-    co, cm_pg, l1, l2 = Bd.shape
-    if cm != cm_pg * groups or co % groups != 0:
-        raise ValueError(
-            f"incompatible kernels for groups={groups}: A produces {cm} "
-            f"channels, B expects {cm_pg} per group"
-        )
-    co_pg = co // groups
-    taps = (Bd.reshape(groups, co_pg, cm_pg, l1, l2)
-            .transpose(0, 3, 4, 1, 2)
-            .reshape(groups, l1 * l2 * co_pg, cm_pg))
-    prod = (taps @ Ad.reshape(groups, cm_pg, ci * k1 * k2)).reshape(
-        groups, l1, l2, co_pg, ci, k1, k2)
-    out = np.zeros((groups, co_pg, ci, k1 + l1 - 1, k2 + l2 - 1))
+    co, _, l1, l2 = Bd.shape
+    taps = Bd.transpose(2, 3, 0, 1).reshape(l1 * l2 * co, cm)
+    prod = (taps @ Ad.reshape(cm, ci * k1 * k2)).reshape(l1, l2, co, ci, k1, k2)
+    out = np.zeros((co, ci, k1 + l1 - 1, k2 + l2 - 1))
     for u in range(l1):
         for v in range(l2):
-            out[..., u:u + k1, v:v + k2] += prod[:, u, v]
-    return KernelTensor(out.reshape(co, ci, k1 + l1 - 1, k2 + l2 - 1))
-
-
-def block_conv_batched(Bs: Sequence[KernelTensor],
-                       As: Sequence[KernelTensor]) -> list[KernelTensor]:
-    """Elementwise fusion of two equal-length kernel sequences, computed in
-    one grouped call.  All As must share a shape, likewise all Bs."""
-    if len(Bs) == 0 or len(As) == 0:
-        raise ValueError("batched block convolution of empty sequences")
-    if len(Bs) != len(As):
-        raise ValueError(f"length mismatch: {len(Bs)} vs {len(As)}")
-    a_shape = As[0].shape
-    b_shape = Bs[0].shape
-    if any(A.shape != a_shape for A in As) or any(B.shape != b_shape for B in Bs):
-        raise ValueError("all kernels in a batch must share shapes")
-    for A, B in zip(As, Bs):
-        _require_compat(A, B)
-    g = len(As)
-    A_cat = KernelTensor(np.concatenate([A.data for A in As], axis=0))
-    B_cat = KernelTensor(np.concatenate([B.data for B in Bs], axis=0))
-    fused = block_conv_fast(B_cat, A_cat, groups=g)
-    co = b_shape[0]
-    return [KernelTensor(fused.data[q * co:(q + 1) * co]) for q in range(g)]
+            out[..., u:u + k1, v:v + k2] += prod[u, v]
+    return KernelTensor(out)
 
 
 def sequential_compose(chain: KernelChain) -> KernelTensor:
@@ -137,8 +104,7 @@ def scan_compose(chain: KernelChain) -> KernelTensor:
     """Tree-reduction composition of a kernel chain (first element applied
     first).  Associativity makes any bracketing equivalent; adjacent pairs
     are fused each round and an odd tail is carried forward unchanged, so
-    the result is reproducible and reached in ceil(log2 n) rounds.  Pairs
-    of identical shape within a round are fused in one batched call.
+    the result is reproducible and reached in ceil(log2 n) rounds.
     """
     if len(chain) == 0:
         raise ValueError("cannot compose an empty chain")
@@ -149,9 +115,5 @@ def scan_compose(chain: KernelChain) -> KernelTensor:
         firsts = level[0::2]
         seconds = level[1::2]
         carry = [firsts.pop()] if len(firsts) > len(seconds) else []
-        shapes = {(A.shape, B.shape) for A, B in zip(firsts, seconds)}
-        if len(shapes) == 1 and len(firsts) > 1:
-            level = block_conv_batched(seconds, firsts) + carry
-        else:
-            level = [block_conv_fast(B, A) for A, B in zip(firsts, seconds)] + carry
+        level = [block_conv_fast(B, A) for A, B in zip(firsts, seconds)] + carry
     return level[0]

@@ -6,7 +6,6 @@ Subcommands:
     verify    kernel.okt [flags]    -> spectrum check, JSON report on stdout
     spectrum  kernel.okt [flags]    -> print descending singular values
     selftest                        -> run the verification grid (one thread)
-    bench                           -> fast-vs-naive fusion timings
 
 The build sidecar `out.okt.meta.json` holds "branch" (`BranchTag.to_dict`:
 branch, internal_width, group_seeds, ordering) and "config" (the resolved
@@ -25,14 +24,10 @@ import argparse
 import json
 import sys
 import time
-from statistics import median
-
-import numpy as np
 
 from . import kernel_io
-from .blockconv import block_conv_fast, block_conv_naive, scan_compose, sequential_compose
 from .construct import AocConfig, aoc_kernel
-from .orthogonalize import DEFAULT_BETA, DEFAULT_ITERS, DEFAULT_SCHEME, sample_params
+from .orthogonalize import DEFAULT_BETA, DEFAULT_ITERS, DEFAULT_SCHEME, SCHEMES
 from .tensor_core import ConvSpec, KernelTensor
 from .verify import DEFAULT_TOLERANCE, check_orthogonality, grid_entries, run_grid, singular_values, toeplitz_from_kernel
 
@@ -161,10 +156,19 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.seed < 0:
+        print(f"invalid input: seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     categories = args.category if args.category else None
     t0 = time.perf_counter()
-    results = run_grid(scheme=args.scheme, seed=args.seed,
-                       tolerance=args.tol, categories=categories)
+    try:
+        results = run_grid(scheme=args.scheme, seed=args.seed,
+                           tolerance=args.tol, categories=categories)
+    except ValueError as exc:
+        # a grid entry the chosen scheme cannot build, as in cmd_build
+        reason = str(exc).partition("\n")[0]
+        print(f"unsupported configuration: {reason}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     elapsed = time.perf_counter() - t0
     by_cat: dict[str, list[bool]] = {}
     for r in results:
@@ -181,36 +185,6 @@ def cmd_selftest(args) -> int:
     print(f"total {sum(len(v) for v in by_cat.values())} configurations "
           f"in {elapsed:.1f}s: {'all passed' if all_ok else 'FAILURES'}")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
-
-
-def _time_call(fn, reps):
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return median(times)
-
-
-def cmd_bench(args) -> int:
-    if args.reps < 1:
-        print("reps must be >= 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    C, k, reps = args.channels, args.kernel, args.reps
-    A = KernelTensor(sample_params((C, C, k, k), 1))
-    B = KernelTensor(sample_params((C, C, k, k), 2))
-    t_naive = _time_call(lambda: block_conv_naive(B, A), reps)
-    t_fast = _time_call(lambda: block_conv_fast(B, A), reps)
-    chain = [KernelTensor(sample_params((C, C, 2, 2), 10 + i)) for i in range(8)]
-    t_seq = _time_call(lambda: sequential_compose(chain), max(1, reps // 2))
-    t_scan = _time_call(lambda: scan_compose(chain), reps)
-    print(f"block convolution fusion, C={C}, k={k}, median of {reps}:")
-    print(f"  naive quadruple loop : {t_naive * 1e3:10.3f} ms")
-    print(f"  fused batched GEMM   : {t_fast * 1e3:10.3f} ms")
-    print(f"chain composition, 8 factors of 2x2, C={C}:")
-    print(f"  sequential fold (naive op) : {t_seq * 1e3:10.3f} ms")
-    print(f"  tree scan (fused op)       : {t_scan * 1e3:10.3f} ms")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_spectrum)
 
     st = sub.add_parser("selftest", help="run the verification grid")
-    st.add_argument("--scheme", default=DEFAULT_SCHEME)
+    st.add_argument("--scheme", default=DEFAULT_SCHEME, choices=SCHEMES)
     st.add_argument("--seed", type=int, default=0)
     st.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     st.add_argument("--category", action="append",
@@ -259,11 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict to a category (repeatable); default: all")
     st.set_defaults(fn=cmd_selftest)
 
-    be = sub.add_parser("bench", help="fusion timings, fast vs naive")
-    be.add_argument("--channels", type=int, default=16)
-    be.add_argument("--kernel", type=int, default=3)
-    be.add_argument("--reps", type=int, default=5)
-    be.set_defaults(fn=cmd_bench)
     return p
 
 

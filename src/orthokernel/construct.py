@@ -28,6 +28,7 @@ from .orthogonalize import (
     DEFAULT_ITERS,
     DEFAULT_SCHEME,
     SCHEMES,
+    ProjectorPair,
     orthogonalize,
     projector_pair,
     sample_params,
@@ -117,11 +118,11 @@ def _orth(shape, seed, scheme, iters, beta):
     return orthogonalize(sample_params(shape, seed), scheme=scheme, iters=iters, beta=beta)
 
 
-def _projector_factor(N: np.ndarray, axis: int) -> KernelTensor:
+def _projector_factor(P: ProjectorPair, axis: int) -> KernelTensor:
     """1x2 (axis=3) or 2x1 (axis=2) kernel stacking [N, I-N] spatially."""
-    c = N.shape[0]
-    n4 = N.reshape(c, c, 1, 1)
-    c4 = (np.eye(c) - N).reshape(c, c, 1, 1)
+    c = P.N.shape[0]
+    n4 = P.N.reshape(c, c, 1, 1)
+    c4 = P.complement.reshape(c, c, 1, 1)
     return KernelTensor(np.concatenate([n4, c4], axis=axis))
 
 
@@ -165,7 +166,7 @@ def _compose_projector_kernel(c_in, c_out, k1, k2, seed, scheme, iters, beta,
     chain = [KernelTensor(M.reshape(c, c_in, 1, 1))]
     for t, axis in enumerate(axes):
         M0 = _orth((c, c // 2), _sub_seed(seed, 1 + t), scheme, iters, beta)
-        chain.append(_projector_factor(projector_pair(M0).N, axis))
+        chain.append(_projector_factor(projector_pair(M0), axis))
     K = scan_compose(chain)
     if c_out < c:
         K = KernelTensor(K.data[:c_out])

@@ -12,8 +12,8 @@ Index convention, fixed once for the whole package
 --------------------------------------------------
 A kernel tap (i', j') of a (k_h, k_w) kernel sits at the spatial offset
 (i' - (k_h-1)//2, j' - (k_w-1)//2), i.e. taps are centred on the kernel
-midpoint (floor-centred for even sizes).  With circular padding, stride s
-and dilation d the forward operator reads
+midpoint (floor-centred for even sizes).  Padding is always circular: with
+stride s and dilation d the forward operator reads
 
     y[m, i, j] = sum_{c, i', j'} K[m, c, i', j']
                  * x[c, (i*s - (i'-oh)*d) mod h, (j*s - (j'-ow)*d) mod w]
@@ -31,9 +31,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-PADDING_CIRCULAR = "circular"
-PADDING_ZERO = "zero"
 
 #: real dense matrix; plain 2-axis float64 ndarray
 DenseMatrix = np.ndarray
@@ -104,13 +101,8 @@ class KernelTensor:
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Contract of a convolution: channel counts, kernel size, stride,
-    groups, dilation and padding mode.
-
-    Orthogonality claims are only meaningful under circular padding; zero
-    padding is accepted by the reference operators but rejected by the
-    verification entry points.
-    """
+    """Contract of a circularly padded convolution: channel counts, kernel
+    size, stride, groups and dilation."""
 
     c_in: int
     c_out: int
@@ -119,7 +111,6 @@ class ConvSpec:
     stride: int = 1
     groups: int = 1
     dilation: int = 1
-    padding: str = PADDING_CIRCULAR
 
     def __post_init__(self):
         for name in ("c_in", "c_out", "k_h", "k_w", "stride", "groups", "dilation"):
@@ -131,8 +122,6 @@ class ConvSpec:
                 f"c_in={self.c_in}, c_out={self.c_out} must be divisible by "
                 f"groups={self.groups}"
             )
-        if self.padding not in (PADDING_CIRCULAR, PADDING_ZERO):
-            raise ValueError(f"unknown padding mode {self.padding!r}")
 
     def matches_kernel(self, K: KernelTensor) -> bool:
         return (
@@ -144,12 +133,11 @@ class ConvSpec:
         )
 
 
-def spec_for_kernel(K: KernelTensor, stride: int = 1, dilation: int = 1,
-                    padding: str = PADDING_CIRCULAR) -> ConvSpec:
+def spec_for_kernel(K: KernelTensor, stride: int = 1, dilation: int = 1) -> ConvSpec:
     """ConvSpec matching a kernel's shape and group count."""
     return ConvSpec(
         c_in=K.c_in, c_out=K.c_out, k_h=K.k_h, k_w=K.k_w,
-        stride=stride, groups=K.groups, dilation=dilation, padding=padding,
+        stride=stride, groups=K.groups, dilation=dilation,
     )
 
 
@@ -186,9 +174,9 @@ def _check_kernel_spec(K: KernelTensor, spec: ConvSpec):
 def conv2d_ref(K: KernelTensor, x: ImageTensor, spec: ConvSpec) -> ImageTensor:
     """Reference 2-D convolution, direct summation over kernel taps.
 
-    Input x is [c_in][h][w]; output is [c_out][h/s][w/s].  With circular
-    padding indices wrap modulo (h, w); with zero padding out-of-range taps
-    contribute nothing.  h and w must be divisible by the stride.
+    Input x is [c_in][h][w]; output is [c_out][h/s][w/s].  Indices wrap
+    modulo (h, w) (circular padding).  h and w must be divisible by the
+    stride.
     """
     _check_kernel_spec(K, spec)
     x = _check_image(x, spec.c_in)
@@ -204,20 +192,11 @@ def conv2d_ref(K: KernelTensor, x: ImageTensor, spec: ConvSpec) -> ImageTensor:
     y = np.zeros((g, spec.c_out // g, ho, wo))
     I = np.arange(ho) * s
     J = np.arange(wo) * s
-    circular = spec.padding == PADDING_CIRCULAR
     for ip in range(kh):
         raw_r = I - (ip - oh) * d
         for jp in range(kw):
             raw_c = J - (jp - ow) * d
-            if circular:
-                sub = xg[:, :, (raw_r % h)[:, None], (raw_c % w)[None, :]]
-            else:
-                rmask = (raw_r >= 0) & (raw_r < h)
-                cmask = (raw_c >= 0) & (raw_c < w)
-                sub = np.zeros((g, c_in // g, ho, wo))
-                sub[:, :, rmask[:, None] & cmask[None, :]] = xg[
-                    :, :, raw_r[rmask][:, None], raw_c[cmask][None, :]
-                ].reshape(g, c_in // g, -1)
+            sub = xg[:, :, (raw_r % h)[:, None], (raw_c % w)[None, :]]
             y += (Kg[..., ip, jp] @ sub.reshape(g, c_in // g, ho * wo)).reshape(y.shape)
     return y.reshape(spec.c_out, ho, wo)
 
@@ -242,22 +221,14 @@ def conv2d_transpose_ref(K: KernelTensor, x: ImageTensor, spec: ConvSpec) -> Ima
     y = np.zeros((g, spec.c_in // g, h, w))
     I = np.arange(ho) * s
     J = np.arange(wo) * s
-    circular = spec.padding == PADDING_CIRCULAR
     for ip in range(kh):
         raw_r = I - (ip - oh) * d
         for jp in range(kw):
             raw_c = J - (jp - ow) * d
             contrib = (Kg[..., ip, jp].transpose(0, 2, 1) @ xg).reshape(g, spec.c_in // g, ho, wo)
-            if circular:
-                # distinct (i, j) scatter to distinct targets within one tap,
-                # so fancy += is collision-free here
-                y[:, :, (raw_r % h)[:, None], (raw_c % w)[None, :]] += contrib
-            else:
-                rmask = (raw_r >= 0) & (raw_r < h)
-                cmask = (raw_c >= 0) & (raw_c < w)
-                y[:, :, raw_r[rmask][:, None], raw_c[cmask][None, :]] += contrib[
-                    :, :, rmask[:, None] & cmask[None, :]
-                ].reshape(g, spec.c_in // g, rmask.sum(), cmask.sum())
+            # distinct (i, j) scatter to distinct targets within one tap,
+            # so fancy += is collision-free here
+            y[:, :, (raw_r % h)[:, None], (raw_c % w)[None, :]] += contrib
     return y.reshape(spec.c_in, h, w)
 
 

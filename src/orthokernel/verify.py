@@ -33,7 +33,6 @@ import numpy as np
 
 from .construct import AocConfig, aoc_kernel
 from .tensor_core import (
-    PADDING_CIRCULAR,
     ConvSpec,
     KernelTensor,
     conv2d_ref,
@@ -50,7 +49,6 @@ class SpectrumReport:
 
     sigma_max: float
     sigma_min: float
-    residual_inf: float
     n_rows: int
     n_cols: int
     passed: bool
@@ -60,7 +58,6 @@ class SpectrumReport:
         doc = {
             "sigma_min": self.sigma_min,
             "sigma_max": self.sigma_max,
-            "residual_inf": self.residual_inf,
             "n_rows": self.n_rows,
             "n_cols": self.n_cols,
             "pass": self.passed,
@@ -75,8 +72,6 @@ class SpectrumReport:
 
 
 def _strided_size(spec: ConvSpec, h: int, w: int) -> tuple[int, int]:
-    if spec.padding != PADDING_CIRCULAR:
-        raise ValueError("operator-matrix construction assumes circular padding")
     s = spec.stride
     if h % s != 0 or w % s != 0:
         raise ValueError(f"image size {h}x{w} not divisible by stride {s}")
@@ -150,16 +145,15 @@ def check_orthogonality(K: KernelTensor, spec: ConvSpec, h: int = 8, w: int = 8,
     """Build the strided operator matrix, take its spectrum, and report.
 
     Passes iff every singular value lies within `tolerance` of 1.  The
-    residual is ||G - I||_inf on the smaller Gram side.
+    spectral residual ||G - I||_2 on the smaller Gram side G follows from
+    the extremes: max(|sigma_max^2 - 1|, |sigma_min^2 - 1|).
     """
     T = toeplitz_from_kernel(K, spec, h, w)
     sv = singular_values(T)
-    G = T @ T.T if T.shape[0] <= T.shape[1] else T.T @ T
-    residual = float(np.max(np.abs(G - np.eye(G.shape[0]))))
     smax, smin = float(sv[0]), float(sv[-1])
     passed = max(abs(smax - 1.0), abs(smin - 1.0)) <= tolerance
     return SpectrumReport(
-        sigma_max=smax, sigma_min=smin, residual_inf=residual,
+        sigma_max=smax, sigma_min=smin,
         n_rows=T.shape[0], n_cols=T.shape[1], passed=passed, tolerance=tolerance,
     )
 

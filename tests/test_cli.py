@@ -155,6 +155,27 @@ def test_selftest_full_grid(capsys):
     assert "all passed" in out
 
 
+def test_selftest_unknown_scheme_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--scheme", "foo"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_selftest_negative_seed_exit_2(capsys):
+    assert main(["selftest", "--seed", "-1", "--category", "common"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_selftest_unbuildable_entry_exit_3(capsys):
+    # cholesky cannot make the one-column projector matrix of a grouped
+    # entry orthogonal
+    assert main(["selftest", "--scheme", "cholesky", "--category", "grouped"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported configuration: ")
+    assert err.count("\n") == 1
+
+
 def test_spectrum_non_flat_for_unstrided_reshape(tmp_path, capsys):
     from orthokernel import rko_kernel
 
@@ -164,14 +185,6 @@ def test_spectrum_non_flat_for_unstrided_reshape(tmp_path, capsys):
     assert main(["spectrum", str(out)]) == 0
     values = np.array([float(v) for v in capsys.readouterr().out.split()])
     assert values.min() < 0.99  # spread spectrum, not orthogonal at s=1
-
-
-def test_bench_reports_and_rejects_zero_reps(capsys):
-    assert main(["bench", "--channels", "4", "--kernel", "2", "--reps", "0"]) == 2
-    capsys.readouterr()
-    assert main(["bench", "--channels", "4", "--kernel", "2", "--reps", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "naive" in out and "fused" in out
 
 
 def test_build_unwritable_output_exit_2(tmp_path, capsys):

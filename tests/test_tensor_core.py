@@ -35,8 +35,6 @@ def test_conv_spec_validation():
         ConvSpec(c_in=3, c_out=4, k_h=3, k_w=3, groups=2)
     with pytest.raises(ValueError):
         ConvSpec(c_in=2, c_out=2, k_h=0, k_w=1)
-    with pytest.raises(ValueError):
-        ConvSpec(c_in=2, c_out=2, k_h=1, k_w=1, padding="same")
 
 
 def test_identity_kernel_is_identity():
@@ -176,33 +174,6 @@ def test_shape_mismatch_errors():
     bad_spec = ConvSpec(c_in=3, c_out=2, k_h=5, k_w=5)
     with pytest.raises(ValueError):
         conv2d_ref(K, np.zeros((3, 8, 8)), bad_spec)  # kernel/spec mismatch
-
-
-def test_zero_padding_mode():
-    # zero padding drops wrap-around contributions entirely
-    K = random_kernel(1, 1, 3, 3, seed=40)
-    spec_z = spec_for_kernel(K, padding="zero")
-    spec_c = spec_for_kernel(K)
-    x = np.zeros((1, 6, 6))
-    x[0, 0, 0] = 1.0
-    y_zero = conv2d_ref(K, x, spec_z)
-    y_circ = conv2d_ref(K, x, spec_c)
-    assert not np.allclose(y_zero, y_circ)
-    # interior impulse far from the boundary: identical responses
-    x2 = np.zeros((1, 8, 8))
-    x2[0, 4, 4] = 1.0
-    np.testing.assert_allclose(
-        conv2d_ref(K, x2, spec_for_kernel(K, padding="zero")),
-        conv2d_ref(K, x2, spec_for_kernel(K)),
-        atol=0,
-    )
-    # adjoint identity also holds under zero padding
-    g = rng(41)
-    xa = g.standard_normal((1, 6, 6))
-    ya = g.standard_normal((1, 6, 6))
-    lhs = np.sum(conv2d_ref(K, xa, spec_z) * ya)
-    rhs = np.sum(xa * conv2d_transpose_ref(K, ya, spec_z))
-    assert abs(lhs - rhs) < 1e-12
 
 
 def test_grouped_channel_blocks_are_contiguous():

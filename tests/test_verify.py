@@ -77,12 +77,6 @@ def test_toeplitz_budget_guard():
         toeplitz_from_kernel(K, spec_for_kernel(K), 64, 64)
 
 
-def test_toeplitz_rejects_zero_padding():
-    K = random_kernel(1, 1, 3, 3, seed=0)
-    with pytest.raises(ValueError, match="circular"):
-        toeplitz_from_kernel(K, spec_for_kernel(K, padding="zero"), 8, 8)
-
-
 def test_transpose_matrix_is_forward_transpose():
     K = random_kernel(3, 2, 3, 3, seed=5)
     spec = spec_for_kernel(K, stride=1)
@@ -152,7 +146,6 @@ def test_check_orthogonality_identity_exact():
     rep = check_orthogonality(K, spec_for_kernel(K), 4, 4)
     assert rep.passed
     assert rep.sigma_min == 1.0 and rep.sigma_max == 1.0
-    assert rep.residual_inf <= 1e-14
 
 
 def test_check_orthogonality_fails_on_random_kernel():
@@ -165,9 +158,8 @@ def test_report_json_schema():
     K = identity_kernel(2)
     rep = check_orthogonality(K, spec_for_kernel(K), 4, 4)
     doc = json.loads(rep.to_json({"note": "identity"}))
-    for key in ("sigma_min", "sigma_max", "residual_inf", "pass", "tolerance",
-                "n_rows", "n_cols", "config"):
-        assert key in doc
+    assert set(doc) == {"sigma_min", "sigma_max", "pass", "tolerance",
+                        "n_rows", "n_cols", "config"}
     assert doc["pass"] is True
 
 
