@@ -2,8 +2,8 @@
 
 Construct convolution kernels whose strided circular operators are exactly
 orthogonal -- with native stride, groups, dilation and transposition --
-and verify them independently through impulse-response operator matrices
-and singular-value analysis.
+and verify them independently from impulse responses and singular-value
+analysis.
 """
 
 from .tensor_core import (
@@ -60,6 +60,7 @@ from .verify import (
     SpectrumReport,
     check_orthogonality,
     grid_entries,
+    polyphase_spectrum,
     robustness_certificate,
     roundtrip_check,
     run_grid,

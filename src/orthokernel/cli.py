@@ -25,11 +25,13 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import kernel_io
 from .construct import AocConfig, aoc_kernel
 from .orthogonalize import DEFAULT_BETA, DEFAULT_ITERS, DEFAULT_SCHEME, SCHEMES
 from .tensor_core import ConvSpec, KernelTensor
-from .verify import DEFAULT_TOLERANCE, check_orthogonality, grid_entries, run_grid, singular_values, toeplitz_from_kernel
+from .verify import DEFAULT_TOLERANCE, check_orthogonality, grid_entries, polyphase_spectrum, run_grid
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -146,7 +148,7 @@ def cmd_spectrum(args) -> int:
         K = kernel_io.read_kernel(args.kernel)
         spec = _spec_from_flags(K, args)
         h, w = args.size
-        sv = singular_values(toeplitz_from_kernel(K, spec, h, w))
+        sv = np.sort(polyphase_spectrum(K, spec, h, w), axis=None)[::-1]
     except (OSError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

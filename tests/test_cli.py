@@ -118,6 +118,42 @@ def test_verify_missing_file_exit_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.okt")]) == 2
 
 
+def test_verify_wide_strided_layer(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", c_in=64, c_out=128, seed=0)
+    out = tmp_path / "k.okt"
+    assert main(["build", str(cfg), str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), "--stride", "2", "--size", "16", "16"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is True
+    assert (doc["n_rows"], doc["n_cols"]) == (128 * 64, 64 * 256)
+
+
+def test_verify_over_budget_exit_2(tmp_path, capsys):
+    from orthokernel import identity_kernel
+
+    out = tmp_path / "id.okt"
+    write_kernel(out, identity_kernel(2))
+    capsys.readouterr()
+    # a 2x2x4096x2048 impulse stack is twice the entry budget
+    assert main(["verify", str(out), "--size", "4096", "2048"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and "budget" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("size", [["0", "0"], ["-4", "4"]])
+def test_verify_non_positive_size_exit_2(tmp_path, capsys, size):
+    from orthokernel import identity_kernel
+
+    out = tmp_path / "id.okt"
+    write_kernel(out, identity_kernel(2))
+    capsys.readouterr()
+    assert main(["verify", str(out), "--size", *size]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: image size") and err.count("\n") == 1
+
+
 def test_spectrum_identity_prints_ones(tmp_path, capsys):
     from orthokernel import identity_kernel
 

@@ -2,15 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthokernel import (
+    AocConfig,
     ConvSpec,
     KernelTensor,
+    aoc_kernel,
     bcop_kernel,
     check_orthogonality,
     conv2d_ref,
     conv_operator_norm,
     identity_kernel,
+    polyphase_spectrum,
     product_bound,
     robustness_certificate,
     roundtrip_check,
@@ -21,6 +26,7 @@ from orthokernel import (
     toeplitz_of_transpose,
     vec,
 )
+from orthokernel import verify
 from conftest import random_kernel, rng
 
 
@@ -75,6 +81,8 @@ def test_toeplitz_budget_guard():
     K = random_kernel(8, 8, 1, 1, seed=0)
     with pytest.raises(ValueError, match="budget"):
         toeplitz_from_kernel(K, spec_for_kernel(K), 64, 64)
+    with pytest.raises(ValueError, match="budget"):  # c_out*c_in*h*w impulse stack
+        polyphase_spectrum(K, spec_for_kernel(K), 1024, 512)
 
 
 def test_transpose_matrix_is_forward_transpose():
@@ -158,9 +166,80 @@ def test_report_json_schema():
     K = identity_kernel(2)
     rep = check_orthogonality(K, spec_for_kernel(K), 4, 4)
     doc = json.loads(rep.to_json({"note": "identity"}))
-    assert set(doc) == {"sigma_min", "sigma_max", "pass", "tolerance",
-                        "n_rows", "n_cols", "config"}
+    assert set(doc) == {"sigma_min", "sigma_max", "freq_min", "freq_max", "pass",
+                        "tolerance", "n_rows", "n_cols", "config"}
     assert doc["pass"] is True
+    assert doc["freq_min"] == [0, 0] and doc["freq_max"] == [0, 0]
+
+
+def test_report_locates_the_extremes():
+    # the single-channel 1x2 kernel [1, a] has the symbol 1 + a*exp(-2*pi*i*f2/w):
+    # largest at f2 = 0, smallest at the Nyquist frequency f2 = w/2
+    K = KernelTensor(np.array([[[[1.0, 0.5]]]]))
+    rep = check_orthogonality(K, spec_for_kernel(K), 4, 6)
+    assert rep.freq_max[1] == 0 and rep.freq_min[1] == 3
+    assert rep.sigma_max == pytest.approx(1.5) and rep.sigma_min == pytest.approx(0.5)
+
+
+# --- polyphase spectrum ----------------------------------------------------------
+
+@st.composite
+def conv_configs(draw):
+    g = draw(st.sampled_from([1, 2, 3]))
+    c_in = g * draw(st.integers(1, 6 // g))
+    c_out = g * draw(st.integers(1, 6 // g))
+    k, s, d = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a = draw(st.integers(1, 4))
+    b = draw(st.sampled_from([v for v in range(1, 5) if v != a]))
+    seed = draw(st.integers(0, 1000))
+    return c_in, c_out, k, s, g, d, s * a, s * b, seed
+
+
+@given(conv_configs())
+@settings(max_examples=60, deadline=None)
+def test_polyphase_spectrum_equals_dense_oracle(config):
+    c_in, c_out, k, s, g, d, h, w, seed = config
+    K = KernelTensor(rng(seed).standard_normal((c_out, c_in // g, k, k)), groups=g)
+    spec = spec_for_kernel(K, stride=s, dilation=d)
+    dense = singular_values(toeplitz_from_kernel(K, spec, h, w))
+    poly = np.sort(polyphase_spectrum(K, spec, h, w), axis=None)[::-1]
+    assert poly.shape == dense.shape
+    np.testing.assert_allclose(poly, dense, rtol=0, atol=1e-12 * dense[0])
+
+
+def test_guard_rejects_inconsistent_impulse_stack(monkeypatch):
+    K = random_kernel(3, 2, 3, 3, seed=11)
+    spec = spec_for_kernel(K, stride=2)
+    h, w = 8, 6
+    # the blocks from the dense oracle's columns at (c, p, q), p, q < 2
+    T = toeplitz_from_kernel(K, spec, h, w)
+    cols = [c * h * w + p * w + q for c in range(2) for p in range(2) for q in range(2)]
+    blocks = np.fft.fft2(T[:, cols].reshape(3, h // 2, w // 2, 8), axes=(1, 2))
+    blocks = blocks.transpose(1, 2, 0, 3)
+    verify._require_block_circulant(K, spec, blocks, h, w)
+    blocks = blocks.copy()
+    blocks[1, 2, 0, 5] += 1e-3
+    with pytest.raises(ValueError, match="block-circulant"):
+        verify._require_block_circulant(K, spec, blocks, h, w)
+
+    # a reference operator that ignores the last input row is not
+    # shift-invariant, so its corner impulses do not describe it
+    def masked(K, x, spec):
+        x = np.array(x)
+        x[:, -1, :] = 0.0
+        return conv2d_ref(K, x, spec)
+
+    monkeypatch.setattr(verify, "conv2d_ref", masked)
+    with pytest.raises(ValueError, match="block-circulant"):
+        check_orthogonality(K, spec, h, w)
+
+
+def test_wide_layer_verifies():
+    cfg = AocConfig(spec=ConvSpec(c_in=64, c_out=64, k_h=3, k_w=3), seed=0)
+    K, _ = aoc_kernel(cfg)
+    rep = check_orthogonality(K, cfg.spec, 8, 8)
+    assert rep.passed
+    assert (rep.n_rows, rep.n_cols) == (4096, 4096)
 
 
 # --- roundtrip -------------------------------------------------------------------
