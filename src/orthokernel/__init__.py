@@ -8,8 +8,6 @@ analysis.
 
 from .tensor_core import (
     ConvSpec,
-    ImageTensor,
-    DenseMatrix,
     KernelTensor,
     UnsupportedConfigError,
     conv2d_ref,
@@ -19,14 +17,11 @@ from .tensor_core import (
     kernel_transpose,
     product_bound,
     spec_for_kernel,
-    vec,
 )
 from .kernel_io import read_kernel, write_kernel, kernel_to_json, kernel_from_json
 from .blockconv import (
-    KernelChain,
     block_conv_fast,
     block_conv_naive,
-    compat,
     scan_compose,
     sequential_compose,
 )

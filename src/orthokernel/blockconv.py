@@ -28,20 +28,12 @@ import numpy as np
 
 from .tensor_core import KernelTensor
 
-#: ordered sequence of kernels, first element applied first
-KernelChain = Sequence[KernelTensor]
-
-
-def compat(A: KernelTensor, B: KernelTensor) -> bool:
-    """True if B can be applied after A (input channels of B match output
-    channels of A)."""
-    return B.c_in == A.c_out
-
-
 def _require_compat(A: KernelTensor, B: KernelTensor):
+    """Refuse unless B can be applied after A: both ungrouped, and B's
+    input channels match A's output channels."""
     if A.groups != 1 or B.groups != 1:
         raise ValueError("block convolution expects ungrouped kernels")
-    if not compat(A, B):
+    if B.c_in != A.c_out:
         raise ValueError(
             f"incompatible kernels: B expects {B.c_in} input channels, "
             f"A produces {A.c_out}"
@@ -88,7 +80,7 @@ def block_conv_fast(B: KernelTensor, A: KernelTensor) -> KernelTensor:
     return KernelTensor(out)
 
 
-def sequential_compose(chain: KernelChain) -> KernelTensor:
+def sequential_compose(chain: Sequence[KernelTensor]) -> KernelTensor:
     """Left fold chain[n-1] . ... . chain[0] using the naive operator.
     Oracle for `scan_compose`."""
     if len(chain) == 0:
@@ -100,7 +92,7 @@ def sequential_compose(chain: KernelChain) -> KernelTensor:
     return K
 
 
-def scan_compose(chain: KernelChain) -> KernelTensor:
+def scan_compose(chain: Sequence[KernelTensor]) -> KernelTensor:
     """Tree-reduction composition of a kernel chain (first element applied
     first).  Associativity makes any bracketing equivalent; adjacent pairs
     are fused each round and an odd tail is carried forward unchanged, so

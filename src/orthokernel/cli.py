@@ -7,15 +7,16 @@ Subcommands:
     spectrum  kernel.okt [flags]    -> print descending singular values
     selftest                        -> run the verification grid (one thread)
 
-The build sidecar `out.okt.meta.json` holds "branch" (`BranchTag.to_dict`:
-branch, internal_width, group_seeds, ordering) and "config" (the resolved
-build config).
+The config file sets every build value, uncoerced: integer keys must be
+JSON integers and `beta` a number.  The build sidecar `out.okt.meta.json`
+holds "branch" (`BranchTag.to_dict`: branch, internal_width, group_seeds,
+ordering) and "config" (the resolved build config).
 
 Exit codes: 0 success / verification pass, 1 verification failure,
-2 invalid input (including an unwritable output path), 3 unsupported
-configuration (including one whose scheme cannot build an orthogonal
-factor).  All commands are deterministic given their flags and
-seeds.
+2 invalid input (including a malformed config or kernel file and an
+unwritable output path), 3 unsupported configuration (including one whose
+scheme cannot build an orthogonal factor).  All commands are
+deterministic given their arguments and input files.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import kernel_io
 from .construct import AocConfig, aoc_kernel
 from .orthogonalize import DEFAULT_BETA, DEFAULT_ITERS, DEFAULT_SCHEME, SCHEMES
-from .tensor_core import ConvSpec, KernelTensor
+from .tensor_core import ConvSpec, spec_for_kernel
 from .verify import DEFAULT_TOLERANCE, check_orthogonality, grid_entries, polyphase_spectrum, run_grid
 
 EXIT_OK = 0
@@ -40,9 +41,10 @@ EXIT_UNSUPPORTED = 3
 
 _CONFIG_KEYS = {"c_in", "c_out", "kernel", "stride", "groups", "dilation",
                 "scheme", "iters", "beta", "seed", "ordering"}
+_INT_KEYS = ("c_in", "c_out", "stride", "groups", "dilation", "iters", "seed")
 
 
-def _load_build_config(path, overrides: dict | None = None) -> AocConfig:
+def _load_build_config(path) -> AocConfig:
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -53,38 +55,37 @@ def _load_build_config(path, overrides: dict | None = None) -> AocConfig:
     for key in ("c_in", "c_out", "kernel"):
         if key not in doc:
             raise ValueError(f"config is missing required key {key!r}")
-    doc.update(overrides or {})  # command-line flags win over the file
+    # `type(v) is int` also refuses JSON true/false, which parse as bool
+    for key in _INT_KEYS:
+        if key in doc and type(doc[key]) is not int:
+            raise ValueError(f"config key {key!r} must be an integer, got {doc[key]!r}")
     kernel = doc["kernel"]
-    if isinstance(kernel, int):
-        k1 = k2 = kernel
-    elif isinstance(kernel, (list, tuple)) and len(kernel) == 2:
-        k1, k2 = int(kernel[0]), int(kernel[1])
-    else:
-        raise ValueError("config key 'kernel' must be an int or a [k1, k2] pair")
+    if type(kernel) is int:
+        kernel = [kernel, kernel]
+    if not (isinstance(kernel, list) and len(kernel) == 2
+            and all(type(k) is int for k in kernel)):
+        raise ValueError("config key 'kernel' must be an integer or a [k1, k2] pair of integers")
+    beta = doc.get("beta", DEFAULT_BETA)
+    if type(beta) not in (int, float):
+        raise ValueError(f"config key 'beta' must be a number, got {beta!r}")
     spec = ConvSpec(
-        c_in=int(doc["c_in"]), c_out=int(doc["c_out"]), k_h=k1, k_w=k2,
-        stride=int(doc.get("stride", 1)), groups=int(doc.get("groups", 1)),
-        dilation=int(doc.get("dilation", 1)),
+        c_in=doc["c_in"], c_out=doc["c_out"], k_h=kernel[0], k_w=kernel[1],
+        stride=doc.get("stride", 1), groups=doc.get("groups", 1),
+        dilation=doc.get("dilation", 1),
     )
     return AocConfig(
         spec=spec,
-        scheme=str(doc.get("scheme", DEFAULT_SCHEME)),
-        iters=int(doc.get("iters", DEFAULT_ITERS)),
-        beta=float(doc.get("beta", DEFAULT_BETA)),
-        seed=int(doc.get("seed", 0)),
-        ordering=str(doc.get("ordering", "bcop")),
+        scheme=doc.get("scheme", DEFAULT_SCHEME),
+        iters=doc.get("iters", DEFAULT_ITERS),
+        beta=beta,
+        seed=doc.get("seed", 0),
+        ordering=doc.get("ordering", "bcop"),
     )
-
-
-_OVERRIDE_FLAGS = ("stride", "groups", "dilation", "scheme", "iters", "beta",
-                   "seed", "ordering")
 
 
 def cmd_build(args) -> int:
     try:
-        overrides = {k: getattr(args, k) for k in _OVERRIDE_FLAGS
-                     if getattr(args, k) is not None}
-        cfg = _load_build_config(args.config, overrides)
+        cfg = _load_build_config(args.config)
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -119,17 +120,10 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _spec_from_flags(K: KernelTensor, args) -> ConvSpec:
-    return ConvSpec(
-        c_in=K.c_in, c_out=K.c_out, k_h=K.k_h, k_w=K.k_w,
-        stride=args.stride, groups=K.groups, dilation=args.dilation,
-    )
-
-
 def cmd_verify(args) -> int:
     try:
         K = kernel_io.read_kernel(args.kernel)
-        spec = _spec_from_flags(K, args)
+        spec = spec_for_kernel(K, args.stride, args.dilation)
         h, w = args.size
         report = check_orthogonality(K, spec, h, w, tolerance=args.tol)
     except (OSError, ValueError) as exc:
@@ -146,7 +140,7 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     try:
         K = kernel_io.read_kernel(args.kernel)
-        spec = _spec_from_flags(K, args)
+        spec = spec_for_kernel(K, args.stride, args.dilation)
         h, w = args.size
         sv = np.sort(polyphase_spectrum(K, spec, h, w), axis=None)[::-1]
     except (OSError, ValueError) as exc:
@@ -198,15 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="build a kernel from a JSON config")
     b.add_argument("config", help="path to the build config (JSON)")
     b.add_argument("out", help="output path for the okt-v1 kernel file")
-    # every config key has a flag equivalent; flags win on conflict
-    b.add_argument("--stride", type=int, default=None)
-    b.add_argument("--groups", type=int, default=None)
-    b.add_argument("--dilation", type=int, default=None)
-    b.add_argument("--scheme", default=None)
-    b.add_argument("--iters", type=int, default=None)
-    b.add_argument("--beta", type=float, default=None)
-    b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--ordering", default=None)
     b.set_defaults(fn=cmd_build)
 
     common = argparse.ArgumentParser(add_help=False)

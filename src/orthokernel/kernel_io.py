@@ -10,33 +10,32 @@ A kernel is stored as a single JSON document:
      "data": [ ... flat numbers ... ]}
 
 Serialization is canonical (sorted keys, repr floats), so writing the same
-kernel twice produces byte-identical files.  Readers reject any unknown
-"format" value.
+kernel twice produces byte-identical files.  The writer always stores
+"f64"; the reader also accepts "f32" documents (read into float64) and
+rejects any unknown "format" value or malformed field with ValueError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .tensor_core import KernelTensor
 
 FORMAT_NAME = "okt-v1"
-_DTYPES = {"f64": np.float64, "f32": np.float32}
+_DTYPES = ("f64", "f32")
 
 
-def kernel_to_json(K: KernelTensor, dtype: str = "f64") -> str:
-    if dtype not in _DTYPES:
-        raise ValueError(f"unsupported dtype {dtype!r}, expected one of {sorted(_DTYPES)}")
-    flat = K.data.astype(_DTYPES[dtype]).ravel(order="C")
+def kernel_to_json(K: KernelTensor) -> str:
     doc = {
         "format": FORMAT_NAME,
         "shape": [int(n) for n in K.data.shape],
         "groups": int(K.groups),
-        "dtype": dtype,
+        "dtype": "f64",
         "order": "row-major",
-        "data": [float(v) for v in flat],
+        "data": K.data.ravel().tolist(),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -51,18 +50,28 @@ def kernel_from_json(text: str) -> KernelTensor:
         raise ValueError(f"unknown dtype {doc.get('dtype')!r}")
     if doc.get("order") != "row-major":
         raise ValueError(f"unknown element order {doc.get('order')!r}")
-    shape = tuple(int(n) for n in doc["shape"])
-    if len(shape) != 4:
-        raise ValueError(f"kernel shape must have 4 axes, got {shape}")
-    data = np.asarray(doc["data"], dtype=np.float64)
-    if data.size != int(np.prod(shape)):
+    shape = doc.get("shape")
+    # `type(n) is int` also refuses JSON true/false, which parse as bool
+    if not (isinstance(shape, list) and len(shape) == 4
+            and all(type(n) is int and n >= 1 for n in shape)):
+        raise ValueError(f"kernel shape must be a list of 4 positive integers, got {shape!r}")
+    groups = doc.get("groups", 1)
+    if type(groups) is not int:
+        raise ValueError(f"kernel groups must be an integer, got {groups!r}")
+    data = doc.get("data")
+    if not isinstance(data, list):
+        raise ValueError(f"kernel data must be a list of numbers, got {type(data).__name__}")
+    data = np.asarray(data)
+    if data.ndim != 1 or data.dtype.kind not in "fi":
+        raise ValueError("kernel data must be a flat list of numbers")
+    if data.size != math.prod(shape):
         raise ValueError("data length does not match shape")
-    return KernelTensor(data.reshape(shape), groups=int(doc.get("groups", 1)))
+    return KernelTensor(data.reshape(shape), groups=groups)
 
 
-def write_kernel(path, K: KernelTensor, dtype: str = "f64") -> None:
+def write_kernel(path, K: KernelTensor) -> None:
     with open(path, "w", encoding="ascii") as f:
-        f.write(kernel_to_json(K, dtype=dtype))
+        f.write(kernel_to_json(K))
         f.write("\n")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import DenseMatrix
+from .tensor_core import _power_iteration
 
 SCHEMES = ("bjorck", "qr_mgs", "cayley", "exponential", "cholesky")
 
@@ -31,7 +31,7 @@ class ProjectorPair:
     complement: np.ndarray
 
 
-def sample_params(shape, seed) -> DenseMatrix:
+def sample_params(shape, seed) -> np.ndarray:
     """Deterministic standard-normal fill.
 
     The generator is numpy's PCG64 seeded from `seed` (an integer or a
@@ -43,30 +43,16 @@ def sample_params(shape, seed) -> DenseMatrix:
     return rng.standard_normal(shape)
 
 
-def power_iteration_norm(W: DenseMatrix, iters: int = 50, tol: float = 1e-6,
-                         v0: np.ndarray | None = None):
-    """Spectral norm estimate by power iteration on W^T W.
-
-    Returns (sigma, v) where v is the dominant right singular vector
-    estimate, reusable as a warm start for subsequent calls.
-    """
+def power_iteration_norm(W: np.ndarray, iters: int = 50, tol: float = 1e-6) -> float:
+    """Spectral norm estimate by power iteration on W^T W, started from
+    the normalized all-ones vector."""
     W = np.asarray(W, dtype=np.float64)
     n = W.shape[1]
-    v = np.ones(n) / np.sqrt(n) if v0 is None else np.asarray(v0, dtype=np.float64)
-    sigma = 0.0
-    for _ in range(iters):
-        u = W @ v
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            raise ValueError("power iteration on a zero (or nilpotent-direction) matrix")
-        v_next = W.T @ u
-        nv = np.linalg.norm(v_next)
-        v_next /= nv
-        sigma_next = np.linalg.norm(W @ v_next)
-        if abs(sigma_next - sigma) <= tol * max(sigma_next, 1.0):
-            return sigma_next, v_next
-        sigma, v = sigma_next, v_next
-    return sigma, v
+    sigma = _power_iteration(lambda v: W @ v, lambda u: W.T @ u,
+                             np.ones(n) / np.sqrt(n), iters, tol)
+    if sigma == 0.0:
+        raise ValueError("power iteration on a zero (or nilpotent-direction) matrix")
+    return sigma
 
 
 def _bjorck_sweeps(W: np.ndarray, beta: float, iters: int) -> np.ndarray:
@@ -78,8 +64,8 @@ def _bjorck_sweeps(W: np.ndarray, beta: float, iters: int) -> np.ndarray:
     return W
 
 
-def bjorck_orthogonalize(W: DenseMatrix, beta: float = DEFAULT_BETA,
-                         iters: int = DEFAULT_ITERS) -> DenseMatrix:
+def bjorck_orthogonalize(W: np.ndarray, beta: float = DEFAULT_BETA,
+                         iters: int = DEFAULT_ITERS) -> np.ndarray:
     """Iterative polar-style orthogonalization.
 
     The matrix is first scaled by its spectral norm (power iteration), then
@@ -98,11 +84,10 @@ def bjorck_orthogonalize(W: DenseMatrix, beta: float = DEFAULT_BETA,
         raise ValueError("cannot orthogonalize the zero matrix")
     if not (0.0 < beta <= 0.5):
         raise ValueError(f"beta must lie in (0, 0.5], got {beta}")
-    sigma, _ = power_iteration_norm(W)
-    return _bjorck_sweeps(W / sigma, beta, iters)
+    return _bjorck_sweeps(W / power_iteration_norm(W), beta, iters)
 
 
-def qr_mgs(W: DenseMatrix) -> DenseMatrix:
+def qr_mgs(W: np.ndarray) -> np.ndarray:
     """Q factor of the modified Gram-Schmidt QR factorization.
 
     Columns are normalized one at a time and the remaining columns are
@@ -113,7 +98,7 @@ def qr_mgs(W: DenseMatrix) -> DenseMatrix:
     return qr_mgs_full(W)[0]
 
 
-def qr_mgs_full(W: DenseMatrix):
+def qr_mgs_full(W: np.ndarray):
     """Full (Q, R) of the MGS factorization described in `qr_mgs`."""
     W = np.asarray(W, dtype=np.float64)
     rows, cols = W.shape
@@ -132,7 +117,7 @@ def qr_mgs_full(W: DenseMatrix):
     return Q, R
 
 
-def cayley_rect(W: DenseMatrix) -> DenseMatrix:
+def cayley_rect(W: np.ndarray) -> np.ndarray:
     """Cayley-transform orthogonalization for square or tall matrices.
 
     Split W into U (top C x C) and V (rest); form A = U - U^T + V^T V
@@ -157,7 +142,7 @@ def cayley_rect(W: DenseMatrix) -> DenseMatrix:
     return np.vstack([top, -2.0 * V @ B])
 
 
-def exp_map(W: DenseMatrix, p: int = 18) -> DenseMatrix:
+def exp_map(W: np.ndarray, p: int = 18) -> np.ndarray:
     """Orthogonalization through the matrix exponential of the skew part.
 
     A = W - W^T is scaled to unit spectral norm and exp(A) is approximated
@@ -184,7 +169,7 @@ def exp_map(W: DenseMatrix, p: int = 18) -> DenseMatrix:
     return out
 
 
-def cholesky_orth(M: DenseMatrix, eps: float = 1e-7) -> DenseMatrix:
+def cholesky_orth(M: np.ndarray, eps: float = 1e-7) -> np.ndarray:
     """Orthogonalization by whitening with a Cholesky factor.
 
     C = M M^T + eps I is factored as L L^T and the triangular system
@@ -202,7 +187,7 @@ def cholesky_orth(M: DenseMatrix, eps: float = 1e-7) -> DenseMatrix:
     return np.linalg.solve(L, M)
 
 
-def projector_pair(M0: DenseMatrix) -> ProjectorPair:
+def projector_pair(M0: np.ndarray) -> ProjectorPair:
     """Build the symmetric projector N = M0 M0^T and its complement from a
     column-orthogonal c x floor(c/2) matrix."""
     M0 = np.asarray(M0, dtype=np.float64)
@@ -224,8 +209,8 @@ def _gram_residual(O: np.ndarray) -> float:
     return float(np.max(np.abs(G - np.eye(G.shape[0]))))
 
 
-def orthogonalize(W: DenseMatrix, scheme: str = DEFAULT_SCHEME,
-                  iters: int = DEFAULT_ITERS, beta: float = DEFAULT_BETA) -> DenseMatrix:
+def orthogonalize(W: np.ndarray, scheme: str = DEFAULT_SCHEME,
+                  iters: int = DEFAULT_ITERS, beta: float = DEFAULT_BETA) -> np.ndarray:
     """Scheme dispatcher used by the kernel factories.
 
     Output orientation follows the input shape: wide matrices come back

@@ -6,7 +6,8 @@ clarity and exactness rather than speed: the convolution is a direct
 summation over kernel taps, and the transposed convolution is its exact
 adjoint (scatter of the same taps).  The matrix-free spectral-norm
 estimates `conv_operator_norm` and `product_bound` live here too, since
-they need nothing but these two operators.
+they need nothing but these two operators; their power iteration loop,
+`_power_iteration`, also serves `orthogonalize.power_iteration_norm`.
 
 Index convention, fixed once for the whole package
 --------------------------------------------------
@@ -31,13 +32,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-#: real dense matrix; plain 2-axis float64 ndarray
-DenseMatrix = np.ndarray
-
-#: single image, indexed [channel][row][col]
-ImageTensor = np.ndarray
-
 
 class UnsupportedConfigError(ValueError):
     """A convolution configuration for which no orthogonal kernel exists."""
@@ -171,7 +165,7 @@ def _check_kernel_spec(K: KernelTensor, spec: ConvSpec):
         )
 
 
-def conv2d_ref(K: KernelTensor, x: ImageTensor, spec: ConvSpec) -> ImageTensor:
+def conv2d_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Reference 2-D convolution, direct summation over kernel taps.
 
     Input x is [c_in][h][w]; output is [c_out][h/s][w/s].  Indices wrap
@@ -201,7 +195,7 @@ def conv2d_ref(K: KernelTensor, x: ImageTensor, spec: ConvSpec) -> ImageTensor:
     return y.reshape(spec.c_out, ho, wo)
 
 
-def conv2d_transpose_ref(K: KernelTensor, x: ImageTensor, spec: ConvSpec) -> ImageTensor:
+def conv2d_transpose_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Transposed convolution: the exact adjoint of `conv2d_ref`.
 
     Realizes multiplication by the transpose of the (strided) operator
@@ -232,6 +226,23 @@ def conv2d_transpose_ref(K: KernelTensor, x: ImageTensor, spec: ConvSpec) -> Ima
     return y.reshape(spec.c_in, h, w)
 
 
+def _power_iteration(apply, apply_t, x: np.ndarray, iters: int, tol: float) -> float:
+    """Largest singular value of the linear map `apply` (adjoint `apply_t`)
+    by power iteration from the unit vector x; 0.0 if an iterate vanishes."""
+    sigma = 0.0
+    for _ in range(iters):
+        y = apply(x)
+        if np.linalg.norm(y) == 0.0:
+            return 0.0
+        x = apply_t(y)
+        x /= np.linalg.norm(x)
+        sigma_next = np.linalg.norm(apply(x))
+        if abs(sigma_next - sigma) <= tol * max(sigma_next, 1.0):
+            return float(sigma_next)
+        sigma = sigma_next
+    return float(sigma)
+
+
 def conv_operator_norm(K: KernelTensor, spec: ConvSpec, h: int = 8, w: int = 8,
                        iters: int = 100, tol: float = 1e-9) -> float:
     """Spectral norm of the strided circular operator at the given image
@@ -239,20 +250,8 @@ def conv_operator_norm(K: KernelTensor, spec: ConvSpec, h: int = 8, w: int = 8,
     rng = np.random.Generator(np.random.PCG64(12345))
     x = rng.standard_normal((spec.c_in, h, w))
     x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(iters):
-        y = conv2d_ref(K, x, spec)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        x = conv2d_transpose_ref(K, y, spec)
-        nx = np.linalg.norm(x)
-        x /= nx
-        sigma_next = np.linalg.norm(conv2d_ref(K, x, spec))
-        if abs(sigma_next - sigma) <= tol * max(sigma_next, 1.0):
-            return float(sigma_next)
-        sigma = sigma_next
-    return float(sigma)
+    return _power_iteration(lambda v: conv2d_ref(K, v, spec),
+                            lambda u: conv2d_transpose_ref(K, u, spec), x, iters, tol)
 
 
 def product_bound(factors: Sequence[KernelTensor], h: int = 8, w: int = 8) -> float:
@@ -279,8 +278,3 @@ def kernel_transpose(K: KernelTensor) -> KernelTensor:
         raise ValueError("kernel_transpose expects groups == 1")
     return KernelTensor(K.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
 
-
-def vec(x: np.ndarray) -> np.ndarray:
-    """Flatten an image [c][h][w] to the column ordering used by the dense
-    operator matrices (channel-major, then rows, then columns)."""
-    return np.asarray(x).ravel()

@@ -7,7 +7,6 @@ from orthokernel import (
     KernelTensor,
     block_conv_fast,
     block_conv_naive,
-    compat,
     conv2d_ref,
     identity_kernel,
     kernel_transpose,
@@ -36,7 +35,6 @@ def test_shape_law():
 def test_incompatible_channels_rejected():
     A = random_kernel(4, 3, 2, 2, seed=1)
     B = random_kernel(5, 3, 3, 3, seed=2)
-    assert not compat(A, B)
     with pytest.raises(ValueError, match="incompatible"):
         block_conv_naive(B, A)
     with pytest.raises(ValueError):

@@ -46,16 +46,29 @@ def test_build_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_build_flags_override_config(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", seed=7)
+def test_build_seed_comes_from_config(tmp_path):
+    cfg7 = write_config(tmp_path / "cfg7.json", seed=7)
+    cfg8 = write_config(tmp_path / "cfg8.json", seed=8)
     a, b, c = tmp_path / "a.okt", tmp_path / "b.okt", tmp_path / "c.okt"
-    assert main(["build", str(cfg), str(a)]) == 0
-    assert main(["build", str(cfg), str(b), "--seed", "8"]) == 0
-    assert main(["build", str(cfg), str(c), "--seed", "7"]) == 0
+    assert main(["build", str(cfg7), str(a)]) == 0
+    assert main(["build", str(cfg8), str(b)]) == 0
+    assert main(["build", str(cfg7), str(c)]) == 0
     assert a.read_bytes() != b.read_bytes()
     assert a.read_bytes() == c.read_bytes()
     meta = json.loads((tmp_path / "b.okt.meta.json").read_text())
     assert meta["config"]["seed"] == 8
+
+
+def test_removed_surface_is_gone(tmp_path):
+    import orthokernel
+
+    for name in ("KernelChain", "DenseMatrix", "ImageTensor", "vec", "compat"):
+        assert not hasattr(orthokernel, name), name
+    cfg = write_config(tmp_path / "cfg.json")
+    # build values come only from the config file
+    with pytest.raises(SystemExit) as exc:
+        main(["build", str(cfg), str(tmp_path / "k.okt"), "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_build_invalid_config_exit_2(tmp_path):
@@ -66,6 +79,15 @@ def test_build_invalid_config_exit_2(tmp_path):
     assert main(["build", str(cfg), str(tmp_path / "k.okt")]) == 2
     cfg = write_config(tmp_path / "cfg3.json", extra_key=1)
     assert main(["build", str(cfg), str(tmp_path / "k.okt")]) == 2
+    # values are not coerced: integer keys take JSON integers only (not
+    # bool), beta a number
+    for bad in ({"c_in": 2.7}, {"seed": 1.9}, {"c_in": "4"}, {"c_out": True},
+                {"kernel": [3.5, 3]}, {"kernel": True}, {"stride": 2.0},
+                {"iters": "12"}, {"beta": "0.5"}, {"beta": True}):
+        cfg = write_config(tmp_path / "cfg4.json", **bad)
+        out = tmp_path / "k4.okt"
+        assert main(["build", str(cfg), str(out)]) == 2, bad
+        assert not out.exists()
 
 
 def test_build_unsupported_exit_3(tmp_path, capsys):
@@ -116,6 +138,21 @@ def test_verify_relaxed_tolerance_cholesky(tmp_path, capsys):
 
 def test_verify_missing_file_exit_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.okt")]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_malformed_kernel_file_exit_2(tmp_path, capsys, command):
+    base = {"format": "okt-v1", "shape": [1, 1, 1, 1], "groups": 1,
+            "dtype": "f64", "order": "row-major", "data": [1.0]}
+    for bad in ({k: v for k, v in base.items() if k != "shape"},
+                {k: v for k, v in base.items() if k != "data"},
+                dict(base, shape=5)):
+        path = tmp_path / "bad.okt"
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and err.count("\n") == 1
 
 
 def test_verify_wide_strided_layer(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from orthokernel import (
     conv2d_ref,
     conv2d_transpose_ref,
     identity_kernel,
+    kernel_to_json,
     kernel_transpose,
     projector_param_count,
     rko_kernel,
@@ -391,3 +393,41 @@ def test_aoc_config_validation():
         AocConfig(spec=spec, iters=0)
     with pytest.raises(ValueError):
         AocConfig(spec=spec, seed=-1)
+
+
+# --- byte determinism ---------------------------------------------------------
+
+# sha256 of `kernel_to_json` output, pinned so that a change of kernel bytes
+# is deliberate: a change that moves them updates these and says why
+PINNED_SHA256 = {
+    "a": (ConvSpec(4, 8, 3, 3), "bcop", "a",
+          "16bf0bfd461ff7d13fd9f8dc5e75799055345a368fd95c2b291d12d489c59daf"),
+    "b": (ConvSpec(3, 12, 2, 2, stride=2), "bcop", "b",
+          "0c97beda3e555688981a4309a41cf905cf067cf81e43e986401eedbf329e6d91"),
+    "d": (ConvSpec(4, 8, 3, 3, stride=2), "bcop", "d",
+          "b8e8ea0213b877c31d41190f79121b87d3de2a19a5e20053149c576011b39ccd"),
+    "grouped": (ConvSpec(8, 16, 3, 3, stride=2, groups=2), "bcop", "d",
+                "a0dfc93b2b1ffd754324389408f26e1e20036945d86163b5c29e139962b335b3"),
+    "dilated": (ConvSpec(4, 2, 5, 5, stride=3, dilation=2), "bcop", "d",
+                "91b8931d37ed5b1950bb41a7a034738a8af7950cabbf0ae41885d98936de1796"),
+    "scfac": (ConvSpec(4, 8, 3, 3), "scfac", "a",
+              "f776fea300e6bc8c5f8ef28747b9c87dad932645678577f3df368c7d60153683"),
+}
+
+
+def _sha256(K: KernelTensor) -> str:
+    return hashlib.sha256(kernel_to_json(K).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SHA256))
+def test_aoc_kernel_bytes_pinned(case):
+    spec, ordering, branch, digest = PINNED_SHA256[case]
+    K, tag = aoc_kernel(AocConfig(spec=spec, seed=3, ordering=ordering))
+    assert tag.branch == branch
+    assert _sha256(K) == digest
+
+
+def test_soc_normalized_skew_bytes_pinned():
+    # the scale comes from the shared power iteration (`conv_operator_norm`)
+    S = soc_normalized_skew(random_kernel(4, 4, 3, 3, seed=2))
+    assert _sha256(S) == "70d441e7c7d1e0c60f9df81b6733ed74db83b82cfc596df3d23cfd55886dbdb8"

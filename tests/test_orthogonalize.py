@@ -26,11 +26,9 @@ WELL_CONDITIONED_GRID = [(8, 4), (4, 8), (16, 8), (3, 27), (12, 6), (6, 12), (9,
 
 def test_power_iteration_matches_svd():
     W = rng(0).standard_normal((7, 5))
-    sigma, v = power_iteration_norm(W)
+    sigma = power_iteration_norm(W)
+    assert isinstance(sigma, float)
     assert abs(sigma - np.linalg.svd(W, compute_uv=False)[0]) < 1e-5
-    # warm start agrees within the iteration's own relative tolerance
-    sigma2, _ = power_iteration_norm(W, v0=v)
-    assert abs(sigma2 - sigma) < 1e-5 * sigma
 
 
 def test_power_iteration_zero_matrix():

@@ -12,7 +12,6 @@ from orthokernel import (
     kernel_transpose,
     spec_for_kernel,
     toeplitz_from_kernel,
-    vec,
 )
 from conftest import gram_residual, random_kernel, rng
 
@@ -62,7 +61,7 @@ def test_conv_matches_toeplitz_product():
     T = toeplitz_from_kernel(K, spec, 8, 8)
     x = rng(12).standard_normal((3, 8, 8))
     y = conv2d_ref(K, x, spec)
-    np.testing.assert_allclose(vec(y), T @ vec(x), atol=1e-12)
+    np.testing.assert_allclose(y.ravel(), T @ x.ravel(), atol=1e-12)
 
 
 @pytest.mark.parametrize("stride,groups,dilation", [
@@ -74,7 +73,7 @@ def test_conv_matches_toeplitz_product_all_specs(stride, groups, dilation):
     spec = spec_for_kernel(K, stride=stride, dilation=dilation)
     T = toeplitz_from_kernel(K, spec, 8, 8)
     x = rng(14).standard_normal((4, 8, 8))
-    np.testing.assert_allclose(vec(conv2d_ref(K, x, spec)), T @ vec(x), atol=1e-12)
+    np.testing.assert_allclose(conv2d_ref(K, x, spec).ravel(), T @ x.ravel(), atol=1e-12)
 
 
 @pytest.mark.parametrize("stride,dilation,groups", [(1, 1, 1), (2, 1, 1), (2, 2, 2), (1, 2, 1)])
@@ -109,7 +108,7 @@ def test_transpose_matches_dense_transpose():
     T = toeplitz_from_kernel(K, spec, 8, 8)
     y = rng(10).standard_normal((4, 4, 4))
     out = conv2d_transpose_ref(K, y, spec)
-    np.testing.assert_allclose(vec(out), T.T @ vec(y), atol=1e-12)
+    np.testing.assert_allclose(out.ravel(), T.T @ y.ravel(), atol=1e-12)
 
 
 def test_transpose_identity_kernel():
