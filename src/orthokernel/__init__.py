@@ -60,7 +60,6 @@ from .verify import (
     roundtrip_check,
     run_grid,
     singular_values,
-    singular_values_gram,
     toeplitz_from_kernel,
     toeplitz_of_transpose,
 )

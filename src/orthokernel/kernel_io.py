@@ -61,9 +61,13 @@ def kernel_from_json(text: str) -> KernelTensor:
     data = doc.get("data")
     if not isinstance(data, list):
         raise ValueError(f"kernel data must be a list of numbers, got {type(data).__name__}")
-    data = np.asarray(data)
-    if data.ndim != 1 or data.dtype.kind not in "fi":
+    # exact types: JSON true/false parse as bool, a subclass of int
+    if not set(map(type, data)) <= {int, float}:
         raise ValueError("kernel data must be a flat list of numbers")
+    try:
+        data = np.asarray(data, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("kernel data holds an integer beyond the float64 range") from None
     if data.size != math.prod(shape):
         raise ValueError("data length does not match shape")
     return KernelTensor(data.reshape(shape), groups=groups)

@@ -145,10 +145,11 @@ def identity_kernel(c: int, k_h: int = 1, k_w: int = 1) -> KernelTensor:
 
 def _check_image(x, c_expected: int, name: str = "x") -> np.ndarray:
     x = _as_f64(x, name)
-    if x.ndim != 3:
-        raise ValueError(f"{name} must have 3 axes [c][h][w], got {x.ndim}")
-    if x.shape[0] != c_expected:
-        raise ValueError(f"{name} has {x.shape[0]} channels, expected {c_expected}")
+    if x.ndim not in (3, 4):
+        raise ValueError(
+            f"{name} must have 3 axes [c][h][w] or 4 axes [n][c][h][w], got {x.ndim}")
+    if x.shape[-3] != c_expected:
+        raise ValueError(f"{name} has {x.shape[-3]} channels, expected {c_expected}")
     if min(x.shape) < 1:
         raise ValueError(f"{name} extents must be >= 1")
     return x
@@ -168,31 +169,34 @@ def _check_kernel_spec(K: KernelTensor, spec: ConvSpec):
 def conv2d_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Reference 2-D convolution, direct summation over kernel taps.
 
-    Input x is [c_in][h][w]; output is [c_out][h/s][w/s].  Indices wrap
+    Input x is one image [c_in][h][w] or a batch [n][c_in][h][w]; output
+    is [c_out][h/s][w/s], with the same leading batch axis if x has one.
+    Each image of a batch gives the same bits as on its own.  Indices wrap
     modulo (h, w) (circular padding).  h and w must be divisible by the
     stride.
     """
     _check_kernel_spec(K, spec)
     x = _check_image(x, spec.c_in)
-    c_in, h, w = x.shape
+    lead = x.shape[:-3]
+    c_in, h, w = x.shape[-3:]
     s, d, g = spec.stride, spec.dilation, spec.groups
     if h % s != 0 or w % s != 0:
         raise ValueError(f"image size {h}x{w} not divisible by stride {s}")
     kh, kw = spec.k_h, spec.k_w
     oh, ow = (kh - 1) // 2, (kw - 1) // 2
     ho, wo = h // s, w // s
-    xg = x.reshape(g, c_in // g, h, w)
+    xg = x.reshape(*lead, g, c_in // g, h, w)
     Kg = K.data.reshape(g, spec.c_out // g, c_in // g, kh, kw)
-    y = np.zeros((g, spec.c_out // g, ho, wo))
+    y = np.zeros((*lead, g, spec.c_out // g, ho, wo))
     I = np.arange(ho) * s
     J = np.arange(wo) * s
     for ip in range(kh):
         raw_r = I - (ip - oh) * d
         for jp in range(kw):
             raw_c = J - (jp - ow) * d
-            sub = xg[:, :, (raw_r % h)[:, None], (raw_c % w)[None, :]]
-            y += (Kg[..., ip, jp] @ sub.reshape(g, c_in // g, ho * wo)).reshape(y.shape)
-    return y.reshape(spec.c_out, ho, wo)
+            sub = xg[..., (raw_r % h)[:, None], (raw_c % w)[None, :]]
+            y += (Kg[..., ip, jp] @ sub.reshape(*lead, g, c_in // g, ho * wo)).reshape(y.shape)
+    return y.reshape(*lead, spec.c_out, ho, wo)
 
 
 def conv2d_transpose_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -200,30 +204,34 @@ def conv2d_transpose_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.n
 
     Realizes multiplication by the transpose of the (strided) operator
     matrix: <conv2d_ref(K, z), x> == <z, conv2d_transpose_ref(K, x)> holds
-    to rounding error for every spec.  Input is [c_out][h/s][w/s]; output
-    is [c_in][h][w].
+    to rounding error for every spec.  Input is one image [c_out][h/s][w/s]
+    or a batch [n][c_out][h/s][w/s]; output is [c_in][h][w], with the same
+    leading batch axis if x has one.  Each image of a batch gives the same
+    bits as on its own.
     """
     _check_kernel_spec(K, spec)
     x = _check_image(x, spec.c_out)
+    lead = x.shape[:-3]
     s, d, g = spec.stride, spec.dilation, spec.groups
-    ho, wo = x.shape[1], x.shape[2]
+    ho, wo = x.shape[-2:]
     h, w = ho * s, wo * s
     kh, kw = spec.k_h, spec.k_w
     oh, ow = (kh - 1) // 2, (kw - 1) // 2
-    xg = x.reshape(g, spec.c_out // g, ho * wo)
+    xg = x.reshape(*lead, g, spec.c_out // g, ho * wo)
     Kg = K.data.reshape(g, spec.c_out // g, spec.c_in // g, kh, kw)
-    y = np.zeros((g, spec.c_in // g, h, w))
+    y = np.zeros((*lead, g, spec.c_in // g, h, w))
     I = np.arange(ho) * s
     J = np.arange(wo) * s
     for ip in range(kh):
         raw_r = I - (ip - oh) * d
         for jp in range(kw):
             raw_c = J - (jp - ow) * d
-            contrib = (Kg[..., ip, jp].transpose(0, 2, 1) @ xg).reshape(g, spec.c_in // g, ho, wo)
+            contrib = (Kg[..., ip, jp].transpose(0, 2, 1) @ xg).reshape(
+                *lead, g, spec.c_in // g, ho, wo)
             # distinct (i, j) scatter to distinct targets within one tap,
             # so fancy += is collision-free here
-            y[:, :, (raw_r % h)[:, None], (raw_c % w)[None, :]] += contrib
-    return y.reshape(spec.c_in, h, w)
+            y[..., (raw_r % h)[:, None], (raw_c % w)[None, :]] += contrib
+    return y.reshape(*lead, spec.c_in, h, w)
 
 
 def _power_iteration(apply, apply_t, x: np.ndarray, iters: int, tol: float) -> float:

@@ -2,7 +2,11 @@
 
 Every check starts from impulse responses of the reference convolution
 `conv2d_ref`, so it measures the strided circular operator itself, groups
-and dilation included, whatever convention the reference uses.
+and dilation included, whatever convention the reference uses.  The unit
+impulses of one impulse-response matrix go through the reference operator
+stacked as batches [n][c][h][w] of at most 2^18 input entries (2 MB;
+`_IMPULSE_BATCH_ENTRIES`), so a matrix takes a few calls, not one per
+column; a batched call gives each image the same bits as a single one.
 
 `check_orthogonality` takes the operator's exact spectrum by the
 block-circulant (polyphase) route.  A circular convolution with stride s
@@ -23,7 +27,7 @@ spectrum lies within `tolerance` of 1 (default 1e-4).
 The dense operator matrix stays as the test oracle and for the grid's
 transposed entries: column (c, i, j) of `toeplitz_from_kernel` is the
 flattened response to the unit impulse e_{c,i,j}, `toeplitz_of_transpose`
-is built by the same impulse loop from `conv2d_transpose_ref`, and
+is built by the same impulse batches from `conv2d_transpose_ref`, and
 `singular_values` takes a full SVD of either.
 
 This module sits above `construct`: the grid builds its kernels with
@@ -57,6 +61,9 @@ from .tensor_core import (
 
 ENTRY_BUDGET = 1 << 24
 DEFAULT_TOLERANCE = 1e-4
+# input entries per batch of impulses (2 MB of float64): enough to cut the
+# calls per impulse matrix to a few, small enough to keep peak memory flat
+_IMPULSE_BATCH_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -108,6 +115,10 @@ def _impulse_matrix(apply, in_shape: tuple[int, int, int], n_rows: int,
                     impulses: Sequence[int]) -> np.ndarray:
     """Matrix whose column j is `apply(e)` flattened, for the unit impulse
     e at flat index `impulses[j]` of an image of `in_shape` (channel-major).
+
+    The impulses go through `apply` as batches [n][c][h][w] of at most
+    `_IMPULSE_BATCH_ENTRIES` input entries (at least one impulse per
+    batch), so the matrix takes a few calls rather than one per column.
     Refused above the entry budget."""
     n_cols = len(impulses)
     if n_rows * n_cols > ENTRY_BUDGET:
@@ -115,18 +126,20 @@ def _impulse_matrix(apply, in_shape: tuple[int, int, int], n_rows: int,
             f"impulse-response matrix {n_rows}x{n_cols} exceeds the entry "
             f"budget ({ENTRY_BUDGET}); use a smaller image or fewer channels"
         )
+    size = math.prod(in_shape)
+    batch = max(1, _IMPULSE_BATCH_ENTRIES // size)
     T = np.empty((n_rows, n_cols))
-    e = np.zeros(math.prod(in_shape))
-    for col, at in enumerate(impulses):
-        e[at] = 1.0
-        T[:, col] = apply(e.reshape(in_shape)).ravel()
-        e[at] = 0.0
+    for start in range(0, n_cols, batch):
+        at = impulses[start:start + batch]
+        e = np.zeros((len(at), size))
+        e[np.arange(len(at)), at] = 1.0
+        T[:, start:start + len(at)] = apply(e.reshape(-1, *in_shape)).reshape(len(at), n_rows).T
     return T
 
 
 def toeplitz_from_kernel(K: KernelTensor, spec: ConvSpec, h: int, w: int) -> np.ndarray:
-    """Dense matrix of the strided circular convolution, built column by
-    column from impulse responses.
+    """Dense matrix of the strided circular convolution, built from the
+    impulse responses of every input entry (see `_impulse_matrix`).
 
     Shape is (c_out*h*w/s^2) x (c_in*h*w); rows/columns are ordered
     channel-major.  Guarded by an entry-count budget.
@@ -155,15 +168,6 @@ def singular_values(Mx: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(Mx)):
         raise ValueError("matrix contains non-finite entries")
     return np.linalg.svd(Mx, compute_uv=False)
-
-
-def singular_values_gram(Mx: np.ndarray) -> np.ndarray:
-    """Independent spectrum route: square roots of the eigenvalues of the
-    smaller Gram matrix.  Used to cross-check `singular_values`."""
-    Mx = np.asarray(Mx, dtype=np.float64)
-    G = Mx @ Mx.T if Mx.shape[0] <= Mx.shape[1] else Mx.T @ Mx
-    eig = np.linalg.eigvalsh(G)
-    return np.sqrt(np.clip(eig, 0.0, None))[::-1]
 
 
 def _polyphase(x: np.ndarray, s: int) -> np.ndarray:
@@ -249,19 +253,18 @@ def roundtrip_check(K: KernelTensor, spec: ConvSpec, h: int = 8, w: int = 8,
     (valid when the strided operator is row orthogonal).
     direction "column": convT(K, conv(K, x)) vs x for x in input space.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    worst = 0.0
-    for _ in range(n_trials):
-        if direction == "row":
-            x = rng.standard_normal((spec.c_out, h // spec.stride, w // spec.stride))
-            back = conv2d_ref(K, conv2d_transpose_ref(K, x, spec), spec)
-        elif direction == "column":
-            x = rng.standard_normal((spec.c_in, h, w))
-            back = conv2d_transpose_ref(K, conv2d_ref(K, x, spec), spec)
-        else:
-            raise ValueError(f"unknown direction {direction!r}")
-        worst = max(worst, float(np.max(np.abs(back - x))))
-    return worst
+    if direction == "row":
+        x = rng.standard_normal((n_trials, spec.c_out, h // spec.stride, w // spec.stride))
+        back = conv2d_ref(K, conv2d_transpose_ref(K, x, spec), spec)
+    elif direction == "column":
+        x = rng.standard_normal((n_trials, spec.c_in, h, w))
+        back = conv2d_transpose_ref(K, conv2d_ref(K, x, spec), spec)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    return float(np.max(np.abs(back - x)))
 
 
 def robustness_certificate(logits: Sequence[float], label: int) -> float:

@@ -62,7 +62,8 @@ def test_build_seed_comes_from_config(tmp_path):
 def test_removed_surface_is_gone(tmp_path):
     import orthokernel
 
-    for name in ("KernelChain", "DenseMatrix", "ImageTensor", "vec", "compat"):
+    for name in ("KernelChain", "DenseMatrix", "ImageTensor", "vec", "compat",
+                 "singular_values_gram"):
         assert not hasattr(orthokernel, name), name
     cfg = write_config(tmp_path / "cfg.json")
     # build values come only from the config file
@@ -146,7 +147,8 @@ def test_malformed_kernel_file_exit_2(tmp_path, capsys, command):
             "dtype": "f64", "order": "row-major", "data": [1.0]}
     for bad in ({k: v for k, v in base.items() if k != "shape"},
                 {k: v for k, v in base.items() if k != "data"},
-                dict(base, shape=5)):
+                dict(base, shape=5),
+                dict(base, shape=[1, 1, 1, 2], data=[True, 1.5])):
         path = tmp_path / "bad.okt"
         path.write_text(json.dumps(bad))
         capsys.readouterr()

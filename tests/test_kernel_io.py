@@ -45,6 +45,8 @@ def test_malformed_documents_rejected():
         lambda d: d.update(data={"0": 1.0}),
         lambda d: d.update(data=[["x"]] * 4),
         lambda d: d.update(groups=1.5),
+        lambda d: d.update(data=[True, 1.5, 0.5, 0.25]),
+        lambda d: d.update(data=[10 ** 400, 1.5, 0.5, 0.25]),
     ):
         doc = dict(base)
         mutate(doc)

@@ -173,6 +173,38 @@ def test_shape_mismatch_errors():
     bad_spec = ConvSpec(c_in=3, c_out=2, k_h=5, k_w=5)
     with pytest.raises(ValueError):
         conv2d_ref(K, np.zeros((3, 8, 8)), bad_spec)  # kernel/spec mismatch
+    for shape in ((3, 8), (1, 1, 3, 8, 8)):  # one image or one batch only
+        with pytest.raises(ValueError, match="axes"):
+            conv2d_ref(K, np.zeros(shape), spec)
+        with pytest.raises(ValueError, match="axes"):
+            conv2d_transpose_ref(K, np.zeros(shape), spec)
+
+
+@st.composite
+def batched_configs(draw):
+    g = draw(st.sampled_from([1, 2, 3]))
+    c_in = g * draw(st.integers(1, 6 // g))
+    c_out = g * draw(st.integers(1, 6 // g))
+    k, s, d = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    h, w = s * draw(st.integers(1, 4)), s * draw(st.integers(1, 4))
+    return n, c_in, c_out, k, s, g, d, h, w, draw(st.integers(0, 1000))
+
+
+@given(batched_configs())
+@settings(max_examples=60, deadline=None)
+def test_batch_axis_matches_per_image_calls(config):
+    n, c_in, c_out, k, s, g, d, h, w, seed = config
+    r = rng(seed)
+    K = KernelTensor(r.standard_normal((c_out, c_in // g, k, k)), groups=g)
+    spec = spec_for_kernel(K, stride=s, dilation=d)
+    x = r.standard_normal((n, c_in, h, w))
+    z = r.standard_normal((n, c_out, h // s, w // s))
+    y, yt = conv2d_ref(K, x, spec), conv2d_transpose_ref(K, z, spec)
+    assert y.shape == z.shape and yt.shape == x.shape
+    for i in range(n):
+        np.testing.assert_array_equal(y[i], conv2d_ref(K, x[i], spec))
+        np.testing.assert_array_equal(yt[i], conv2d_transpose_ref(K, z[i], spec))
 
 
 def test_grouped_channel_blocks_are_contiguous():

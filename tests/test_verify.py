@@ -13,6 +13,7 @@ from orthokernel import (
     bcop_kernel,
     check_orthogonality,
     conv2d_ref,
+    conv2d_transpose_ref,
     conv_operator_norm,
     identity_kernel,
     polyphase_spectrum,
@@ -20,7 +21,6 @@ from orthokernel import (
     robustness_certificate,
     roundtrip_check,
     singular_values,
-    singular_values_gram,
     spec_for_kernel,
     toeplitz_from_kernel,
     toeplitz_of_transpose,
@@ -84,6 +84,26 @@ def test_toeplitz_budget_guard():
         polyphase_spectrum(K, spec_for_kernel(K), 1024, 512)
 
 
+def test_impulse_batches_match_per_impulse_calls(monkeypatch):
+    # 9 x 8 x 8 = 576 impulses of 576 entries each, 455 per batch: two batches
+    K = random_kernel(9, 9, 3, 3, seed=12)
+    spec = spec_for_kernel(K)
+    assert verify._IMPULSE_BATCH_ENTRIES // 576 < 576
+    T, Tt = toeplitz_from_kernel(K, spec, 8, 8), toeplitz_of_transpose(K, spec, 8, 8)
+    for col in range(576):
+        e = np.zeros(576)
+        e[col] = 1.0
+        e = e.reshape(9, 8, 8)
+        np.testing.assert_array_equal(T[:, col], conv2d_ref(K, e, spec).ravel())
+        np.testing.assert_array_equal(Tt[:, col], conv2d_transpose_ref(K, e, spec).ravel())
+    # one impulse per call gives the same polyphase spectrum, bit for bit
+    K = random_kernel(6, 4, 3, 3, seed=13)
+    spec = spec_for_kernel(K, stride=2)
+    sv = polyphase_spectrum(K, spec, 8, 8)
+    monkeypatch.setattr(verify, "_IMPULSE_BATCH_ENTRIES", 1)
+    np.testing.assert_array_equal(polyphase_spectrum(K, spec, 8, 8), sv)
+
+
 def test_transpose_matrix_is_forward_transpose():
     K = random_kernel(3, 2, 3, 3, seed=5)
     spec = spec_for_kernel(K, stride=1)
@@ -129,6 +149,14 @@ def test_singular_values_against_power_deflation():
     sv = singular_values(M)
     oracle = power_deflation_spectrum(M, count=6)
     np.testing.assert_allclose(sv[:6], oracle, atol=1e-6, rtol=1e-6)
+
+
+def singular_values_gram(Mx):
+    """Independent spectrum route: square roots of the eigenvalues of the
+    smaller Gram matrix.  Cross-checks `singular_values`."""
+    G = Mx @ Mx.T if Mx.shape[0] <= Mx.shape[1] else Mx.T @ Mx
+    eig = np.linalg.eigvalsh(G)
+    return np.sqrt(np.clip(eig, 0.0, None))[::-1]
 
 
 def test_two_spectrum_routes_agree():
@@ -251,6 +279,25 @@ def test_roundtrip_identity_kernel_exact():
 def test_roundtrip_detects_non_orthogonal():
     K = random_kernel(3, 3, 3, 3, seed=8)
     assert roundtrip_check(K, spec_for_kernel(K), n_trials=2) > 1e-2
+
+
+@pytest.mark.parametrize("direction,stride", [("row", 2), ("column", 1)])
+def test_roundtrip_is_worst_of_sequential_trials(direction, stride):
+    # one batch of trials draws and computes what one call per trial did
+    K = random_kernel(3, 2, 3, 3, seed=8)
+    spec = spec_for_kernel(K, stride=stride)
+    r, worst = rng(4), 0.0
+    for _ in range(3):
+        if direction == "row":
+            x = r.standard_normal((3, 8 // stride, 8 // stride))
+            back = conv2d_ref(K, conv2d_transpose_ref(K, x, spec), spec)
+        else:
+            x = r.standard_normal((2, 8, 8))
+            back = conv2d_transpose_ref(K, conv2d_ref(K, x, spec), spec)
+        worst = max(worst, float(np.max(np.abs(back - x))))
+    assert roundtrip_check(K, spec, n_trials=3, direction=direction, seed=4) == worst
+    with pytest.raises(ValueError, match="n_trials"):
+        roundtrip_check(K, spec, n_trials=0, direction=direction)
 
 
 # --- product bound ---------------------------------------------------------------
