@@ -22,6 +22,7 @@ deterministic given their arguments and input files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -183,7 +184,10 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each `parse_args` call
+    returns a fresh namespace."""
     p = argparse.ArgumentParser(prog="orthokernel",
                                 description="orthogonal convolution kernels: "
                                             "build, verify, inspect")

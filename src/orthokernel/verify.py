@@ -1,13 +1,5 @@
 """Independent orthogonality verification.
 
-Every check starts from impulse responses of the reference convolution
-`conv2d_ref`, so it measures the strided circular operator itself, groups
-and dilation included, whatever convention the reference uses.  The unit
-impulses of one impulse-response matrix go through the reference operator
-stacked as batches [n][c][h][w] of at most 2^18 input entries (2 MB;
-`_IMPULSE_BATCH_ENTRIES`), so a matrix takes a few calls, not one per
-column; a batched call gives each image the same bits as a single one.
-
 `check_orthogonality` takes the operator's exact spectrum by the
 block-circulant (polyphase) route.  A circular convolution with stride s
 commutes with input shifts by s, so its operator is block-circulant over
@@ -16,19 +8,30 @@ s*b + q) is the response to the impulse at (c, p, q) shifted by (a, b).
 The c_in*s^2 responses to the impulses with p, q < s therefore determine
 the whole operator, and `fft2` over the output grid block-diagonalizes
 it: its singular values are those of one c_out x c_in*s^2 complex matrix
-per frequency (Sedghi, Gupta & Long, ICLR 2019), taken here by one
-batched SVD.  Before the spectrum is trusted, a guard applies the
-operator rebuilt from those responses to a fixed random input and
-compares the result with `conv2d_ref`, so the shift structure is checked
-rather than assumed.  The route is budgeted at `ENTRY_BUDGET` entries of
-the impulse stack, c_out*c_in*h*w.  A convolution passes when its whole
-spectrum lies within `tolerance` of 1 (default 1e-4).
+per frequency (Sedghi, Gupta & Long, ICLR 2019).  Those responses are not
+computed by convolution: each kernel tap is scattered straight onto the
+output grid at the lag and input phase it reads (`_tap_stack`, the
+polyphase kernel of Su et al., ICML 2022, laid out per image size).  The
+kernel is real, so the block at (-f1, -f2) is the conjugate of the block
+at (f1, f2); one batched SVD of the blocks with f2 <= (w/s)//2 gives the
+whole spectrum.  Before the spectrum is trusted, a guard applies the
+operator rebuilt from the blocks to a fixed random input and compares the
+result with the reference convolution `conv2d_ref`, so the tap layout and
+the shift structure are checked against the operator itself, groups and
+dilation included, rather than assumed.  The route is budgeted at
+`ENTRY_BUDGET` entries of the block array, c_out*c_in*h*w.  A convolution
+passes when its whole spectrum lies within `tolerance` of 1 (default
+1e-4).
 
 The dense operator matrix stays as the test oracle and for the grid's
 transposed entries: column (c, i, j) of `toeplitz_from_kernel` is the
-flattened response to the unit impulse e_{c,i,j}, `toeplitz_of_transpose`
-is built by the same impulse batches from `conv2d_transpose_ref`, and
-`singular_values` takes a full SVD of either.
+flattened response of `conv2d_ref` to the unit impulse e_{c,i,j},
+`toeplitz_of_transpose` is built the same way from
+`conv2d_transpose_ref`, and `singular_values` takes a full SVD of either.
+Their unit impulses go through the reference operator stacked as batches
+[n][c][h][w] of at most 2^18 input entries (2 MB;
+`_IMPULSE_BATCH_ENTRIES`), so a matrix takes a few calls, not one per
+column; a batched call gives each image the same bits as a single one.
 
 This module sits above `construct`: the grid builds its kernels with
 `aoc_kernel`, and construction never calls back into verification (the
@@ -55,6 +58,7 @@ from .construct import AocConfig, aoc_kernel
 from .tensor_core import (
     ConvSpec,
     KernelTensor,
+    _check_kernel_spec,
     conv2d_ref,
     conv2d_transpose_ref,
 )
@@ -197,6 +201,40 @@ def _require_block_circulant(K: KernelTensor, spec: ConvSpec, blocks: np.ndarray
         )
 
 
+def _tap_stack(K: KernelTensor, spec: ConvSpec, h: int, w: int) -> np.ndarray:
+    """Responses to the c_in*s^2 unit impulses at (c, p, q), p, q < s, as
+    [c_out][h/s][w/s][(c, p, q)], scattered straight from the kernel taps.
+
+    Tap (i', j') reads the input at offset delta = (i' - oh)*d behind s*i,
+    so it sees the impulse at phase p = (-delta) mod s from output row
+    t = (delta + p)/s (mod h/s), and likewise for columns.  Each tap is
+    added, block-diagonally over groups, in (i', j') order, which is the
+    order in which `conv2d_ref` sums them, so taps that wrap onto the same
+    entry give the same bits as the impulse responses.  Refused when the
+    stack, c_out*c_in*h*w entries, exceeds `ENTRY_BUDGET`."""
+    _check_kernel_spec(K, spec)
+    ho, wo = _strided_size(spec, h, w)
+    if spec.c_out * spec.c_in * h * w > ENTRY_BUDGET:
+        raise ValueError(
+            f"block array {spec.c_out}x{spec.c_in * h * w} exceeds the entry "
+            f"budget ({ENTRY_BUDGET}); use a smaller image or fewer channels"
+        )
+    s, d, g = spec.stride, spec.dilation, spec.groups
+    co, ci = spec.c_out // g, spec.c_in // g
+    oh, ow = (spec.k_h - 1) // 2, (spec.k_w - 1) // 2
+    Kg = K.data.reshape(g, co, ci, spec.k_h, spec.k_w)
+    stack = np.zeros((g, co, ho, wo, g, ci, s, s))
+    q = np.arange(g)
+    for ip in range(spec.k_h):
+        dr = (ip - oh) * d
+        pr = -dr % s
+        for jp in range(spec.k_w):
+            dc = (jp - ow) * d
+            pc = -dc % s
+            stack[q, :, (dr + pr) // s % ho, (dc + pc) // s % wo, q, :, pr, pc] += Kg[..., ip, jp]
+    return stack.reshape(spec.c_out, ho, wo, spec.c_in * s * s)
+
+
 def polyphase_spectrum(K: KernelTensor, spec: ConvSpec, h: int = 8,
                        w: int = 8) -> np.ndarray:
     """Exact singular spectrum of the strided circular operator, by
@@ -205,19 +243,20 @@ def polyphase_spectrum(K: KernelTensor, spec: ConvSpec, h: int = 8,
     (h/s)x(w/s) output grid.  Together they are the spectrum of the dense
     `toeplitz_from_kernel` matrix.
 
-    Built from the c_in*s^2 impulse responses at (c, p, q), p, q < s, and
-    checked by the block-circulant guard before the SVD.  Refused when the
-    impulse stack, c_out*c_in*h*w entries, exceeds `ENTRY_BUDGET`.
+    The blocks come from the kernel taps (`_tap_stack`) and are checked by
+    the block-circulant guard before the SVD.  The SVD runs on the columns
+    f2 <= (w/s)//2 only; the kernel is real, so the block at (-f1, -f2) is
+    the conjugate of the block at (f1, f2) and has the same singular
+    values, which fill the other columns.  Refused when the block array,
+    c_out*c_in*h*w entries, exceeds `ENTRY_BUDGET`.
     """
     ho, wo = _strided_size(spec, h, w)
-    s = spec.stride
-    impulses = [c * h * w + p * w + q
-                for c in range(spec.c_in) for p in range(s) for q in range(s)]
-    stack = _impulse_matrix(lambda e: conv2d_ref(K, e, spec), (spec.c_in, h, w),
-                            spec.c_out * ho * wo, impulses)
-    blocks = np.fft.fft2(stack.reshape(spec.c_out, ho, wo, -1), axes=(1, 2)).transpose(1, 2, 0, 3)
+    stack = _tap_stack(K, spec, h, w)
+    blocks = np.fft.fft2(stack, axes=(1, 2)).transpose(1, 2, 0, 3)
     _require_block_circulant(K, spec, blocks, h, w)
-    return np.linalg.svd(blocks, compute_uv=False)
+    half = np.linalg.svd(blocks[:, :wo // 2 + 1], compute_uv=False)
+    mirror = half[-np.arange(ho) % ho][:, wo - np.arange(wo // 2 + 1, wo)]
+    return np.concatenate([half, mirror], axis=1)
 
 
 def check_orthogonality(K: KernelTensor, spec: ConvSpec, h: int = 8, w: int = 8,
@@ -255,9 +294,10 @@ def roundtrip_check(K: KernelTensor, spec: ConvSpec, h: int = 8, w: int = 8,
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    ho, wo = _strided_size(spec, h, w)
     rng = np.random.Generator(np.random.PCG64(seed))
     if direction == "row":
-        x = rng.standard_normal((n_trials, spec.c_out, h // spec.stride, w // spec.stride))
+        x = rng.standard_normal((n_trials, spec.c_out, ho, wo))
         back = conv2d_ref(K, conv2d_transpose_ref(K, x, spec), spec)
     elif direction == "column":
         x = rng.standard_normal((n_trials, spec.c_in, h, w))

@@ -222,6 +222,27 @@ def test_selftest_single_category(capsys):
     assert "even_kernel" in out and "all passed" in out
 
 
+def test_parser_built_once_parses_each_call_afresh(tmp_path, capsys):
+    from orthokernel.cli import build_parser
+
+    assert build_parser() is build_parser()
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "k.okt"
+    assert main(["build", str(cfg), str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), "--stride", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["stride"] == 2
+    # 4 -> 8 channels at stride 1 cannot be orthogonal
+    assert main(["verify", str(out)]) == 1
+    assert json.loads(capsys.readouterr().out)["config"]["stride"] == 1
+    assert main(["selftest", "--category", "even_kernel"]) == 0
+    first = capsys.readouterr().out
+    assert main(["selftest", "--category", "depthwise"]) == 0
+    second = capsys.readouterr().out
+    assert "even_kernel" in first and "depthwise" not in first
+    assert "depthwise" in second and "even_kernel" not in second
+
+
 def test_selftest_full_grid(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthokernel import (
@@ -96,12 +96,11 @@ def test_impulse_batches_match_per_impulse_calls(monkeypatch):
         e = e.reshape(9, 8, 8)
         np.testing.assert_array_equal(T[:, col], conv2d_ref(K, e, spec).ravel())
         np.testing.assert_array_equal(Tt[:, col], conv2d_transpose_ref(K, e, spec).ravel())
-    # one impulse per call gives the same polyphase spectrum, bit for bit
+    # the tap stack equals the impulse stack built with one impulse per call
     K = random_kernel(6, 4, 3, 3, seed=13)
     spec = spec_for_kernel(K, stride=2)
-    sv = polyphase_spectrum(K, spec, 8, 8)
     monkeypatch.setattr(verify, "_IMPULSE_BATCH_ENTRIES", 1)
-    np.testing.assert_array_equal(polyphase_spectrum(K, spec, 8, 8), sv)
+    np.testing.assert_array_equal(verify._tap_stack(K, spec, 8, 8), impulse_stack(K, spec, 8, 8))
 
 
 def test_transpose_matrix_is_forward_transpose():
@@ -210,6 +209,28 @@ def test_report_locates_the_extremes():
 
 # --- polyphase spectrum ----------------------------------------------------------
 
+def impulse_stack(K, spec, h, w):
+    """Oracle for the tap stack: responses of `conv2d_ref` to the unit
+    impulses at (c, p, q), p, q < s, as [c_out][h/s][w/s][(c, p, q)]."""
+    s = spec.stride
+    impulses = [c * h * w + p * w + q
+                for c in range(spec.c_in) for p in range(s) for q in range(s)]
+    T = verify._impulse_matrix(lambda e: conv2d_ref(K, e, spec), (spec.c_in, h, w),
+                               spec.c_out * (h // s) * (w // s), impulses)
+    return T.reshape(spec.c_out, h // s, w // s, -1)
+
+
+def oracle_blocks(K, spec, h, w):
+    """Frequency blocks [h/s][w/s][c_out][c_in*s^2] from the columns of the
+    dense oracle at the impulses (c, p, q), p, q < s."""
+    s = spec.stride
+    T = toeplitz_from_kernel(K, spec, h, w)
+    cols = [c * h * w + p * w + q
+            for c in range(spec.c_in) for p in range(s) for q in range(s)]
+    stack = T[:, cols].reshape(spec.c_out, h // s, w // s, len(cols))
+    return np.fft.fft2(stack, axes=(1, 2)).transpose(1, 2, 0, 3)
+
+
 @st.composite
 def conv_configs(draw):
     g = draw(st.sampled_from([1, 2, 3]))
@@ -223,6 +244,8 @@ def conv_configs(draw):
 
 
 @given(conv_configs())
+@example((2, 9, 5, 3, 1, 1, 9, 9, 0))  # s = 3 at 9x9: odd w/s
+@example((3, 4, 3, 1, 1, 1, 6, 5, 1))  # odd w/s, h != w
 @settings(max_examples=60, deadline=None)
 def test_polyphase_spectrum_equals_dense_oracle(config):
     c_in, c_out, k, s, g, d, h, w, seed = config
@@ -232,6 +255,78 @@ def test_polyphase_spectrum_equals_dense_oracle(config):
     poly = np.sort(polyphase_spectrum(K, spec, h, w), axis=None)[::-1]
     assert poly.shape == dense.shape
     np.testing.assert_allclose(poly, dense, rtol=0, atol=1e-12 * dense[0])
+
+
+@given(conv_configs())
+@example((2, 3, 5, 2, 1, 3, 2, 4, 7))  # extent 13 wraps around a 2x4 image
+@settings(max_examples=60, deadline=None)
+def test_tap_stack_equals_impulse_stack(config):
+    c_in, c_out, k, s, g, d, h, w, seed = config
+    K = KernelTensor(rng(seed).standard_normal((c_out, c_in // g, k, k)), groups=g)
+    spec = spec_for_kernel(K, stride=s, dilation=d)
+    assert np.array_equal(verify._tap_stack(K, spec, h, w), impulse_stack(K, spec, h, w))
+
+
+def test_tap_stack_refuses_mismatched_spec():
+    K = random_kernel(4, 2, 3, 3, seed=0)
+    for spec in (ConvSpec(c_in=3, c_out=4, k_h=3, k_w=3), ConvSpec(c_in=2, c_out=4, k_h=1, k_w=9)):
+        with pytest.raises(ValueError, match="does not match"):
+            polyphase_spectrum(K, spec, 9, 9)
+
+
+@pytest.mark.parametrize("fault", ["phase", "lag"])
+def test_guard_rejects_misplaced_tap(fault):
+    K = random_kernel(3, 2, 3, 3, seed=11)
+    spec = spec_for_kernel(K, stride=2)
+    h, w = 8, 6
+
+    def guard(stack):
+        blocks = np.fft.fft2(stack.reshape(3, 4, 3, 8), axes=(1, 2)).transpose(1, 2, 0, 3)
+        verify._require_block_circulant(K, spec, blocks, h, w)
+
+    stack = verify._tap_stack(K, spec, h, w).reshape(3, 4, 3, 2, 2, 2)
+    guard(stack)
+    # only the centre tap reads phase (0, 0) at lag (0, 0)
+    tap = K.data[0, 1, 1, 1]
+    assert stack[0, 0, 0, 1, 0, 0] == tap
+    stack[0, 0, 0, 1, 0, 0] = 0.0
+    stack[(0, 0, 0, 1, 1, 0) if fault == "phase" else (0, 1, 0, 1, 0, 0)] += tap
+    with pytest.raises(ValueError, match="block-circulant"):
+        guard(stack)
+
+
+@pytest.mark.parametrize("c_in,c_out,k,s,h,w", [
+    (3, 4, 3, 1, 6, 5),   # odd w/s, h != w
+    (2, 9, 5, 3, 9, 9),   # s = 3 at 9x9: a 3x3 grid
+    (4, 6, 3, 2, 8, 6),
+    (2, 3, 2, 3, 9, 12),
+    (5, 2, 3, 1, 4, 7),
+])
+def test_half_spectrum_mirrors_conjugate_blocks(c_in, c_out, k, s, h, w):
+    K = random_kernel(c_out, c_in, k, k, seed=c_in + 7 * c_out)
+    spec = spec_for_kernel(K, stride=s)
+    ho, wo = h // s, w // s
+    sv = polyphase_spectrum(K, spec, h, w)
+    assert sv.shape == (ho, wo, min(c_out, c_in * s * s))
+    for f1 in range(ho):
+        for f2 in range(wo // 2 + 1, wo):
+            np.testing.assert_array_equal(sv[f1, f2], sv[-f1 % ho, -f2 % wo])
+    # every entry, mirrored or not, is the spectrum of its own block
+    blocks = np.linalg.svd(oracle_blocks(K, spec, h, w), compute_uv=False)
+    np.testing.assert_allclose(sv, blocks, rtol=0, atol=1e-12 * blocks.max())
+
+
+@pytest.mark.parametrize("c_in,c_out,k,s,h,w", [
+    (2, 3, 3, 1, 6, 5), (3, 2, 3, 1, 4, 7), (2, 5, 3, 2, 8, 6), (2, 4, 5, 3, 9, 9)])
+def test_reported_frequencies_hold_the_extremes(c_in, c_out, k, s, h, w):
+    K = random_kernel(c_out, c_in, k, k, seed=3 * c_in + c_out)
+    spec = spec_for_kernel(K, stride=s)
+    rep = check_orthogonality(K, spec, h, w)
+    blocks = oracle_blocks(K, spec, h, w)
+    top = np.linalg.svd(blocks[rep.freq_max], compute_uv=False)[0]
+    bottom = np.linalg.svd(blocks[rep.freq_min], compute_uv=False)[-1]
+    assert abs(top - rep.sigma_max) <= 1e-12 * rep.sigma_max
+    assert abs(bottom - rep.sigma_min) <= 1e-12 * rep.sigma_max
 
 
 def test_guard_rejects_inconsistent_impulse_stack(monkeypatch):
@@ -279,6 +374,14 @@ def test_roundtrip_identity_kernel_exact():
 def test_roundtrip_detects_non_orthogonal():
     K = random_kernel(3, 3, 3, 3, seed=8)
     assert roundtrip_check(K, spec_for_kernel(K), n_trials=2) > 1e-2
+
+
+@pytest.mark.parametrize("direction", ["row", "column"])
+def test_roundtrip_refuses_size_not_divisible_by_stride(direction):
+    K = identity_kernel(2)
+    spec = ConvSpec(c_in=2, c_out=2, k_h=1, k_w=1, stride=2)
+    with pytest.raises(ValueError, match="divisible"):
+        roundtrip_check(K, spec, 7, 7, direction=direction)
 
 
 @pytest.mark.parametrize("direction,stride", [("row", 2), ("column", 1)])
