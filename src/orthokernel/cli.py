@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
@@ -155,6 +156,12 @@ def cmd_spectrum(args) -> int:
 def cmd_selftest(args) -> int:
     if args.seed < 0:
         print(f"invalid input: seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    # checked here, not by run_grid: its ValueErrors mean an unbuildable
+    # entry (exit 3), and the roundtrip entries never read the tolerance
+    if not 0.0 <= args.tol < math.inf:
+        print(f"invalid input: tolerance must be finite and >= 0, got {args.tol}",
+              file=sys.stderr)
         return EXIT_BAD_INPUT
     categories = args.category if args.category else None
     t0 = time.perf_counter()

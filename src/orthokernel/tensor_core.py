@@ -1,10 +1,13 @@
 """Core tensor types and the reference convolution operators.
 
 Everything downstream (kernel fusion, constructions, spectral checks) is
-validated against the operators in this module, so they are written for
-clarity and exactness rather than speed: the convolution is a direct
-summation over kernel taps, and the transposed convolution is its exact
-adjoint (scatter of the same taps).  The matrix-free spectral-norm
+validated against the operators in this module, so they stay direct: the
+convolution sums one GEMM per kernel tap over the tap's input pixels, and
+the transposed convolution is its exact adjoint, the same taps added back
+to the pixels they read.  Each call lays the kernel out tap-major
+(`_tap_major`, one contiguous copy), so a tap's GEMM reads a contiguous
+block, and the adjoint adds a tap by gathering its product in target order
+into one stride phase of the output.  The matrix-free spectral-norm
 estimates `conv_operator_norm` and `product_bound` live here too, since
 they need nothing but these two operators; their power iteration loop,
 `_power_iteration`, also serves `orthogonalize.power_iteration_norm`.
@@ -28,6 +31,7 @@ skew-symmetric operator.  Neither identity holds for any uncentred origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -166,6 +170,25 @@ def _check_kernel_spec(K: KernelTensor, spec: ConvSpec):
         )
 
 
+def _tap_major(K: KernelTensor, spec: ConvSpec, adjoint: bool, n_cols: int) -> np.ndarray:
+    """The kernel as [k_h][k_w][g][rows][cols], one GEMM operand per tap:
+    rows c_out/g and cols c_in/g, or the transposed blocks if `adjoint`.
+
+    A tap's product has `n_cols` columns.  The blocks are copied once to a
+    contiguous array, so no tap makes `matmul` copy a strided slice, unless
+    the product is a matrix-vector product (one row or one column) whose
+    sums have more than one term: numpy sends a strided and a contiguous
+    matrix through different vector kernels there, which round differently.
+    """
+    g = spec.groups
+    Kt = K.data.reshape(g, spec.c_out // g, spec.c_in // g, spec.k_h, spec.k_w)
+    Kt = Kt.transpose(3, 4, 0, 2, 1) if adjoint else Kt.transpose(3, 4, 0, 1, 2)
+    rows, terms = Kt.shape[-2:]
+    if terms == 1 or (rows > 1 and n_cols > 1):
+        Kt = np.ascontiguousarray(Kt)
+    return Kt
+
+
 def conv2d_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Reference 2-D convolution, direct summation over kernel taps.
 
@@ -186,7 +209,7 @@ def conv2d_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     oh, ow = (kh - 1) // 2, (kw - 1) // 2
     ho, wo = h // s, w // s
     xg = x.reshape(*lead, g, c_in // g, h, w)
-    Kg = K.data.reshape(g, spec.c_out // g, c_in // g, kh, kw)
+    Kt = _tap_major(K, spec, adjoint=False, n_cols=ho * wo)
     y = np.zeros((*lead, g, spec.c_out // g, ho, wo))
     I = np.arange(ho) * s
     J = np.arange(wo) * s
@@ -195,7 +218,7 @@ def conv2d_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
         for jp in range(kw):
             raw_c = J - (jp - ow) * d
             sub = xg[..., (raw_r % h)[:, None], (raw_c % w)[None, :]]
-            y += (Kg[..., ip, jp] @ sub.reshape(*lead, g, c_in // g, ho * wo)).reshape(y.shape)
+            y += (Kt[ip, jp] @ sub.reshape(*lead, g, c_in // g, ho * wo)).reshape(y.shape)
     return y.reshape(*lead, spec.c_out, ho, wo)
 
 
@@ -208,6 +231,14 @@ def conv2d_transpose_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.n
     or a batch [n][c_out][h/s][w/s]; output is [c_in][h][w], with the same
     leading batch axis if x has one.  Each image of a batch gives the same
     bits as on its own.
+
+    Per tap, the transposed kernel block times x gives one value per
+    output pixel (i, j) of the forward operator; the tap sends it back to
+    input pixel (raw_r[i], raw_c[j]).  Those rows all share the phase
+    raw_r % s (and the columns raw_c % s), and within a tap the map is a
+    bijection onto the (h/s) x (w/s) pixels of that phase, so the tap's
+    values are gathered by the inverse map and added there by basic
+    slicing, in the same tap order as a scatter would add them.
     """
     _check_kernel_spec(K, spec)
     x = _check_image(x, spec.c_out)
@@ -218,20 +249,30 @@ def conv2d_transpose_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.n
     kh, kw = spec.k_h, spec.k_w
     oh, ow = (kh - 1) // 2, (kw - 1) // 2
     xg = x.reshape(*lead, g, spec.c_out // g, ho * wo)
-    Kg = K.data.reshape(g, spec.c_out // g, spec.c_in // g, kh, kw)
+    Kt = _tap_major(K, spec, adjoint=True, n_cols=ho * wo)
     y = np.zeros((*lead, g, spec.c_in // g, h, w))
+    # the output as [..., block row, row phase, block column, column phase]
+    y_phases = y.reshape(*lead, g, spec.c_in // g, ho, s, wo, s)
     I = np.arange(ho) * s
     J = np.arange(wo) * s
+    inv_r, inv_c = np.empty(ho, dtype=np.intp), np.empty(wo, dtype=np.intp)
     for ip in range(kh):
-        raw_r = I - (ip - oh) * d
+        raw_r = (I - (ip - oh) * d) % h
+        inv_r[raw_r // s] = np.arange(ho)
         for jp in range(kw):
-            raw_c = J - (jp - ow) * d
-            contrib = (Kg[..., ip, jp].transpose(0, 2, 1) @ xg).reshape(
-                *lead, g, spec.c_in // g, ho, wo)
-            # distinct (i, j) scatter to distinct targets within one tap,
-            # so fancy += is collision-free here
-            y[..., (raw_r % h)[:, None], (raw_c % w)[None, :]] += contrib
+            raw_c = (J - (jp - ow) * d) % w
+            inv_c[raw_c // s] = np.arange(wo)
+            contrib = (Kt[ip, jp] @ xg).reshape(*lead, g, spec.c_in // g, ho, wo)
+            y_phases[..., raw_r[0] % s, :, raw_c[0] % s] += \
+                contrib[..., inv_r[:, None], inv_c[None, :]]
     return y.reshape(*lead, spec.c_in, h, w)
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a contiguous array: what `np.linalg.norm` computes
+    for real input, bit for bit, without its dispatch."""
+    v = v.ravel()
+    return math.sqrt(v @ v)
 
 
 def _power_iteration(apply, apply_t, x: np.ndarray, iters: int, tol: float) -> float:
@@ -240,11 +281,11 @@ def _power_iteration(apply, apply_t, x: np.ndarray, iters: int, tol: float) -> f
     sigma = 0.0
     for _ in range(iters):
         y = apply(x)
-        if np.linalg.norm(y) == 0.0:
+        if _norm(y) == 0.0:
             return 0.0
         x = apply_t(y)
-        x /= np.linalg.norm(x)
-        sigma_next = np.linalg.norm(apply(x))
+        x /= _norm(x)
+        sigma_next = _norm(apply(x))
         if abs(sigma_next - sigma) <= tol * max(sigma_next, 1.0):
             return float(sigma_next)
         sigma = sigma_next

@@ -264,12 +264,15 @@ def check_orthogonality(K: KernelTensor, spec: ConvSpec, h: int = 8, w: int = 8,
     """Take the operator's exact spectrum by the polyphase route
     (`polyphase_spectrum`) and report its extremes and where they occur.
 
-    Passes iff every singular value lies within `tolerance` of 1.  The
+    Passes iff every singular value lies within `tolerance` of 1; a
+    tolerance that is negative or not finite raises ValueError.  The
     spectral residual ||G - I||_2 on the smaller Gram side G follows from
     the extremes: max(|sigma_max^2 - 1|, |sigma_min^2 - 1|).  n_rows and
     n_cols are the shape of the dense operator, (c_out*h*w/s^2) x
     (c_in*h*w), which is never built.
     """
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     sv = polyphase_spectrum(K, spec, h, w)
     top, bottom = sv[..., 0], sv[..., -1]
     f_max = np.unravel_index(np.argmax(top), top.shape)

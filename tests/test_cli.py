@@ -193,6 +193,19 @@ def test_verify_non_positive_size_exit_2(tmp_path, capsys, size):
     assert err.startswith("invalid input: image size") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_bad_tolerance_exit_2(tmp_path, capsys, tol):
+    from orthokernel import identity_kernel
+
+    out = tmp_path / "id.okt"
+    write_kernel(out, identity_kernel(2))
+    capsys.readouterr()
+    assert main(["verify", str(out), "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: tolerance") and captured.err.count("\n") == 1
+
+
 def test_spectrum_identity_prints_ones(tmp_path, capsys):
     from orthokernel import identity_kernel
 
@@ -261,6 +274,16 @@ def test_selftest_unknown_scheme_exit_2(capsys):
 def test_selftest_negative_seed_exit_2(capsys):
     assert main(["selftest", "--seed", "-1", "--category", "common"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("category", ["common", "transposed"])
+def test_selftest_bad_tolerance_exit_2(capsys, tol, category):
+    # the transposed entries never call check_orthogonality
+    assert main(["selftest", "--tol", tol, "--category", category]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: tolerance") and captured.err.count("\n") == 1
 
 
 def test_selftest_unbuildable_entry_exit_3(capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthokernel import (
@@ -8,12 +8,15 @@ from orthokernel import (
     KernelTensor,
     conv2d_ref,
     conv2d_transpose_ref,
+    conv_operator_norm,
     identity_kernel,
     kernel_transpose,
+    power_iteration_norm,
     spec_for_kernel,
     toeplitz_from_kernel,
 )
 from conftest import gram_residual, random_kernel, rng
+from oracles import conv2d_scatter, conv2d_transpose_scatter
 
 
 def test_kernel_tensor_validation():
@@ -100,6 +103,20 @@ def test_transpose_is_exact_adjoint(stride, dilation, groups, k):
     lhs = float(np.sum(conv2d_ref(K, x, spec) * y))
     rhs = float(np.sum(x * conv2d_transpose_ref(K, y, spec)))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+def test_transpose_is_adjoint_at_real_width():
+    # 128 -> 256 k3 s2, the widest layer of a ResNet-style check, 5 trials
+    K = KernelTensor(rng(11).standard_normal((256, 128, 3, 3)))
+    spec = spec_for_kernel(K, stride=2)
+    g = rng(12)
+    x = g.standard_normal((5, 128, 8, 8))
+    y = g.standard_normal((5, 256, 4, 4))
+    fx, ty = conv2d_ref(K, x, spec), conv2d_transpose_ref(K, y, spec)
+    for t in range(5):
+        lhs, rhs = float(np.sum(fx[t] * y[t])), float(np.sum(x[t] * ty[t]))
+        # relative to the Cauchy-Schwarz bound on both sides
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(fx[t]) * np.linalg.norm(y[t])
 
 
 def test_transpose_matches_dense_transpose():
@@ -207,6 +224,27 @@ def test_batch_axis_matches_per_image_calls(config):
         np.testing.assert_array_equal(yt[i], conv2d_transpose_ref(K, z[i], spec))
 
 
+@given(batched_configs())
+# n, c_in, c_out, k, s, g, d, h, w, seed: products with one row or one
+# column (c_out/g = 1, c_in/g = 1, ho*wo = 1), where matmul takes other paths
+@example((2, 4, 2, 3, 1, 2, 1, 4, 4, 0))
+@example((3, 3, 6, 3, 2, 3, 2, 2, 2, 1))
+@example((2, 6, 5, 2, 3, 1, 1, 3, 3, 2))
+@example((1, 2, 2, 2, 1, 2, 1, 1, 1, 3))
+@settings(max_examples=80, deadline=None)
+def test_operators_equal_scatter_oracles(config):
+    n, c_in, c_out, k, s, g, d, h, w, seed = config
+    r = rng(seed)
+    K = KernelTensor(r.standard_normal((c_out, c_in // g, k, k)), groups=g)
+    spec = spec_for_kernel(K, stride=s, dilation=d)
+    x = r.standard_normal((n, c_in, h, w))
+    z = r.standard_normal((n, c_out, h // s, w // s))
+    for xb, zb in ((x, z), (x[0], z[0])):
+        np.testing.assert_array_equal(conv2d_ref(K, xb, spec), conv2d_scatter(K, xb, spec))
+        np.testing.assert_array_equal(conv2d_transpose_ref(K, zb, spec),
+                                      conv2d_transpose_scatter(K, zb, spec))
+
+
 def test_grouped_channel_blocks_are_contiguous():
     # group q reads input channels [q*c_in/g, (q+1)*c_in/g)
     g = 2
@@ -218,3 +256,39 @@ def test_grouped_channel_blocks_are_contiguous():
         Kq = KernelTensor(K.data[q * 2:(q + 1) * 2])
         yq = conv2d_ref(Kq, x[q * 2:(q + 1) * 2], spec_for_kernel(Kq))
         np.testing.assert_allclose(y[q * 2:(q + 1) * 2], yq, atol=1e-13)
+
+
+def _power_iteration_linalg_norm(apply, apply_t, x, iters, tol):
+    # the power iteration loop with np.linalg.norm for every norm
+    sigma = 0.0
+    for _ in range(iters):
+        y = apply(x)
+        if np.linalg.norm(y) == 0.0:
+            return 0.0
+        x = apply_t(y)
+        x /= np.linalg.norm(x)
+        sigma_next = np.linalg.norm(apply(x))
+        if abs(sigma_next - sigma) <= tol * max(sigma_next, 1.0):
+            return float(sigma_next)
+        sigma = sigma_next
+    return float(sigma)
+
+
+def test_power_iteration_bits_match_linalg_norm_loop():
+    for seed in range(20):
+        r = rng(300 + seed)
+        m, n = (int(v) for v in r.integers(1, 40, size=2))
+        W = r.standard_normal((m, n))
+        want = _power_iteration_linalg_norm(lambda v: W @ v, lambda u: W.T @ u,
+                                            np.ones(n) / np.sqrt(n), 50, 1e-6)
+        assert power_iteration_norm(W) == want
+
+        s = int(r.integers(1, 3))
+        K = KernelTensor(r.standard_normal((int(r.integers(1, 9)), int(r.integers(1, 9)), 3, 3)))
+        spec = spec_for_kernel(K, stride=s)
+        x0 = np.random.Generator(np.random.PCG64(12345)).standard_normal((K.c_in, 8, 8))
+        x0 /= np.linalg.norm(x0)
+        want = _power_iteration_linalg_norm(lambda v: conv2d_ref(K, v, spec),
+                                            lambda u: conv2d_transpose_ref(K, u, spec),
+                                            x0, 100, 1e-9)
+        assert conv_operator_norm(K, spec) == want
