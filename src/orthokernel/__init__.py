@@ -43,7 +43,6 @@ from .construct import (
     BranchTag,
     aoc_kernel,
     bcop_kernel,
-    projector_param_count,
     rko_kernel,
     scfac_kernel,
     skew_symmetrize_kernel,

@@ -41,53 +41,53 @@ EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_UNSUPPORTED = 3
 
-_CONFIG_KEYS = {"c_in", "c_out", "kernel", "stride", "groups", "dilation",
-                "scheme", "iters", "beta", "seed", "ordering"}
+# every build config key with its default; None marks a required key
+_CONFIG_DEFAULTS = {
+    "c_in": None, "c_out": None, "kernel": None,
+    "stride": 1, "groups": 1, "dilation": 1,
+    "scheme": DEFAULT_SCHEME, "iters": DEFAULT_ITERS, "beta": DEFAULT_BETA,
+    "seed": 0, "ordering": "bcop",
+}
 _INT_KEYS = ("c_in", "c_out", "stride", "groups", "dilation", "iters", "seed")
 
 
-def _load_build_config(path) -> AocConfig:
+def _load_build_config(path) -> tuple[AocConfig, dict]:
+    """The build config at `path` and the resolved document: every key of
+    `_CONFIG_DEFAULTS`, defaults filled in and `kernel` as a [k1, k2]
+    pair."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - set(_CONFIG_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("c_in", "c_out", "kernel"):
-        if key not in doc:
+    for key, default in _CONFIG_DEFAULTS.items():
+        if default is None and key not in doc:
             raise ValueError(f"config is missing required key {key!r}")
+    doc = {**_CONFIG_DEFAULTS, **doc}
     # `type(v) is int` also refuses JSON true/false, which parse as bool
     for key in _INT_KEYS:
-        if key in doc and type(doc[key]) is not int:
+        if type(doc[key]) is not int:
             raise ValueError(f"config key {key!r} must be an integer, got {doc[key]!r}")
     kernel = doc["kernel"]
     if type(kernel) is int:
-        kernel = [kernel, kernel]
+        kernel = doc["kernel"] = [kernel, kernel]
     if not (isinstance(kernel, list) and len(kernel) == 2
             and all(type(k) is int for k in kernel)):
         raise ValueError("config key 'kernel' must be an integer or a [k1, k2] pair of integers")
-    beta = doc.get("beta", DEFAULT_BETA)
-    if type(beta) not in (int, float):
-        raise ValueError(f"config key 'beta' must be a number, got {beta!r}")
-    spec = ConvSpec(
-        c_in=doc["c_in"], c_out=doc["c_out"], k_h=kernel[0], k_w=kernel[1],
-        stride=doc.get("stride", 1), groups=doc.get("groups", 1),
-        dilation=doc.get("dilation", 1),
-    )
-    return AocConfig(
-        spec=spec,
-        scheme=doc.get("scheme", DEFAULT_SCHEME),
-        iters=doc.get("iters", DEFAULT_ITERS),
-        beta=beta,
-        seed=doc.get("seed", 0),
-        ordering=doc.get("ordering", "bcop"),
-    )
+    if type(doc["beta"]) not in (int, float):
+        raise ValueError(f"config key 'beta' must be a number, got {doc['beta']!r}")
+    spec = ConvSpec(c_in=doc["c_in"], c_out=doc["c_out"], k_h=kernel[0], k_w=kernel[1],
+                    stride=doc["stride"], groups=doc["groups"], dilation=doc["dilation"])
+    cfg = AocConfig(spec=spec, scheme=doc["scheme"], iters=doc["iters"],
+                    beta=doc["beta"], seed=doc["seed"], ordering=doc["ordering"])
+    return cfg, doc
 
 
 def cmd_build(args) -> int:
     try:
-        cfg = _load_build_config(args.config)
+        cfg, config = _load_build_config(args.config)
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -99,17 +99,7 @@ def cmd_build(args) -> int:
         reason = str(exc).partition("\n")[0]
         print(f"unsupported configuration: {reason}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    sidecar = {
-        "branch": tag.to_dict(),
-        "config": {
-            "c_in": cfg.spec.c_in, "c_out": cfg.spec.c_out,
-            "kernel": [cfg.spec.k_h, cfg.spec.k_w],
-            "stride": cfg.spec.stride, "groups": cfg.spec.groups,
-            "dilation": cfg.spec.dilation, "scheme": cfg.scheme,
-            "iters": cfg.iters, "beta": cfg.beta, "seed": cfg.seed,
-            "ordering": cfg.ordering,
-        },
-    }
+    sidecar = {"branch": tag.to_dict(), "config": config}
     try:
         kernel_io.write_kernel(args.out, K)
         with open(str(args.out) + ".meta.json", "w", encoding="utf-8") as f:
@@ -157,8 +147,9 @@ def cmd_selftest(args) -> int:
     if args.seed < 0:
         print(f"invalid input: seed must be >= 0, got {args.seed}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    # checked here, not by run_grid: its ValueErrors mean an unbuildable
-    # entry (exit 3), and the roundtrip entries never read the tolerance
+    # checked here, not left to run_grid: a ValueError from run_grid means an
+    # unbuildable entry (exit 3), and the transposed entries compare their
+    # spectrum against the tolerance without checking it
     if not 0.0 <= args.tol < math.inf:
         print(f"invalid input: tolerance must be finite and >= 0, got {args.tol}",
               file=sys.stderr)

@@ -159,8 +159,9 @@ def _compose_projector_kernel(c_in, c_out, k1, k2, seed, scheme, iters, beta,
     axes = _factor_axes(k1, k2, interleave)
     if axes and c < 2:
         raise UnsupportedConfigError(
-            f"projector construction needs a channel width >= 2 for spatial "
-            f"kernels, got c_in={c_in}, c_out={c_out}"
+            f"channel width 1 is unsupported for a {k1}x{k2} projector kernel: "
+            f"its half-rank factors need at least 2 channels, got c_in={c_in}, "
+            f"c_out={c_out}"
         )
     M = _orth((c, c_in), _sub_seed(seed, 0), scheme, iters, beta)
     chain = [KernelTensor(M.reshape(c, c_in, 1, 1))]
@@ -194,14 +195,6 @@ def scfac_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME,
                                      beta, interleave=False)
 
 
-def projector_param_count(c_in, c_out, k1, k2) -> int:
-    """Number of raw parameter entries consumed by either unstrided
-    construction for a given shape."""
-    c = max(c_in, c_out)
-    n_factors = (k1 - 1) + (k2 - 1)
-    return c * c_in + n_factors * c * (c // 2)
-
-
 def rko_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME,
                iters=DEFAULT_ITERS, beta=DEFAULT_BETA) -> KernelTensor:
     """Orthogonalize the c_out x (c_in*k1*k2) flattening and reshape back.
@@ -214,13 +207,9 @@ def rko_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME,
     return KernelTensor(W.reshape(c_out, c_in, k1, k2))
 
 
-def _unstrided_builder(ordering: str):
-    return bcop_kernel if ordering == "bcop" else scfac_kernel
-
-
 def _build_group_kernel(ci, co, k1, k2, s, cfg: AocConfig, seed):
     """Single-group decision tree; returns (kernel, branch, width)."""
-    build = _unstrided_builder(cfg.ordering)
+    build = bcop_kernel if cfg.ordering == "bcop" else scfac_kernel
     kw = dict(scheme=cfg.scheme, iters=cfg.iters, beta=cfg.beta)
 
     if k1 == s and k2 == s:
@@ -247,9 +236,10 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
     Dilation returns the same kernel (orthogonality transfers to the
     dilated operator); the spec carries d.  Raises UnsupportedConfigError
     for configurations with no orthogonal kernel: s > k, per-group
-    projector width < 2 with k > s, and stride sharing a factor with the
-    dilation (the read lattice then drops input sites, which no kernel of
-    this shape can compensate).
+    projector width < 2 with k > s (refused by the projector construction
+    itself), and stride sharing a factor with the dilation (the read
+    lattice then drops input sites, which no kernel of this shape can
+    compensate).
     """
     spec = cfg.spec
     s, g, d = spec.stride, spec.groups, spec.dilation
@@ -265,13 +255,6 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
             f"be orthogonal in both directions"
         )
     ci, co = spec.c_in // g, spec.c_out // g
-    if max(ci, co) < 2 and (k1 > s or k2 > s):
-        raise UnsupportedConfigError(
-            f"unsupported configuration: per-group width 1 with kernel "
-            f"{k1}x{k2} > stride {s} needs the projector construction, "
-            f"which requires at least 2 channels"
-        )
-
     kernels = []
     branch = width = None
     group_seeds = ((cfg.seed,) if g == 1 else
@@ -288,28 +271,21 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
 def transpose_kernel_for(K: KernelTensor, spec: ConvSpec) -> tuple[KernelTensor, ConvSpec]:
     """Kernel/spec pair describing the transposed operator.
 
-    Channel axes are swapped per group and both spatial axes reversed; the
-    returned spec swaps c_in and c_out.  `conv2d_transpose_ref` with the
-    *original* pair applies this operator; if the original convolution is
-    row orthogonal the transposed one is column orthogonal, and composing
-    the two gives the identity on the appropriate side.
+    The kernel is `kernel_transpose(K)` (channel axes swapped per group,
+    both spatial axes reversed); the returned spec swaps c_in and c_out.
+    `conv2d_transpose_ref` with the *original* pair applies this operator;
+    if the original convolution is row orthogonal the transposed one is
+    column orthogonal, and composing the two gives the identity on the
+    appropriate side.
     """
-    g = spec.groups
-    ci, co = spec.c_in // g, spec.c_out // g
-    parts = [
-        kernel_transpose(KernelTensor(K.data[q * co:(q + 1) * co])).data
-        for q in range(g)
-    ]
-    K_t = KernelTensor(np.concatenate(parts, axis=0), groups=g)
-    spec_t = replace(spec, c_in=spec.c_out, c_out=spec.c_in)
-    return K_t, spec_t
+    return kernel_transpose(K), replace(spec, c_in=spec.c_out, c_out=spec.c_in)
 
 
 def skew_symmetrize_kernel(K: KernelTensor) -> KernelTensor:
     """K - transpose(K); for odd kernel sizes the induced circular operator
     is exactly skew-symmetric."""
-    if K.c_in != K.c_out:
-        raise ValueError("skew symmetrization needs square channel counts")
+    if K.c_in != K.c_out or K.groups != 1:
+        raise ValueError("skew symmetrization needs square channel counts and groups == 1")
     return KernelTensor(K.data - kernel_transpose(K).data)
 
 

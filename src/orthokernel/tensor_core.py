@@ -4,10 +4,12 @@ Everything downstream (kernel fusion, constructions, spectral checks) is
 validated against the operators in this module, so they stay direct: the
 convolution sums one GEMM per kernel tap over the tap's input pixels, and
 the transposed convolution is its exact adjoint, the same taps added back
-to the pixels they read.  Each call lays the kernel out tap-major
-(`_tap_major`, one contiguous copy), so a tap's GEMM reads a contiguous
-block, and the adjoint adds a tap by gathering its product in target order
-into one stride phase of the output.  The matrix-free spectral-norm
+to the pixels they read.  Both walk the taps through one iterator,
+`_taps`, which yields each tap's kernel block, laid out tap-major
+(`_tap_major`, one contiguous copy per call) so a tap's GEMM reads a
+contiguous block, and the input rows and columns the tap reads; the
+adjoint adds a tap by gathering its product in target order into one
+stride phase of the output.  The matrix-free spectral-norm
 estimates `conv_operator_norm` and `product_bound` live here too, since
 they need nothing but these two operators; their power iteration loop,
 `_power_iteration`, also serves `orthogonalize.power_iteration_norm`.
@@ -22,7 +24,9 @@ stride s and dilation d the forward operator reads
     y[m, i, j] = sum_{c, i', j'} K[m, c, i', j']
                  * x[c, (i*s - (i'-oh)*d) mod h, (j*s - (j'-ow)*d) mod w]
 
-with oh = (k_h-1)//2, ow = (k_w-1)//2.  The centred origin is what makes
+with oh = (k_h-1)//2, ow = (k_w-1)//2.  `_taps` is the one place this
+index map is computed: the reference operators and the tap stack of
+`verify` all take it from there.  The centred origin is what makes
 the kernel-level algebra self-consistent: for odd kernel sizes, flipping a
 kernel spatially and swapping its channel axes yields exactly the adjoint
 operator, and a kernel satisfying K = -transpose(K) induces a
@@ -32,7 +36,7 @@ skew-symmetric operator.  Neither identity holds for any uncentred origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -189,6 +193,36 @@ def _tap_major(K: KernelTensor, spec: ConvSpec, adjoint: bool, n_cols: int) -> n
     return Kt
 
 
+def _strided_size(spec: ConvSpec, h: int, w: int) -> tuple[int, int]:
+    """Output grid (h/s, w/s) of an h x w image; h and w must be positive
+    and divisible by the stride."""
+    s = spec.stride
+    if h < 1 or w < 1:
+        raise ValueError(f"image size {h}x{w} must be positive")
+    if h % s != 0 or w % s != 0:
+        raise ValueError(f"image size {h}x{w} not divisible by stride {s}")
+    return h // s, w // s
+
+
+def _taps(K: KernelTensor, spec: ConvSpec, h: int, w: int, adjoint: bool = False):
+    """Walk the kernel taps of an h x w image in the order the reference
+    operators sum them, (i', j') row-major.  Each tap yields its GEMM
+    operand (`_tap_major`) and the input rows and columns it reads for
+    output rows 0..h/s-1 and columns 0..w/s-1:
+
+        rows = (arange(h/s)*s - (i'-oh)*d) mod h,  likewise for columns."""
+    s, d = spec.stride, spec.dilation
+    ho, wo = h // s, w // s
+    Kt = _tap_major(K, spec, adjoint, n_cols=ho * wo)
+    oh, ow = (spec.k_h - 1) // 2, (spec.k_w - 1) // 2
+    # rows[i', i] and cols[j', j], all taps at once
+    rows = (np.arange(ho) * s - (np.arange(spec.k_h)[:, None] - oh) * d) % h
+    cols = (np.arange(wo) * s - (np.arange(spec.k_w)[:, None] - ow) * d) % w
+    for ip in range(spec.k_h):
+        for jp in range(spec.k_w):
+            yield Kt[ip, jp], rows[ip], cols[jp]
+
+
 def conv2d_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Reference 2-D convolution, direct summation over kernel taps.
 
@@ -202,23 +236,13 @@ def conv2d_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     x = _check_image(x, spec.c_in)
     lead = x.shape[:-3]
     c_in, h, w = x.shape[-3:]
-    s, d, g = spec.stride, spec.dilation, spec.groups
-    if h % s != 0 or w % s != 0:
-        raise ValueError(f"image size {h}x{w} not divisible by stride {s}")
-    kh, kw = spec.k_h, spec.k_w
-    oh, ow = (kh - 1) // 2, (kw - 1) // 2
-    ho, wo = h // s, w // s
+    ho, wo = _strided_size(spec, h, w)
+    g = spec.groups
     xg = x.reshape(*lead, g, c_in // g, h, w)
-    Kt = _tap_major(K, spec, adjoint=False, n_cols=ho * wo)
     y = np.zeros((*lead, g, spec.c_out // g, ho, wo))
-    I = np.arange(ho) * s
-    J = np.arange(wo) * s
-    for ip in range(kh):
-        raw_r = I - (ip - oh) * d
-        for jp in range(kw):
-            raw_c = J - (jp - ow) * d
-            sub = xg[..., (raw_r % h)[:, None], (raw_c % w)[None, :]]
-            y += (Kt[ip, jp] @ sub.reshape(*lead, g, c_in // g, ho * wo)).reshape(y.shape)
+    for block, rows, cols in _taps(K, spec, h, w):
+        sub = xg[..., rows[:, None], cols[None, :]]
+        y += (block @ sub.reshape(*lead, g, c_in // g, ho * wo)).reshape(y.shape)
     return y.reshape(*lead, spec.c_out, ho, wo)
 
 
@@ -234,38 +258,29 @@ def conv2d_transpose_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.n
 
     Per tap, the transposed kernel block times x gives one value per
     output pixel (i, j) of the forward operator; the tap sends it back to
-    input pixel (raw_r[i], raw_c[j]).  Those rows all share the phase
-    raw_r % s (and the columns raw_c % s), and within a tap the map is a
-    bijection onto the (h/s) x (w/s) pixels of that phase, so the tap's
-    values are gathered by the inverse map and added there by basic
-    slicing, in the same tap order as a scatter would add them.
+    the input pixel (rows[i], cols[j]) it reads (`_taps`).  Those rows all
+    share the phase rows % s (and the columns cols % s), and within a tap
+    the map is a bijection onto the (h/s) x (w/s) pixels of that phase, so
+    the tap's values are gathered by the inverse map and added there by
+    basic slicing, in the same tap order as a scatter would add them.
     """
     _check_kernel_spec(K, spec)
     x = _check_image(x, spec.c_out)
     lead = x.shape[:-3]
-    s, d, g = spec.stride, spec.dilation, spec.groups
+    s, g = spec.stride, spec.groups
     ho, wo = x.shape[-2:]
-    h, w = ho * s, wo * s
-    kh, kw = spec.k_h, spec.k_w
-    oh, ow = (kh - 1) // 2, (kw - 1) // 2
     xg = x.reshape(*lead, g, spec.c_out // g, ho * wo)
-    Kt = _tap_major(K, spec, adjoint=True, n_cols=ho * wo)
-    y = np.zeros((*lead, g, spec.c_in // g, h, w))
+    y = np.zeros((*lead, g, spec.c_in // g, ho * s, wo * s))
     # the output as [..., block row, row phase, block column, column phase]
     y_phases = y.reshape(*lead, g, spec.c_in // g, ho, s, wo, s)
-    I = np.arange(ho) * s
-    J = np.arange(wo) * s
     inv_r, inv_c = np.empty(ho, dtype=np.intp), np.empty(wo, dtype=np.intp)
-    for ip in range(kh):
-        raw_r = (I - (ip - oh) * d) % h
-        inv_r[raw_r // s] = np.arange(ho)
-        for jp in range(kw):
-            raw_c = (J - (jp - ow) * d) % w
-            inv_c[raw_c // s] = np.arange(wo)
-            contrib = (Kt[ip, jp] @ xg).reshape(*lead, g, spec.c_in // g, ho, wo)
-            y_phases[..., raw_r[0] % s, :, raw_c[0] % s] += \
-                contrib[..., inv_r[:, None], inv_c[None, :]]
-    return y.reshape(*lead, spec.c_in, h, w)
+    for block, rows, cols in _taps(K, spec, ho * s, wo * s, adjoint=True):
+        inv_r[rows // s] = np.arange(ho)
+        inv_c[cols // s] = np.arange(wo)
+        contrib = (block @ xg).reshape(*lead, g, spec.c_in // g, ho, wo)
+        y_phases[..., rows[0] % s, :, cols[0] % s] += \
+            contrib[..., inv_r[:, None], inv_c[None, :]]
+    return y.reshape(*lead, spec.c_in, ho * s, wo * s)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -316,14 +331,14 @@ def product_bound(factors: Sequence[KernelTensor], h: int = 8, w: int = 8) -> fl
 
 
 def kernel_transpose(K: KernelTensor) -> KernelTensor:
-    """Swap channel axes and reverse both spatial axes.
+    """Swap channel axes within each group and reverse both spatial axes.
 
     For odd kernel sizes the transposed kernel realizes exactly the adjoint
     operator under the centred circular convention; for even sizes the two
     differ by a one-pixel circular shift (singular values are unaffected).
-    Grouped kernels are handled per group by the caller.
+    The result has the same group count, with c_out/g inputs per group.
     """
-    if K.groups != 1:
-        raise ValueError("kernel_transpose expects groups == 1")
-    return KernelTensor(K.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-
+    g = K.groups
+    c_out, ci, kh, kw = K.shape
+    data = K.data.reshape(g, c_out // g, ci, kh, kw).transpose(0, 2, 1, 3, 4)
+    return KernelTensor(data.reshape(g * ci, c_out // g, kh, kw)[:, :, ::-1, ::-1], groups=g)

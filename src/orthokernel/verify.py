@@ -11,17 +11,20 @@ it: its singular values are those of one c_out x c_in*s^2 complex matrix
 per frequency (Sedghi, Gupta & Long, ICLR 2019).  Those responses are not
 computed by convolution: each kernel tap is scattered straight onto the
 output grid at the lag and input phase it reads (`_tap_stack`, the
-polyphase kernel of Su et al., ICML 2022, laid out per image size).  The
-kernel is real, so the block at (-f1, -f2) is the conjugate of the block
-at (f1, f2); one batched SVD of the blocks with f2 <= (w/s)//2 gives the
-whole spectrum.  Before the spectrum is trusted, a guard applies the
-operator rebuilt from the blocks to a fixed random input and compares the
-result with the reference convolution `conv2d_ref`, so the tap layout and
-the shift structure are checked against the operator itself, groups and
-dilation included, rather than assumed.  The route is budgeted at
-`ENTRY_BUDGET` entries of the block array, c_out*c_in*h*w.  A convolution
-passes when its whole spectrum lies within `tolerance` of 1 (default
-1e-4).
+polyphase kernel of Su et al., ICML 2022, laid out per image size),
+walking the taps with the reference operators' own `tensor_core._taps`.
+The kernel is real, so the block at (-f1, -f2) is the conjugate of the
+block at (f1, f2); one batched SVD of the blocks with f2 <= (w/s)//2
+gives the whole spectrum.  Before the spectrum is trusted, a guard
+applies the operator rebuilt from the blocks to a fixed random input and
+compares the result with the reference convolution `conv2d_ref`, so the
+phase and lag placement of the taps and the shift structure are checked
+against the operator itself, groups and dilation included, rather than
+assumed.  The index convention the two share through `_taps` is checked
+by the tests, against scatter oracles with their own index arithmetic
+(`tests/oracles.py`).  The route is budgeted at `ENTRY_BUDGET` entries of
+the block array, c_out*c_in*h*w.  A convolution passes when its whole
+spectrum lies within `tolerance` of 1 (default 1e-4).
 
 The dense operator matrix stays as the test oracle and for the grid's
 transposed entries: column (c, i, j) of `toeplitz_from_kernel` is the
@@ -59,6 +62,8 @@ from .tensor_core import (
     ConvSpec,
     KernelTensor,
     _check_kernel_spec,
+    _strided_size,
+    _taps,
     conv2d_ref,
     conv2d_transpose_ref,
 )
@@ -104,15 +109,6 @@ class SpectrumReport:
 
     def to_json(self, config: dict | None = None) -> str:
         return json.dumps(self.to_dict(config), sort_keys=True)
-
-
-def _strided_size(spec: ConvSpec, h: int, w: int) -> tuple[int, int]:
-    s = spec.stride
-    if h < 1 or w < 1:
-        raise ValueError(f"image size {h}x{w} must be positive")
-    if h % s != 0 or w % s != 0:
-        raise ValueError(f"image size {h}x{w} not divisible by stride {s}")
-    return h // s, w // s
 
 
 def _impulse_matrix(apply, in_shape: tuple[int, int, int], n_rows: int,
@@ -205,13 +201,14 @@ def _tap_stack(K: KernelTensor, spec: ConvSpec, h: int, w: int) -> np.ndarray:
     """Responses to the c_in*s^2 unit impulses at (c, p, q), p, q < s, as
     [c_out][h/s][w/s][(c, p, q)], scattered straight from the kernel taps.
 
-    Tap (i', j') reads the input at offset delta = (i' - oh)*d behind s*i,
-    so it sees the impulse at phase p = (-delta) mod s from output row
-    t = (delta + p)/s (mod h/s), and likewise for columns.  Each tap is
-    added, block-diagonally over groups, in (i', j') order, which is the
-    order in which `conv2d_ref` sums them, so taps that wrap onto the same
-    entry give the same bits as the impulse responses.  Refused when the
-    stack, c_out*c_in*h*w entries, exceeds `ENTRY_BUDGET`."""
+    A tap reads input row rows[i] for output row i (`_taps`), and every
+    one of those rows has the phase p = rows[0] mod s, so the tap sees the
+    impulse at phase p from output row t with s*t = -(rows[0] - p) mod h,
+    i.e. at lag t = -(rows[0] // s) mod h/s, and likewise for columns.
+    Each tap is added, block-diagonally over groups, in the order in which
+    `conv2d_ref` sums them, so taps that wrap onto the same entry give the
+    same bits as the impulse responses.  Refused when the stack,
+    c_out*c_in*h*w entries, exceeds `ENTRY_BUDGET`."""
     _check_kernel_spec(K, spec)
     ho, wo = _strided_size(spec, h, w)
     if spec.c_out * spec.c_in * h * w > ENTRY_BUDGET:
@@ -219,19 +216,12 @@ def _tap_stack(K: KernelTensor, spec: ConvSpec, h: int, w: int) -> np.ndarray:
             f"block array {spec.c_out}x{spec.c_in * h * w} exceeds the entry "
             f"budget ({ENTRY_BUDGET}); use a smaller image or fewer channels"
         )
-    s, d, g = spec.stride, spec.dilation, spec.groups
-    co, ci = spec.c_out // g, spec.c_in // g
-    oh, ow = (spec.k_h - 1) // 2, (spec.k_w - 1) // 2
-    Kg = K.data.reshape(g, co, ci, spec.k_h, spec.k_w)
-    stack = np.zeros((g, co, ho, wo, g, ci, s, s))
+    s, g = spec.stride, spec.groups
+    stack = np.zeros((g, spec.c_out // g, ho, wo, g, spec.c_in // g, s, s))
     q = np.arange(g)
-    for ip in range(spec.k_h):
-        dr = (ip - oh) * d
-        pr = -dr % s
-        for jp in range(spec.k_w):
-            dc = (jp - ow) * d
-            pc = -dc % s
-            stack[q, :, (dr + pr) // s % ho, (dc + pc) // s % wo, q, :, pr, pc] += Kg[..., ip, jp]
+    for block, rows, cols in _taps(K, spec, h, w):
+        stack[q, :, -(rows[0] // s) % ho, -(cols[0] // s) % wo, q, :,
+              rows[0] % s, cols[0] % s] += block
     return stack.reshape(spec.c_out, ho, wo, spec.c_in * s * s)
 
 

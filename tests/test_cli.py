@@ -112,6 +112,17 @@ def test_build_unorthogonalizable_factor_exit_3(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_build_depthwise_spatial_one_prefix_exit_3(tmp_path, capsys):
+    # the reason is printed after the prefix once, not with a second copy
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"c_in": 4, "c_out": 4, "kernel": 3, "groups": 4}))
+    assert main(["build", str(path), str(tmp_path / "k.okt")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported configuration: ")
+    assert err.count("unsupported configuration") == 1
+    assert err.count("\n") == 1
+
+
 def test_verify_perturbed_kernel_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "k.okt"
@@ -324,3 +335,83 @@ def test_build_wide_channel_increasing_strided(tmp_path):
     K = read_kernel(out)
     spec = ConvSpec(c_in=96, c_out=192, k_h=3, k_w=3, stride=2)
     assert roundtrip_check(K, spec, direction="row") <= 1e-8
+
+
+# the whole sidecar text, pinned so that a change to how the build config
+# is resolved or written is deliberate
+SIDECAR_MINIMAL = """\
+{
+  "branch": {
+    "branch": "a",
+    "group_seeds": [
+      0
+    ],
+    "internal_width": null,
+    "ordering": "bcop"
+  },
+  "config": {
+    "beta": 0.5,
+    "c_in": 4,
+    "c_out": 8,
+    "dilation": 1,
+    "groups": 1,
+    "iters": 12,
+    "kernel": [
+      3,
+      3
+    ],
+    "ordering": "bcop",
+    "scheme": "bjorck",
+    "seed": 0,
+    "stride": 1
+  }
+}
+"""
+SIDECAR_GROUPED = """\
+{
+  "branch": {
+    "branch": "d",
+    "group_seeds": [
+      [
+        7,
+        2097152
+      ],
+      [
+        7,
+        2097153
+      ]
+    ],
+    "internal_width": 4,
+    "ordering": "scfac"
+  },
+  "config": {
+    "beta": 0.25,
+    "c_in": 8,
+    "c_out": 16,
+    "dilation": 3,
+    "groups": 2,
+    "iters": 20,
+    "kernel": [
+      3,
+      2
+    ],
+    "ordering": "scfac",
+    "scheme": "cayley",
+    "seed": 7,
+    "stride": 2
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("doc, text", [
+    ({"c_in": 4, "c_out": 8, "kernel": 3}, SIDECAR_MINIMAL),
+    ({"c_in": 8, "c_out": 16, "kernel": [3, 2], "stride": 2, "groups": 2, "dilation": 3,
+      "scheme": "cayley", "iters": 20, "beta": 0.25, "seed": 7, "ordering": "scfac"},
+     SIDECAR_GROUPED),
+], ids=["minimal", "grouped"])
+def test_build_sidecar_text_pinned(tmp_path, doc, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["build", str(path), str(tmp_path / "k.okt")]) == 0
+    assert (tmp_path / "k.okt.meta.json").read_text() == text

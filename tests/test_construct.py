@@ -1,5 +1,9 @@
 import ast
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +24,6 @@ from orthokernel import (
     identity_kernel,
     kernel_to_json,
     kernel_transpose,
-    projector_param_count,
     rko_kernel,
     roundtrip_check,
     scfac_kernel,
@@ -88,15 +91,6 @@ def test_scfac_spectrum_and_difference():
     # same seed, different composition order: different kernels
     K2 = bcop_kernel(4, 4, 3, 3, seed=2)
     assert np.max(np.abs(K.data - K2.data)) > 1e-6
-
-
-def test_param_count_matches_between_orderings():
-    # both orderings consume the same parameter matrices for a given shape
-    for shape in [(4, 4, 3, 3), (6, 2, 3, 3), (2, 6, 5, 5), (4, 4, 2, 2)]:
-        n = projector_param_count(*shape)
-        ci, co, k1, k2 = shape
-        c = max(ci, co)
-        assert n == c * ci + ((k1 - 1) + (k2 - 1)) * c * (c // 2)
 
 
 # --- reshaped-kernel orthogonalization -----------------------------------------
@@ -413,6 +407,7 @@ PINNED_SHA256 = {
     "scfac": (ConvSpec(4, 8, 3, 3), "scfac", "a",
               "f776fea300e6bc8c5f8ef28747b9c87dad932645678577f3df368c7d60153683"),
 }
+SOC_SKEW_SHA256 = "70d441e7c7d1e0c60f9df81b6733ed74db83b82cfc596df3d23cfd55886dbdb8"
 
 
 def _sha256(K: KernelTensor) -> str:
@@ -430,4 +425,27 @@ def test_aoc_kernel_bytes_pinned(case):
 def test_soc_normalized_skew_bytes_pinned():
     # the scale comes from the shared power iteration (`conv_operator_norm`)
     S = soc_normalized_skew(random_kernel(4, 4, 3, 3, seed=2))
-    assert _sha256(S) == "70d441e7c7d1e0c60f9df81b6733ed74db83b82cfc596df3d23cfd55886dbdb8"
+    assert _sha256(S) == SOC_SKEW_SHA256
+
+
+def _pinned_digests() -> dict:
+    """Digests of the pinned kernels, computed in this process."""
+    digests = {case: _sha256(aoc_kernel(AocConfig(spec=spec, seed=3, ordering=ordering))[0])
+               for case, (spec, ordering, _, _) in PINNED_SHA256.items()}
+    digests["soc_normalized_skew"] = _sha256(soc_normalized_skew(random_kernel(4, 4, 3, 3, seed=2)))
+    return digests
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pinned_bytes_independent_of_blas_threads(threads):
+    # OpenBLAS reads its thread count when numpy is imported, so each count
+    # needs a fresh interpreter
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    code = "import json, test_construct as t; print(json.dumps(t._pinned_digests()))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    expected = {case: pin[3] for case, pin in PINNED_SHA256.items()}
+    expected["soc_normalized_skew"] = SOC_SKEW_SHA256
+    assert json.loads(out) == expected

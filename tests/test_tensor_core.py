@@ -134,11 +134,19 @@ def test_transpose_identity_kernel():
     np.testing.assert_array_equal(conv2d_transpose_ref(K, x, spec_for_kernel(K)), x)
 
 
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(0, 10))
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 3), st.integers(0, 10))
 @settings(max_examples=30, deadline=None)
-def test_kernel_transpose_involution(co, ci, k1, k2, seed):
-    K = random_kernel(co, ci, k1, k2, seed=seed)
-    np.testing.assert_array_equal(kernel_transpose(kernel_transpose(K)).data, K.data)
+def test_kernel_transpose_involution(co, ci, k1, k2, g, seed):
+    # co and ci per group
+    K = KernelTensor(random_kernel(g * co, ci, k1, k2, seed=seed).data, groups=g)
+    Kt = kernel_transpose(K)
+    np.testing.assert_array_equal(kernel_transpose(Kt).data, K.data)
+    # a grouped kernel transposes group by group
+    assert Kt.groups == g and Kt.shape == (g * ci, co, k1, k2)
+    for q in range(g):
+        part = kernel_transpose(KernelTensor(K.data[q * co:(q + 1) * co]))
+        np.testing.assert_array_equal(Kt.data[q * ci:(q + 1) * ci], part.data)
 
 
 def test_kernel_transpose_symmetric_1x1_unchanged():
