@@ -37,6 +37,7 @@ from .tensor_core import (
     ConvSpec,
     KernelTensor,
     UnsupportedConfigError,
+    _check_kernel_spec,
     identity_kernel,
     kernel_transpose,
     product_bound,
@@ -276,8 +277,10 @@ def transpose_kernel_for(K: KernelTensor, spec: ConvSpec) -> tuple[KernelTensor,
     `conv2d_transpose_ref` with the *original* pair applies this operator;
     if the original convolution is row orthogonal the transposed one is
     column orthogonal, and composing the two gives the identity on the
-    appropriate side.
+    appropriate side.  Raises ValueError if `spec` does not describe `K`
+    (channel counts, kernel size or groups).
     """
+    _check_kernel_spec(K, spec)
     return kernel_transpose(K), replace(spec, c_in=spec.c_out, c_out=spec.c_in)
 
 

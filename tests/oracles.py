@@ -1,13 +1,24 @@
-"""Scatter oracles for the reference operators.
+"""Oracles: plain versions of library routines that must give the same bits.
 
-These are the per-tap loops `tensor_core.conv2d_ref` and
-`conv2d_transpose_ref` used before they took a tap-major kernel copy and
-turned the adjoint's scatter into a gather: each tap multiplies by the
-strided kernel slice `Kg[..., i', j']`, and the adjoint adds its tap into
-the output through fancy indices.  The operators must give the same bits.
+`format_floats_ref` is the okt-v1 float text as one `format` call per
+entry; the writer formats most entries in numpy and must give the same
+bytes.
+
+`conv2d_scatter` and `conv2d_transpose_scatter` are the per-tap loops
+`tensor_core.conv2d_ref` and `conv2d_transpose_ref` used before they took a
+tap-major kernel copy and turned the adjoint's scatter into a gather: each
+tap multiplies by the strided kernel slice `Kg[..., i', j']`, and the
+adjoint adds its tap into the output through fancy indices.  The operators
+must give the same bits.
 """
 
 import numpy as np
+
+
+def format_floats_ref(values) -> str:
+    """The okt-v1 text of a flat list of floats: `format(v, ".17")` each,
+    joined by ","."""
+    return ",".join(format(v, ".17") for v in np.asarray(values, dtype=np.float64).tolist())
 
 
 def conv2d_scatter(K, x, spec):

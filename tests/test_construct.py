@@ -22,7 +22,6 @@ from orthokernel import (
     conv2d_ref,
     conv2d_transpose_ref,
     identity_kernel,
-    kernel_to_json,
     kernel_transpose,
     rko_kernel,
     roundtrip_check,
@@ -292,6 +291,14 @@ def test_transpose_roundtrip_row_orthogonal():
     np.testing.assert_allclose(back, x, atol=1e-8)
 
 
+def test_transpose_kernel_for_rejects_mismatched_spec():
+    K = random_kernel(4, 4, 3, 3)
+    for spec in (ConvSpec(8, 4, 3, 3, groups=2), ConvSpec(4, 8, 3, 3),
+                 ConvSpec(4, 4, 3, 3, groups=2)):
+        with pytest.raises(ValueError, match="does not match spec"):
+            transpose_kernel_for(K, spec)
+
+
 def test_transpose_swaps_channels_and_groups():
     cfg = make_cfg(8, 4, 3, s=2, g=2, seed=8)
     K, _ = aoc_kernel(cfg)
@@ -391,27 +398,30 @@ def test_aoc_config_validation():
 
 # --- byte determinism ---------------------------------------------------------
 
-# sha256 of `kernel_to_json` output, pinned so that a change of kernel bytes
-# is deliberate: a change that moves them updates these and says why
+# sha256 of the kernel's dtype, shape, groups and array bytes (`_sha256`),
+# pinned so that a change of kernel bytes is deliberate: a change that moves
+# them updates these and says why.  They hash the array, not the okt-v1 text,
+# so a change to the file's float text leaves them in place
 PINNED_SHA256 = {
     "a": (ConvSpec(4, 8, 3, 3), "bcop", "a",
-          "16bf0bfd461ff7d13fd9f8dc5e75799055345a368fd95c2b291d12d489c59daf"),
+          "898a7ed26ca287e2004716c7afbff16844d2f8f6515764a2190f090b821dfa63"),
     "b": (ConvSpec(3, 12, 2, 2, stride=2), "bcop", "b",
-          "0c97beda3e555688981a4309a41cf905cf067cf81e43e986401eedbf329e6d91"),
+          "16d19edd5bc21ac98406e026269975fac1433b362876e8e3ac1aaffd8ddadf08"),
     "d": (ConvSpec(4, 8, 3, 3, stride=2), "bcop", "d",
-          "b8e8ea0213b877c31d41190f79121b87d3de2a19a5e20053149c576011b39ccd"),
+          "a505e4bb44bbcba8294b0a982072ca65b7a4ec0e88139643fc2c63866db0f570"),
     "grouped": (ConvSpec(8, 16, 3, 3, stride=2, groups=2), "bcop", "d",
-                "a0dfc93b2b1ffd754324389408f26e1e20036945d86163b5c29e139962b335b3"),
+                "e10eacb3479e99121f57b2eef198b038331ed3068176cc6518fac1c5bbd4a758"),
     "dilated": (ConvSpec(4, 2, 5, 5, stride=3, dilation=2), "bcop", "d",
-                "91b8931d37ed5b1950bb41a7a034738a8af7950cabbf0ae41885d98936de1796"),
+                "ff51d4bfe6ccb2647a30d118daea236b6f06c2c89d9fbe7f0a32100ea8fd02fe"),
     "scfac": (ConvSpec(4, 8, 3, 3), "scfac", "a",
-              "f776fea300e6bc8c5f8ef28747b9c87dad932645678577f3df368c7d60153683"),
+              "2fa90fa1902db02f2f0837a171fadeb2def7219bbcf41041bf626184d5004da8"),
 }
-SOC_SKEW_SHA256 = "70d441e7c7d1e0c60f9df81b6733ed74db83b82cfc596df3d23cfd55886dbdb8"
+SOC_SKEW_SHA256 = "0b80426709b3ad0031aee8901be82e827056f0446b98368ffa6d7c7a36ec56ca"
 
 
 def _sha256(K: KernelTensor) -> str:
-    return hashlib.sha256(kernel_to_json(K).encode()).hexdigest()
+    head = f"{K.data.dtype.str} {K.data.shape} {K.groups}\n".encode()
+    return hashlib.sha256(head + K.data.tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_SHA256))
