@@ -24,6 +24,20 @@ rejects any unknown "format" value or malformed field with ValueError.
 
 Most entries of an orthogonal kernel lie in [1e-4, 1), where the 17 digits
 are formatted in numpy (`_float_tokens`); the rest go through `format`.
+
+`read_kernel` reads the file's bytes, and a byte outside ASCII is a
+ValueError; `kernel_from_json` takes text or those bytes.  A document in
+the writer's layout (it starts with `{"data":[` and its first "]" is
+followed by ",") has its fields after the numbers parsed by `json.loads`,
+and its numbers parsed in numpy straight out of the bytes (`_data`): each
+token `-?0.` followed by 1..20 digits gets a candidate double, which is
+kept only when the writer's digit arithmetic (`_digits`) proves it to be
+what `float` gives the token (`_fraction_tokens`).  Every other token
+(zeros, |x| < 1e-4, |x| >= 1, integers, other float text, blanks) goes to
+one `json.loads` call.  Any other document, or one with a second "data"
+key, is read by `json.loads` whole.  Either way a document reads to the
+same array, bit for bit, as `json.loads` and `np.asarray` give, and the
+same documents are refused.
 """
 
 from __future__ import annotations
@@ -38,6 +52,8 @@ from .tensor_core import KernelTensor
 
 FORMAT_NAME = "okt-v1"
 _DTYPES = ("f64", "f32")
+# how every document the writer makes starts ("data" sorts first)
+_HEAD = b'{"data":['
 
 # entries formatted per numpy pass; larger passes were slower (590 k
 # entries on 2 vCPUs: 0.14 s at 16 384 per pass, 0.18 s at 65 536)
@@ -69,38 +85,53 @@ def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-# 10^q for the decade [10^-(z+1), 10^-z), q = 17 + z: exact doubles
-_SCALE = 10.0 ** np.arange(17, 21)
-_SCALE_HI, _SCALE_LO = _veltkamp(_SCALE)
+# 10^k for k = 0..20: exact doubles, with their Veltkamp halves
+_POW10 = 10.0 ** np.arange(21)
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10^k = p + e exactly (Dekker's two-product), barring overflow."""
+    p = a * _POW10[k]
+    ah, al = _veltkamp(a)
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 significant digits of each a in [1e-4, 1): the zeros z after
+    the point, and N = round_half_even(a * 10^q) with q = 17 + z.
+
+    z takes three comparisons: no double lies between 10^-k and the double
+    10^-k rounds to.  N < 10^17: only an a less than 5e-18 (relatively)
+    below 10^-k would round up to it, and no double in the range is that
+    close (the decade edge tests check the nearest ones).  a * 10^q = p + e
+    exactly, and p is an even integer (p >= 10^16 > 2^53), so N = p +
+    rint(e), with no tolerance.  Entries outside the range get meaningless
+    digits.
+    """
+    zeros = (a < 0.1).astype(np.intp)
+    zeros += a < 0.01
+    zeros += a < 0.001
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, e = _times_pow10(a, zeros + 17)
+        n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    return zeros, n
 
 
 def _float_tokens(v: np.ndarray) -> bytes:
     """`format(x, ".17") + ","` for each entry of the float64 vector `v`.
 
-    For 1e-4 <= |x| < 1 the 17 digits are N = round_half_even(|x| * 10^q),
-    with q = 17 + z and z the zeros after the point (three comparisons:
-    no double lies between 10^-k and the double 10^-k rounds to).  N <
-    10^17: only an |x| less than 5e-18 (relatively) below 10^-k would
-    round up to it, and no double in the range is that close (the decade
-    edge tests check the nearest ones).  Dekker's two-product gives
-    |x| * 10^q = p + e exactly, and p is an even integer (p >= 10^16 >
-    2^53), so N = p + rint(e), with no tolerance.  Each token is one
-    32-byte row: "-0.000" (8 bytes, NUL where absent), then N as six
-    three-digit groups of 4 bytes, each without its trailing zeros when
-    every group after it is zero.  Every other entry (zero, |x| < 1e-4,
-    |x| >= 1) gets `format` in its row.  Dropping the NUL bytes joins the
-    tokens.
+    For 1e-4 <= |x| < 1 the token is "0.", the zeros and the 17 digits of
+    `_digits` without their trailing zeros.  Each token is one 32-byte
+    row: "-0.000" (8 bytes, NUL where absent), then N as six three-digit
+    groups of 4 bytes, each without its trailing zeros when every group
+    after it is zero.  Every other entry (zero, |x| < 1e-4, |x| >= 1) gets
+    `format` in its row.  Dropping the NUL bytes joins the tokens.
     """
     a = np.abs(v)
-    zeros = (a < 0.1).astype(np.intp)
-    zeros += a < 0.01
-    zeros += a < 0.001
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = a * _SCALE[zeros]
-        ah, al = _veltkamp(a)
-        bh, bl = _SCALE_HI[zeros], _SCALE_LO[zeros]
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-        n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    zeros, n = _digits(a)
     fast = (a >= 1e-4) & (a < 1.0)
     n[~fast] = 10 ** 16
     hi = n // 10 ** 9
@@ -139,8 +170,7 @@ def _document(K: KernelTensor) -> Iterator[bytes]:
         "dtype": "f64",
         "order": "row-major",
     }, sort_keys=True, separators=(",", ":"))
-    # "data" sorts before every other key
-    yield b'{"data":['
+    yield _HEAD
     flat = K.data.ravel()
     for start in range(0, flat.size, _CHUNK):
         tokens = _float_tokens(flat[start:start + _CHUNK])
@@ -152,8 +182,128 @@ def kernel_to_json(K: KernelTensor) -> str:
     return b"".join(_document(K)).decode("ascii")
 
 
-def kernel_from_json(text: str) -> KernelTensor:
-    doc = json.loads(text)
+# 8 bytes of a little-endian word: its character i is byte i
+_BYTES = np.uint64(0x0101010101010101)
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_LOW_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
+# the word with its last n characters (n = 0..8) kept and the others "0"
+_KEEP = np.array([~np.uint64(0) << np.uint64(8 * (8 - n)) if n else 0 for n in range(9)],
+                 np.uint64)
+_FILL = (_BYTES * np.uint64(ord("0"))) & ~_KEEP
+# the three words ending 16, 8 and 0 bytes before a token's end
+_WORD_BACK = np.array([[24], [16], [8]])
+
+
+def _eight_digits(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each word `w` of 8 ASCII digits (the first in the low
+    byte), and whether its bytes are all digits."""
+    digits = ((w & _HIGH_NIBBLES) | (((w + _BYTES * np.uint64(6)) & _HIGH_NIBBLES) >> np.uint64(4))
+              == _BYTES * np.uint64(0x33))
+    w = (w & _LOW_NIBBLES) * np.uint64(10 << 8 | 1) >> np.uint64(8)
+    w = (w & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(100 << 16 | 1) >> np.uint64(16)
+    w = (w & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10000 << 32 | 1) >> np.uint64(32)
+    return w, digits
+
+
+def _fraction_tokens(b: np.ndarray, words: np.ndarray, starts: np.ndarray,
+                     stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each token b[start:stop] of the form -?0.<F digits>, and
+    whether it is proven to be the double that `float` gives the token.
+
+    The F digits are D; D < 10^17 and F <= 20, so 10^F is exact and the
+    candidate c = D / 10^F takes one correction from the exact residual
+    D - c * 10^F (D = dh + dl and Dekker's product, both exact).  c is kept
+    when 1e-4 <= c < 1 and `_digits(c)` is D with zeros appended, N = D *
+    10^(q - F): then the 17 digits of c denote the token's value, and 17
+    digits read back to the double they were taken from.  `b[stop + 1]`
+    must exist.
+    """
+    negative = b[starts] == ord("-")
+    zero = starts + negative
+    f = stops - zero - 2
+    proven = (b[zero] == ord("0")) & (b[zero + 1] == ord(".")) & (f >= 1) & (f <= 20)
+    f[~proven] = 1
+    # the 24 bytes before the stop as three words, with the bytes before
+    # the F digits set to "0" (so a word that would start before the file
+    # may start at 0); the first word must hold D // 10^16 < 10
+    n = np.clip(f - _WORD_BACK + 8, 0, 8)
+    w = words[np.maximum(stops - _WORD_BACK, 0)]
+    w &= _KEEP[n]
+    w |= _FILL[n]
+    value, digits = _eight_digits(w)
+    proven &= digits.all(axis=0) & (value[0] < 10)
+    d = (value[0] * np.uint64(10 ** 16) + value[1] * np.uint64(10 ** 8) + value[2]).view(np.int64)
+    d *= proven
+    dh = d.astype(np.float64)
+    dl = (d - dh.astype(np.int64)).astype(np.float64)
+    c = dh / _POW10[f]
+    p, e = _times_pow10(c, f)
+    c += (((dh - p) - e) + dl) / _POW10[f]
+    proven &= (c >= 1e-4) & (c < 1.0)
+    zeros, digits17 = _digits(c)
+    k = 17 + zeros - f
+    proven &= (k >= 0) & (k <= 17)
+    k = np.clip(k, 0, 17)
+    # d < 10^(17 - k) keeps d * 10^k from overflowing
+    proven &= (d < _POW10_INT[17 - k]) & (d * _POW10_INT[k] == digits17)
+    np.negative(c, out=c, where=negative)
+    return c, proven
+def _numbers(items: list) -> np.ndarray:
+    """A list of JSON numbers as float64."""
+    # exact types: JSON true/false parse as bool, a subclass of int
+    if not set(map(type, items)) <= {int, float}:
+        raise ValueError("kernel data must be a flat list of numbers")
+    try:
+        return np.asarray(items, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("kernel data holds an integer beyond the float64 range") from None
+
+
+def _data(raw: bytes, stop: int) -> np.ndarray:
+    """The comma-separated JSON numbers raw[len(_HEAD):stop] as float64,
+    parsed by `_fraction_tokens` in passes of `_CHUNK` tokens and, where it
+    proves nothing, by one `json.loads`.  raw[stop + 1] must exist."""
+    b = np.frombuffer(raw, np.uint8)
+    # the unaligned little-endian word at each byte offset (no copy)
+    words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
+    stops = np.flatnonzero(b[len(_HEAD):stop] == ord(","))
+    stops += len(_HEAD)
+    stops = np.append(stops, stop)
+    starts = np.empty_like(stops)
+    starts[0] = len(_HEAD)
+    starts[1:] = stops[:-1] + 1
+    out = np.empty(stops.size)
+    slow, text = [], []
+    for i in range(0, stops.size, _CHUNK):
+        a, z = starts[i:i + _CHUNK], stops[i:i + _CHUNK]
+        out[i:i + _CHUNK], proven = _fraction_tokens(b, words, a, z)
+        unproven = np.flatnonzero(~proven)
+        if unproven.size:
+            slow.append(unproven + i)
+            text.append(_spans(b, a[unproven], z[unproven] + 1))
+    if slow:
+        slow = np.concatenate(slow)
+        text = b"".join(text)
+        # each token kept its "," (the last one maybe its "]")
+        items = json.loads(b"[" + text[:-1] + b"]")
+        # an empty or blank token leaves the list one item short
+        if len(items) != slow.size:
+            raise ValueError("kernel data must be a flat list of numbers")
+        out[slow] = _numbers(items)
+    return out
+
+
+def _spans(b: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> bytes:
+    """The bytes b[start:stop] of each span, joined."""
+    lengths = stops - starts
+    at = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    at += np.arange(at.size)
+    return b[at].tobytes()
+
+
+def _fields(doc) -> tuple[list, int]:
+    """The shape and groups of an okt-v1 document, with every field but
+    "data" checked."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValueError(
             f"unknown kernel file format {doc.get('format') if isinstance(doc, dict) else None!r}"
@@ -170,19 +320,40 @@ def kernel_from_json(text: str) -> KernelTensor:
     groups = doc.get("groups", 1)
     if type(groups) is not int:
         raise ValueError(f"kernel groups must be an integer, got {groups!r}")
-    data = doc.get("data")
-    if not isinstance(data, list):
-        raise ValueError(f"kernel data must be a list of numbers, got {type(data).__name__}")
-    # exact types: JSON true/false parse as bool, a subclass of int
-    if not set(map(type, data)) <= {int, float}:
-        raise ValueError("kernel data must be a flat list of numbers")
-    try:
-        data = np.asarray(data, dtype=np.float64)
-    except OverflowError:
-        raise ValueError("kernel data holds an integer beyond the float64 range") from None
+    return shape, groups
+
+
+def _kernel(data: np.ndarray, shape: list, groups: int) -> KernelTensor:
     if data.size != math.prod(shape):
         raise ValueError("data length does not match shape")
     return KernelTensor(data.reshape(shape), groups=groups)
+
+
+def kernel_from_json(text: str | bytes) -> KernelTensor:
+    """The kernel of an okt-v1 document, given as text or as ASCII bytes."""
+    if isinstance(text, str):
+        if not text.isascii():
+            return _whole_document(text)
+        text = text.encode("ascii")
+    elif not text.isascii():
+        raise ValueError("a kernel file must be ASCII text")
+    stop = text.find(b"]")
+    if text.startswith(_HEAD) and text[stop + 1:stop + 2] == b",":
+        # the writer's layout: the fields after the numbers
+        doc = json.loads(b"{" + text[stop + 2:])
+        if "data" not in doc:
+            shape, groups = _fields(doc)
+            return _kernel(_data(text, stop), shape, groups)
+    return _whole_document(text.decode("ascii"))
+
+
+def _whole_document(text: str) -> KernelTensor:
+    doc = json.loads(text)
+    shape, groups = _fields(doc)
+    data = doc.get("data")
+    if not isinstance(data, list):
+        raise ValueError(f"kernel data must be a list of numbers, got {type(data).__name__}")
+    return _kernel(_numbers(data), shape, groups)
 
 
 def write_kernel(path, K: KernelTensor) -> None:
@@ -192,5 +363,5 @@ def write_kernel(path, K: KernelTensor) -> None:
 
 
 def read_kernel(path) -> KernelTensor:
-    with open(path, "r", encoding="ascii") as f:
+    with open(path, "rb") as f:
         return kernel_from_json(f.read())

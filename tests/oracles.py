@@ -2,7 +2,9 @@
 
 `format_floats_ref` is the okt-v1 float text as one `format` call per
 entry; the writer formats most entries in numpy and must give the same
-bytes.
+bytes.  `read_floats_ref` is the "data" of an okt-v1 document as
+`json.loads` and `np.asarray` read it; the reader parses most numbers in
+numpy and must give the same bits.
 
 `conv2d_scatter` and `conv2d_transpose_scatter` are the per-tap loops
 `tensor_core.conv2d_ref` and `conv2d_transpose_ref` used before they took a
@@ -12,6 +14,8 @@ adjoint adds its tap into the output through fancy indices.  The operators
 must give the same bits.
 """
 
+import json
+
 import numpy as np
 
 
@@ -19,6 +23,11 @@ def format_floats_ref(values) -> str:
     """The okt-v1 text of a flat list of floats: `format(v, ".17")` each,
     joined by ","."""
     return ",".join(format(v, ".17") for v in np.asarray(values, dtype=np.float64).tolist())
+
+
+def read_floats_ref(text) -> np.ndarray:
+    """The "data" of an okt-v1 document, read by `json.loads` as float64."""
+    return np.asarray(json.loads(text)["data"], dtype=np.float64)
 
 
 def conv2d_scatter(K, x, spec):

@@ -168,6 +168,22 @@ def test_malformed_kernel_file_exit_2(tmp_path, capsys, command):
         assert err.startswith("invalid input: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_non_ascii_or_bool_writer_layout_file_exit_2(tmp_path, capsys, command):
+    text = ('{"data":[1.0],"dtype":"f64","format":"okt-v1","groups":1,'
+            '"order":"row-major","shape":[1,1,1,1]}\n')
+    path = tmp_path / "k.okt"
+    path.write_text(text)
+    assert main([command, str(path)]) == 0
+    for bad in (text.replace('"f64"', '"f64","note":"\u00e9"').encode("utf-8"),
+                text.replace("1.0", "true").encode()):
+        path.write_bytes(bad)
+        capsys.readouterr()
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
 def test_verify_wide_strided_layer(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", c_in=64, c_out=128, seed=0)
     out = tmp_path / "k.okt"

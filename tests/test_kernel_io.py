@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthokernel import KernelTensor, kernel_from_json, kernel_to_json, read_kernel, write_kernel
+from orthokernel import kernel_io
 from orthokernel.kernel_io import _CHUNK
 from conftest import random_kernel, rng
-from oracles import format_floats_ref
+from oracles import format_floats_ref, read_floats_ref
 
 
 def test_roundtrip(tmp_path):
@@ -40,27 +41,92 @@ def test_unknown_format_rejected():
         kernel_from_json(json.dumps(doc))
 
 
+_MUTATIONS = (
+    lambda d: d.update(dtype="f16"),
+    lambda d: d.update(order="col-major"),
+    lambda d: d.update(shape=[2, 2, 1]),
+    lambda d: d.update(data=d["data"][:-1]),
+    lambda d: d.pop("shape"),
+    lambda d: d.pop("data"),
+    lambda d: d.update(shape=5),
+    lambda d: d.update(shape=[2.0, 2, 1, 1]),
+    lambda d: d.update(data={"0": 1.0}),
+    lambda d: d.update(data=[["x"]] * 4),
+    lambda d: d.update(groups=1.5),
+    lambda d: d.update(data=[True, 1.5, 0.5, 0.25]),
+    lambda d: d.update(data=[10 ** 400, 1.5, 0.5, 0.25]),
+)
+
+
 def test_malformed_documents_rejected():
     base = json.loads(kernel_to_json(random_kernel(2, 2, 1, 1)))
-    for mutate in (
-        lambda d: d.update(dtype="f16"),
-        lambda d: d.update(order="col-major"),
-        lambda d: d.update(shape=[2, 2, 1]),
-        lambda d: d.update(data=d["data"][:-1]),
-        lambda d: d.pop("shape"),
-        lambda d: d.pop("data"),
-        lambda d: d.update(shape=5),
-        lambda d: d.update(shape=[2.0, 2, 1, 1]),
-        lambda d: d.update(data={"0": 1.0}),
-        lambda d: d.update(data=[["x"]] * 4),
-        lambda d: d.update(groups=1.5),
-        lambda d: d.update(data=[True, 1.5, 0.5, 0.25]),
-        lambda d: d.update(data=[10 ** 400, 1.5, 0.5, 0.25]),
-    ):
+    for mutate in _MUTATIONS:
         doc = dict(base)
         mutate(doc)
         with pytest.raises(ValueError):
             kernel_from_json(json.dumps(doc))
+
+
+def test_malformed_documents_rejected_in_writer_layout():
+    # compact, "data" first: the reader parses the numbers out of the bytes
+    base = json.loads(kernel_to_json(random_kernel(2, 2, 1, 1)))
+    for mutate in _MUTATIONS:
+        doc = dict(base)
+        mutate(doc)
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        for document in (text, text.encode()):
+            with pytest.raises(ValueError):
+                kernel_from_json(document)
+
+
+def writer_layout(body: str, n: int) -> str:
+    """An okt-v1 document laid out as the writer does, with the data text
+    `body` and the shape [n, 1, 1, 1]."""
+    return ('{"data":[' + body + '],"dtype":"f64","format":"okt-v1","groups":1,'
+            f'"order":"row-major","shape":[{n},1,1,1]}}')
+
+
+@pytest.mark.parametrize("body, n", [
+    ("0.5,,0.5", 3), ("0.5,,0.5", 2), ("0.5,0.25,", 3), ("0.5,0.25,", 2), ("", 1), (" ", 1),
+    ("0.5, ", 2), ("+0.5", 1), (".5", 1), ("01", 1), ("0x1", 1), ("0x5", 1), ("005", 1),
+    ("-0.", 1), ("0.5e", 1), ("0.5p", 1), ("0.4:", 1), ("0.25/", 1),
+    ('"0.5"', 1), ('"0.5,0.25"', 2), ("true", 1), ("0.5,false", 2), ("null", 1),
+    ("[0.5]", 1), ("0.5,[0.25]", 2), ('{"a":0.5}', 1), ("1e400", 1), ("-1e400", 1),
+    ("NaN", 1), ("Infinity", 1), ("0.5,-Infinity", 2),
+])
+def test_malformed_data_rejected_in_writer_layout(body, n):
+    text = writer_layout(body, n)
+    for document in (text, text.encode()):
+        with pytest.raises(ValueError):
+            kernel_from_json(document)
+
+
+def test_second_data_key_reads_as_json_does():
+    # json.loads keeps the last "data"
+    text = writer_layout("0.5,0.25", 2)
+    for second in ('"data":[]', '"d\\u0061ta":[]', '"data":[0.5]', '"data":"0.5,0.25"'):
+        with pytest.raises(ValueError):
+            kernel_from_json(text[:-1] + "," + second + "}")
+    assert_read_like_oracle(text[:-1] + ',"data":[0.125,-0.0]}')
+
+
+def test_whitespace_around_tokens_is_read():
+    assert_read_like_oracle(writer_layout(" 0.5 ,\t-0.25,\n0.10000000000000001 ,1.0\r\n", 4))
+    assert_read_like_oracle(writer_layout("0.5", 1)[:-1] + ' , "note" : "x" }\n')
+
+
+def test_non_ascii_bytes_rejected():
+    doc = json.loads(kernel_to_json(random_kernel(1, 1, 1, 1)))
+    doc["note"] = "\u00e9"
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    assert kernel_from_json(text).shape == (1, 1, 1, 1)  # text: as json.loads reads it
+    with pytest.raises(ValueError, match="ASCII"):
+        kernel_from_json(text.encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "k.okt"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match="ASCII"):
+            read_kernel(path)
 
 
 def test_f32_document_is_read():
@@ -158,3 +224,105 @@ def test_float_text_across_chunk_boundaries(n):
     x[1::89] = -1.5
     x[-1] = -0.0
     assert_written_like_oracle(x)
+
+
+def assert_read_like_oracle(text: str):
+    """The document `text` reads to the bits of `json.loads`, as text, as
+    bytes and from a file."""
+    want = read_floats_ref(text).view(np.uint64)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "k.okt"
+        path.write_text(text)
+        kernels = (kernel_from_json(text), kernel_from_json(text.encode()), read_kernel(path))
+    for K in kernels:
+        np.testing.assert_array_equal(K.data.ravel().view(np.uint64), want)
+
+
+_SPELLINGS = {"canonical": lambda v: format(v, ".17"), "repr": repr,
+              "fixed20": lambda v: "%.20f" % v}
+_TOKENS = st.one_of(
+    st.tuples(st.one_of(_FINITE_BITS, _FAST), st.sampled_from(sorted(_SPELLINGS)))
+    .map(lambda t: _SPELLINGS[t[1]](t[0])),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_TOKENS, min_size=1, max_size=80))
+@example(["-0.0", "0.0", "-0.00000", "0", "-0", "1e-05", "0.1", "0.10000000000000001",
+          "0.00012345678901234567", "0.99999999999999994", "0.99999999999999995", "0e5",
+          "-0E5", "0.5e-0", "0.5E1",
+          # 20 digits that wrap modulo 2^64 to the digits of 2^-11 and -2^-12
+          "0." + str(2 ** 64 + 48828125 * 10 ** 9), "-0." + str(2 ** 64 + 244140625 * 10 ** 8)])
+def test_read_matches_oracle(tokens):
+    assert_read_like_oracle(writer_layout(",".join(tokens), len(tokens)))
+
+
+def _decade_edges():
+    edges = []
+    for k in range(-5, 1):
+        below = above = 10.0 ** k
+        for _ in range(40):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            edges += [below, above]
+        edges.append(10.0 ** k)
+    return np.array(edges)
+
+
+def test_read_at_decade_edges():
+    edges = _decade_edges().tolist()
+    tokens = [spell(s * v) for v in edges for s in (1, -1) for spell in _SPELLINGS.values()]
+    # decimals next to 10^-4 .. 1 that are not the text of a double: 17 and
+    # 20 nines, 10^-k spelled with 20 digits, 1 + 10^-16 times 10^-k
+    for z in range(4):
+        tokens += ["0." + "0" * z + "9" * 17, "0." + "0" * z + "9" * (20 - z),
+                   "0." + "0" * z + "1" + "0" * (19 - z), "0." + "0" * z + "1" + "0" * 15 + "1"]
+    tokens += ["-0.99999999999999999", "0.000099999999999999999999", "0.0001"]
+    assert_read_like_oracle(writer_layout(",".join(tokens), len(tokens)))
+
+
+@pytest.mark.parametrize("first", [
+    "0.5", "-0.5", "0.000244140625", "0.0001220703125", "0.00018310546875",
+    "-0.0001220703125", "-0.00018310546875", "0.12345678901234567", "1", "-0.0",
+])
+def test_read_first_token_near_the_file_start(first):
+    # the three words that end at a token's end start 24 bytes before it;
+    # "0.0001220703125" (2^-13) ends 24 bytes into the file
+    assert_read_like_oracle(writer_layout(first + ",0.25", 2))
+
+
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_read_across_chunk_boundaries(n):
+    tokens = [format(v, ".17") for v in (0.05 * rng(n).standard_normal(n)).tolist()]
+    # tokens for json.loads at both ends and on both sides of the boundary
+    for i, token in zip((_CHUNK - 2, _CHUNK - 1, _CHUNK, 0, n - 1),
+                        ("0.1", "2", "1e-05", "1.5", "-0.0")):
+        if i < n:
+            tokens[i] = token
+    assert_read_like_oracle(writer_layout(",".join(tokens), len(tokens)))
+
+
+def _proven(token: str) -> bool:
+    """Whether the numpy parser keeps `token`: it is -?0.<1..20 digits>
+    with fewer than 18 digits after the leading zeros, and its value is
+    the 17-digit text of the double it reads to, in 1e-4 <= |x| < 1."""
+    digits = token.removeprefix("-").removeprefix("0.")
+    v = abs(float(token))
+    return (token.removeprefix("-").startswith("0.") and digits.isdigit()
+            and 1 <= len(digits) <= 20 and int(digits) < 10 ** 17 and 1e-4 <= v < 1
+            and Fraction(token) == Fraction(format(float(token), ".17")))
+
+
+def test_reader_proves_exactly_the_17_digit_values(monkeypatch):
+    x = np.concatenate([0.05 * rng(1).standard_normal(3000), _decade_edges(),
+                        [0.0, -0.0, 1.5, 2.0 ** -13, 3 * 2.0 ** -14]])
+    tokens = ["1.5"] + [_SPELLINGS[name](s * v) for v in x.tolist() for s in (1, -1)
+                        for name in sorted(_SPELLINGS)]
+    slow = []
+    real = kernel_io._numbers
+    monkeypatch.setattr(kernel_io, "_numbers", lambda items: slow.extend(items) or real(items))
+    text = writer_layout(",".join(tokens), len(tokens))
+    assert_read_like_oracle(text)
+    want = [json.loads(t) for t in tokens if not _proven(t)]
+    assert sum(map(_proven, tokens)) > len(tokens) // 3
+    assert list(map(repr, slow)) == list(map(repr, want)) * 3
