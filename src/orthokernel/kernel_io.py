@@ -182,7 +182,7 @@ def kernel_to_json(K: KernelTensor) -> str:
     return b"".join(_document(K)).decode("ascii")
 
 
-# 8 bytes of a little-endian word: its character i is byte i
+# a word holds 8 characters, the first in its low byte; a 1 in each byte
 _BYTES = np.uint64(0x0101010101010101)
 _HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
 _LOW_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
@@ -190,8 +190,9 @@ _LOW_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
 _KEEP = np.array([~np.uint64(0) << np.uint64(8 * (8 - n)) if n else 0 for n in range(9)],
                  np.uint64)
 _FILL = (_BYTES * np.uint64(ord("0"))) & ~_KEEP
-# the three words ending 16, 8 and 0 bytes before a token's end
-_WORD_BACK = np.array([[24], [16], [8]])
+# bytes between each of a token's three words and its end
+_WORD_GAP = np.array([[16], [8], [0]])
+_WORD_SCALE = np.array([10 ** 16, 10 ** 8, 1], np.uint64)
 
 
 def _eight_digits(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +206,7 @@ def _eight_digits(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, digits
 
 
-def _fraction_tokens(b: np.ndarray, words: np.ndarray, starts: np.ndarray,
+def _fraction_tokens(b: np.ndarray, windows: np.ndarray, starts: np.ndarray,
                      stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The value of each token b[start:stop] of the form -?0.<F digits>, and
     whether it is proven to be the double that `float` gives the token.
@@ -223,16 +224,17 @@ def _fraction_tokens(b: np.ndarray, words: np.ndarray, starts: np.ndarray,
     f = stops - zero - 2
     proven = (b[zero] == ord("0")) & (b[zero + 1] == ord(".")) & (f >= 1) & (f <= 20)
     f[~proven] = 1
-    # the 24 bytes before the stop as three words, with the bytes before
-    # the F digits set to "0" (so a word that would start before the file
-    # may start at 0); the first word must hold D // 10^16 < 10
-    n = np.clip(f - _WORD_BACK + 8, 0, 8)
-    w = words[np.maximum(stops - _WORD_BACK, 0)]
+    # the 24 bytes before the stop as three little-endian words, with the
+    # bytes before the F digits set to "0" (so the bytes of a window that
+    # would start before the file may be any); the first word must hold
+    # D // 10^16 < 10
+    n = np.clip(f - _WORD_GAP, 0, 8)
+    w = windows[np.maximum(stops - 24, 0)].view("<u8").reshape(-1, 3).T.copy()
     w &= _KEEP[n]
     w |= _FILL[n]
     value, digits = _eight_digits(w)
     proven &= digits.all(axis=0) & (value[0] < 10)
-    d = (value[0] * np.uint64(10 ** 16) + value[1] * np.uint64(10 ** 8) + value[2]).view(np.int64)
+    d = (value[0] * _WORD_SCALE[0] + value[1] * _WORD_SCALE[1] + value[2]).view(np.int64)
     d *= proven
     dh = d.astype(np.float64)
     dl = (d - dh.astype(np.int64)).astype(np.float64)
@@ -248,6 +250,8 @@ def _fraction_tokens(b: np.ndarray, words: np.ndarray, starts: np.ndarray,
     proven &= (d < _POW10_INT[17 - k]) & (d * _POW10_INT[k] == digits17)
     np.negative(c, out=c, where=negative)
     return c, proven
+
+
 def _numbers(items: list) -> np.ndarray:
     """A list of JSON numbers as float64."""
     # exact types: JSON true/false parse as bool, a subclass of int
@@ -261,11 +265,11 @@ def _numbers(items: list) -> np.ndarray:
 
 def _data(raw: bytes, stop: int) -> np.ndarray:
     """The comma-separated JSON numbers raw[len(_HEAD):stop] as float64,
-    parsed by `_fraction_tokens` in passes of `_CHUNK` tokens and, where it
-    proves nothing, by one `json.loads`.  raw[stop + 1] must exist."""
+    parsed by `_fraction_tokens` in passes of `_CHUNK` tokens and, where
+    that proves nothing, by one `json.loads`.  raw[stop + 1] must exist."""
     b = np.frombuffer(raw, np.uint8)
-    # the unaligned little-endian word at each byte offset (no copy)
-    words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
+    # the 24 bytes at each offset (no copy)
+    windows = np.ndarray((len(raw) - 23,), np.dtype((np.void, 24)), raw, strides=(1,))
     stops = np.flatnonzero(b[len(_HEAD):stop] == ord(","))
     stops += len(_HEAD)
     stops = np.append(stops, stop)
@@ -276,7 +280,7 @@ def _data(raw: bytes, stop: int) -> np.ndarray:
     slow, text = [], []
     for i in range(0, stops.size, _CHUNK):
         a, z = starts[i:i + _CHUNK], stops[i:i + _CHUNK]
-        out[i:i + _CHUNK], proven = _fraction_tokens(b, words, a, z)
+        out[i:i + _CHUNK], proven = _fraction_tokens(b, windows, a, z)
         unproven = np.flatnonzero(~proven)
         if unproven.size:
             slow.append(unproven + i)
