@@ -95,10 +95,11 @@ def writer_layout(body: str, n: int) -> str:
     ("NaN", 1), ("Infinity", 1), ("0.5,-Infinity", 2),
 ])
 def test_malformed_data_rejected_in_writer_layout(body, n):
-    text = writer_layout(body, n)
-    for document in (text, text.encode()):
-        with pytest.raises(ValueError):
-            kernel_from_json(document)
+    # first, and after a token that ends more than 24 bytes into the file
+    for text in (writer_layout(body, n), writer_layout("0.12345678901234566," + body, n + 1)):
+        for document in (text, text.encode()):
+            with pytest.raises(ValueError):
+                kernel_from_json(document)
 
 
 def test_second_data_key_reads_as_json_does():
@@ -281,14 +282,16 @@ def test_read_at_decade_edges():
     assert_read_like_oracle(writer_layout(",".join(tokens), len(tokens)))
 
 
+@pytest.mark.parametrize("second", ["0.25", "0.052734375", "-0.12345678901234566"])
 @pytest.mark.parametrize("first", [
-    "0.5", "-0.5", "0.000244140625", "0.0001220703125", "0.00018310546875",
+    "0.5", "-0.5", "0.0", "0.000244140625", "0.0001220703125", "0.00018310546875",
     "-0.0001220703125", "-0.00018310546875", "0.12345678901234567", "1", "-0.0",
 ])
-def test_read_first_token_near_the_file_start(first):
-    # the three words that end at a token's end start 24 bytes before it;
-    # "0.0001220703125" (2^-13) ends 24 bytes into the file
-    assert_read_like_oracle(writer_layout(first + ",0.25", 2))
+def test_read_first_token_near_the_file_start(first, second):
+    # the three words of a token are the 24 bytes before its end;
+    # "0.0001220703125" (2^-13) ends 24 bytes into the file, and the digits
+    # of a long second token lie in the file's first 24 bytes
+    assert_read_like_oracle(writer_layout(first + "," + second, 2))
 
 
 @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
@@ -326,3 +329,30 @@ def test_reader_proves_exactly_the_17_digit_values(monkeypatch):
     want = [json.loads(t) for t in tokens if not _proven(t)]
     assert sum(map(_proven, tokens)) > len(tokens) // 3
     assert list(map(repr, slow)) == list(map(repr, want)) * 3
+
+
+def _outcome(read, text):
+    try:
+        K = read(text)
+    except ValueError:
+        return None
+    return K.data.tobytes(), K.shape, K.groups
+
+
+_EDITS = st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from("sid"),
+                            st.sampled_from('0123456789.,-+eE []{}"tnx\t')), min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TOKENS, min_size=1, max_size=30), _EDITS)
+def test_edited_documents_read_as_the_whole_document_path(tokens, edits):
+    # byte edits of a writer-layout document: accepted with the same bits,
+    # or refused, exactly as `json.loads` of the whole document decides
+    text = writer_layout(",".join(tokens), len(tokens))
+    for at, op, c in edits:
+        i = int(at * len(text))
+        text = {"s": text[:i] + c + text[i + 1:], "i": text[:i] + c + text[i:],
+                "d": text[:i] + text[i + 1:]}[op]
+    want = _outcome(kernel_io._whole_document, text)
+    assert _outcome(kernel_from_json, text) == want
+    assert _outcome(kernel_from_json, text.encode()) == want
