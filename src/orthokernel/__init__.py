@@ -32,6 +32,7 @@ from .orthogonalize import (
     cholesky_orth,
     exp_map,
     orthogonalize,
+    orthogonalize_stack,
     power_iteration_norm,
     projector_pair,
     qr_mgs,

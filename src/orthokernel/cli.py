@@ -88,7 +88,7 @@ def _load_build_config(path) -> tuple[AocConfig, dict]:
 def cmd_build(args) -> int:
     try:
         cfg, config = _load_build_config(args.config)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, TypeError, RecursionError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:

@@ -7,9 +7,11 @@ Three building blocks and one adaptive front end:
   orthogonal as an unstrided convolution (two composition orders).
 * `rko_kernel` - orthogonalize the (c_out) x (c_in*k1*k2) flattening and
   reshape; orthogonal as a strided convolution exactly when k == s.
-* `aoc_kernel` - per group, pick the cheapest construction that is
-  orthogonal for the requested stride/size and fuse the factors into a
-  single kernel via block convolution.
+* `aoc_kernel` - pick the cheapest construction that is orthogonal for
+  the requested stride/size (the same for every group) and fuse the
+  factors into a single kernel via block convolution.  The groups are a
+  batch axis: the factors of all groups are orthogonalized in one
+  `orthogonalize_stack` pass per factor shape.
 
 Every builder is deterministic in its seed.  Orthogonality of the results
 is established independently by the `verify` module.
@@ -29,7 +31,7 @@ from .orthogonalize import (
     DEFAULT_SCHEME,
     SCHEMES,
     ProjectorPair,
-    orthogonalize,
+    orthogonalize_stack,
     projector_pair,
     sample_params,
 )
@@ -115,8 +117,20 @@ def _sub_seed(seed, word: int) -> tuple[int, ...]:
     return (*seed, word) if isinstance(seed, tuple) else (seed, word)
 
 
-def _orth(shape, seed, scheme, iters, beta):
-    return orthogonalize(sample_params(shape, seed), scheme=scheme, iters=iters, beta=beta)
+def _orthogonal_draws(draws, scheme, iters, beta) -> list[np.ndarray]:
+    """The orthogonalized `sample_params(shape, seed)` of each (shape, seed)
+    draw: Björck in one pass per distinct shape, the other schemes (matrix
+    by matrix anyway) one draw at a time, so the first to refuse raises."""
+    batches: dict = {}
+    for i, (shape, _) in enumerate(draws):
+        batches.setdefault(shape if scheme == "bjorck" else i, []).append(i)
+    out = [None] * len(draws)
+    for at in batches.values():
+        shape = draws[at[0]][0]
+        stack = np.stack([sample_params(shape, draws[i][1]) for i in at])
+        for i, O in zip(at, orthogonalize_stack(stack, scheme=scheme, iters=iters, beta=beta)):
+            out[i] = O
+    return out
 
 
 def _projector_factor(P: ProjectorPair, axis: int) -> KernelTensor:
@@ -142,9 +156,9 @@ def _factor_axes(k1: int, k2: int, interleave: bool) -> list[int]:
     return [3] * (k2 - 1) + [2] * (k1 - 1)
 
 
-def _compose_projector_kernel(c_in, c_out, k1, k2, seed, scheme, iters, beta,
-                              interleave: bool) -> KernelTensor:
-    """Shared body of the two unstrided constructions.
+def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme, iters, beta,
+                       interleave: bool) -> list[KernelTensor]:
+    """Shared body of the two unstrided constructions: one kernel per seed.
 
     All projector factors live at width c = max(c_in, c_out).  The 1x1
     channel map sits at the input end (applied first); when c_out < c the
@@ -164,15 +178,24 @@ def _compose_projector_kernel(c_in, c_out, k1, k2, seed, scheme, iters, beta,
             f"its half-rank factors need at least 2 channels, got c_in={c_in}, "
             f"c_out={c_out}"
         )
-    M = _orth((c, c_in), _sub_seed(seed, 0), scheme, iters, beta)
-    chain = [KernelTensor(M.reshape(c, c_in, 1, 1))]
-    for t, axis in enumerate(axes):
-        M0 = _orth((c, c // 2), _sub_seed(seed, 1 + t), scheme, iters, beta)
-        chain.append(_projector_factor(projector_pair(M0), axis))
-    K = scan_compose(chain)
-    if c_out < c:
-        K = KernelTensor(K.data[:c_out])
-    return K
+    draws = [draw for seed in seeds for draw in [((c, c_in), _sub_seed(seed, 0))] + [
+        ((c, c // 2), _sub_seed(seed, 1 + t)) for t in range(len(axes))]]
+    factors = _orthogonal_draws(draws, scheme, iters, beta)
+    kernels = []
+    for q in range(len(seeds)):
+        M, *halves = factors[q * (1 + len(axes)):(q + 1) * (1 + len(axes))]
+        chain = [KernelTensor(M.reshape(c, c_in, 1, 1))]
+        for M0, axis in zip(halves, axes):
+            chain.append(_projector_factor(projector_pair(M0), axis))
+        K = scan_compose(chain)
+        kernels.append(KernelTensor(K.data[:c_out]) if c_out < c else K)
+    return kernels
+
+
+def _rko_kernels(c_in, c_out, k1, k2, seeds, scheme, iters, beta) -> list[KernelTensor]:
+    Ws = _orthogonal_draws([((c_out, c_in * k1 * k2), seed) for seed in seeds], scheme, iters,
+                           beta)
+    return [KernelTensor(W.reshape(c_out, c_in, k1, k2)) for W in Ws]
 
 
 def bcop_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME,
@@ -183,8 +206,8 @@ def bcop_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME,
     The resulting convolution (stride 1, circular padding) is row
     orthogonal when c_out <= c_in and column orthogonal otherwise.
     """
-    return _compose_projector_kernel(c_in, c_out, k1, k2, seed, scheme, iters,
-                                     beta, interleave=True)
+    return _projector_kernels(c_in, c_out, k1, k2, [seed], scheme, iters, beta,
+                              interleave=True)[0]
 
 
 def scfac_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME,
@@ -192,8 +215,8 @@ def scfac_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME,
     """Alternative composition order: all 1x2 factors, then all 2x1
     factors (grouped by direction instead of alternating).  Same
     orthogonality contract and parameter count as `bcop_kernel`."""
-    return _compose_projector_kernel(c_in, c_out, k1, k2, seed, scheme, iters,
-                                     beta, interleave=False)
+    return _projector_kernels(c_in, c_out, k1, k2, [seed], scheme, iters, beta,
+                              interleave=False)[0]
 
 
 def rko_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME,
@@ -204,33 +227,17 @@ def rko_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME,
     k1 == k2 == s (non-overlapping receptive fields); for other strides it
     is 1-Lipschitz material but carries no orthogonality claim.
     """
-    W = _orth((c_out, c_in * k1 * k2), seed, scheme, iters, beta)
-    return KernelTensor(W.reshape(c_out, c_in, k1, k2))
-
-
-def _build_group_kernel(ci, co, k1, k2, s, cfg: AocConfig, seed):
-    """Single-group decision tree; returns (kernel, branch, width)."""
-    build = bcop_kernel if cfg.ordering == "bcop" else scfac_kernel
-    kw = dict(scheme=cfg.scheme, iters=cfg.iters, beta=cfg.beta)
-
-    if k1 == s and k2 == s:
-        return rko_kernel(ci, co, s, s, seed=seed, **kw), "b", None
-
-    if s == 1:
-        return build(ci, co, k1, k2, seed=seed, **kw), "a", None
-
-    c = max(ci, co // (s * s))
-    inner = build(ci, c, k1 - s + 1, k2 - s + 1, seed=seed, **kw)
-    # disjoint sub-seed namespace from the projector factors (seed, 0..t)
-    outer = rko_kernel(c, co, s, s, seed=_sub_seed(seed, 1 << 20), **kw)
-    return block_conv_fast(outer, inner), "d", c
+    return _rko_kernels(c_in, c_out, k1, k2, [seed], scheme, iters, beta)[0]
 
 
 def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
     """Build an orthogonal convolution kernel for an arbitrary valid
     (c_in, c_out, k, s, g, d) configuration.
 
-    Groups are built independently and stacked.  An ungrouped layer is
+    Groups are a batch axis: every group takes the same branch, the
+    factors of all groups are orthogonalized in one `orthogonalize_stack`
+    pass per factor shape, and each group is composed from its own factors,
+    so its bytes are those of building it alone.  An ungrouped layer is
     built from `seed` itself; group q of a grouped layer from the seed
     words (seed, GROUP_SEED_BASE + q), so layers with different seeds
     share no group.
@@ -256,14 +263,27 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
             f"be orthogonal in both directions"
         )
     ci, co = spec.c_in // g, spec.c_out // g
-    kernels = []
-    branch = width = None
+    kw = dict(scheme=cfg.scheme, iters=cfg.iters, beta=cfg.beta)
+    interleave = cfg.ordering == "bcop"
     group_seeds = ((cfg.seed,) if g == 1 else
                    tuple((cfg.seed, GROUP_SEED_BASE + q) for q in range(g)))
-    for seed in group_seeds:
-        K_q, branch, width = _build_group_kernel(ci, co, k1, k2, s, cfg, seed)
-        kernels.append(K_q.data)
-    K = KernelTensor(np.concatenate(kernels, axis=0), groups=g)
+    width = None
+    if k1 == s and k2 == s:
+        branch, kernels = "b", _rko_kernels(ci, co, s, s, group_seeds, **kw)
+    elif s == 1:
+        branch, kernels = "a", _projector_kernels(ci, co, k1, k2, group_seeds, **kw,
+                                                  interleave=interleave)
+    else:
+        branch, width = "d", max(ci, co // (s * s))
+        inner = _projector_kernels(ci, width, k1 - s + 1, k2 - s + 1, group_seeds, **kw,
+                                   interleave=interleave)
+        # disjoint sub-seed namespace from the projector factors (seed, 0..t);
+        # an s x s factor never has a projector factor's shape, so this is
+        # still one orthogonalization pass per shape
+        outer = _rko_kernels(width, co, s, s,
+                             [_sub_seed(seed, 1 << 20) for seed in group_seeds], **kw)
+        kernels = [block_conv_fast(B, A) for B, A in zip(outer, inner)]
+    K = KernelTensor(np.concatenate([K_q.data for K_q in kernels], axis=0), groups=g)
     tag = BranchTag(branch=branch, internal_width=width, group_seeds=group_seeds,
                     ordering=cfg.ordering)
     return K, tag

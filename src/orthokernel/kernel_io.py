@@ -255,6 +255,14 @@ def _fraction_tokens(b: np.ndarray, windows: np.ndarray, starts: np.ndarray,
     return c, proven
 
 
+def _loads(text: str | bytes):
+    """`json.loads`, with nesting too deep for its recursion a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("kernel document is nested too deeply") from None
+
+
 def _numbers(items: list) -> np.ndarray:
     """A list of JSON numbers as float64."""
     # exact types: JSON true/false parse as bool, a subclass of int
@@ -292,7 +300,7 @@ def _data(raw: bytes, stop: int) -> np.ndarray:
         slow = np.concatenate(slow)
         text = b"".join(pieces)
         # each token kept its "," (the last one maybe its "]")
-        items = json.loads(b"[" + text[:-1] + b"]")
+        items = _loads(b"[" + text[:-1] + b"]")
         # an empty or blank token leaves the list one item short
         if len(items) != slow.size:
             raise ValueError("kernel data must be a flat list of numbers")
@@ -347,7 +355,7 @@ def kernel_from_json(text: str | bytes) -> KernelTensor:
     stop = text.find(b"]")
     if text.startswith(_HEAD) and text[stop + 1:stop + 2] == b",":
         # the writer's layout: the fields after the numbers
-        doc = json.loads(b"{" + text[stop + 2:])
+        doc = _loads(b"{" + text[stop + 2:])
         if "data" not in doc:
             shape, groups = _fields(doc)
             return _kernel(_data(text, stop), shape, groups)
@@ -355,7 +363,7 @@ def kernel_from_json(text: str | bytes) -> KernelTensor:
 
 
 def _whole_document(text: str) -> KernelTensor:
-    doc = json.loads(text)
+    doc = _loads(text)
     shape, groups = _fields(doc)
     data = doc.get("data")
     if not isinstance(data, list):

@@ -292,15 +292,18 @@ def _norm(v: np.ndarray) -> float:
 
 def _power_iteration(apply, apply_t, x: np.ndarray, iters: int, tol: float) -> float:
     """Largest singular value of the linear map `apply` (adjoint `apply_t`)
-    by power iteration from the unit vector x; 0.0 if an iterate vanishes."""
+    by power iteration from the unit vector x; 0.0 if an iterate vanishes.
+    A step's estimate is the norm of the product the next step starts from."""
+    y = apply(x)
+    sigma_next = _norm(y)
     sigma = 0.0
     for _ in range(iters):
-        y = apply(x)
-        if _norm(y) == 0.0:
+        if sigma_next == 0.0:
             return 0.0
         x = apply_t(y)
         x /= _norm(x)
-        sigma_next = _norm(apply(x))
+        y = apply(x)
+        sigma_next = _norm(y)
         if abs(sigma_next - sigma) <= tol * max(sigma_next, 1.0):
             return float(sigma_next)
         sigma = sigma_next

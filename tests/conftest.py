@@ -18,6 +18,16 @@ def gram_residual(O):
     return float(np.max(np.abs(G - np.eye(G.shape[0]))))
 
 
+def deeply_nested_documents(depth=100_000):
+    """okt-v1 texts nested deeper than `json.loads` can recurse: in the
+    whole-document layout, and in the writer's layout once in "data" and
+    once in a field after it."""
+    fields = '"dtype":"f64","format":"okt-v1","groups":1,"order":"row-major","shape":[1,1,1,1]'
+    return ['{"format":"okt-v1","data":' + "[" * depth + "0" + "]" * depth + "}",
+            '{"data":[' + "[" * depth + "0]," + fields + "}",
+            '{"data":[0.5],' + fields[:-9] + "[" * depth + "]" * depth + "}"]
+
+
 @pytest.fixture
 def make_rng():
     return rng

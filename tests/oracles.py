@@ -12,11 +12,36 @@ tap-major kernel copy and turned the adjoint's scatter into a gather: each
 tap multiplies by the strided kernel slice `Kg[..., i', j']`, and the
 adjoint adds its tap into the output through fancy indices.  The operators
 must give the same bits.
+
+`power_iteration_ref`, `bjorck_ref`, `orthogonalize_ref` and
+`aoc_kernel_per_group` are the builders before groups and same-shape
+factors became a batch axis: power iteration with three operator
+applications per step, Björck sweeps on one 2-D matrix at a time with
+their extra rounds, and `aoc_kernel` as a loop that builds each group
+alone, orthogonalizing its factors one by one.  The stacked builders must
+give the same bytes and branch tags, and refuse with the same exception
+type and message.
 """
 
 import json
+import math
 
 import numpy as np
+
+from orthokernel import (
+    KernelTensor,
+    UnsupportedConfigError,
+    block_conv_fast,
+    cayley_rect,
+    cholesky_orth,
+    exp_map,
+    projector_pair,
+    qr_mgs,
+    sample_params,
+    scan_compose,
+)
+from orthokernel.construct import GROUP_SEED_BASE, BranchTag, _factor_axes, _projector_factor
+from orthokernel.orthogonalize import SCHEMES
 
 
 def format_floats_ref(values) -> str:
@@ -78,3 +103,139 @@ def conv2d_transpose_scatter(K, x, spec):
             # so fancy += is collision-free here
             y[..., (raw_r % h)[:, None], (raw_c % w)[None, :]] += contrib
     return y.reshape(*lead, spec.c_in, h, w)
+
+
+def power_iteration_ref(apply, apply_t, x, iters, tol):
+    """The power iteration loop with three applications per step and
+    `np.linalg.norm` for every norm."""
+    sigma = 0.0
+    for _ in range(iters):
+        y = apply(x)
+        if np.linalg.norm(y) == 0.0:
+            return 0.0
+        x = apply_t(y)
+        x /= np.linalg.norm(x)
+        sigma_next = np.linalg.norm(apply(x))
+        if abs(sigma_next - sigma) <= tol * max(sigma_next, 1.0):
+            return float(sigma_next)
+        sigma = sigma_next
+    return float(sigma)
+
+
+def _sweeps(W, beta, iters):
+    for _ in range(iters):
+        if W.shape[0] <= W.shape[1]:
+            W = (1.0 + beta) * W - beta * (W @ W.T) @ W
+        else:
+            W = (1.0 + beta) * W - beta * W @ (W.T @ W)
+    return W
+
+
+def _residual(O):
+    G = O @ O.T if O.shape[0] <= O.shape[1] else O.T @ O
+    return float(np.max(np.abs(G - np.eye(G.shape[0]))))
+
+
+def bjorck_ref(W, beta=0.5, iters=12, extra_rounds=True):
+    """Björck on one 2-D matrix: scaled by its power-iteration norm, `iters`
+    sweeps, then (with `extra_rounds`) rounds of 4 sweeps while the
+    residual is above 1e-10, at most 60 more.  Returns (O, extra sweeps)."""
+    W = np.asarray(W, dtype=np.float64)
+    if not np.any(W):
+        raise ValueError("cannot orthogonalize the zero matrix")
+    if not (0.0 < beta <= 0.5):
+        raise ValueError(f"beta must lie in (0, 0.5], got {beta}")
+    n = W.shape[1]
+    sigma = power_iteration_ref(lambda v: W @ v, lambda u: W.T @ u, np.ones(n) / np.sqrt(n),
+                                50, 1e-6)
+    O = _sweeps(W / sigma, beta, iters)
+    extra = 0
+    while extra_rounds and _residual(O) > 1e-10 and extra < 60:
+        O = _sweeps(O, beta, 4)
+        extra += 4
+    return O, extra
+
+
+def orthogonalize_ref(W, scheme="bjorck", iters=12, beta=0.5):
+    """The scheme dispatcher on one matrix."""
+    W = np.asarray(W, dtype=np.float64)
+    if scheme == "bjorck":
+        return bjorck_ref(W, beta, iters)[0]
+    if scheme == "qr_mgs":
+        return qr_mgs(W) if W.shape[0] >= W.shape[1] else qr_mgs(W.T).T
+    if scheme == "cayley":
+        return cayley_rect(W) if W.shape[0] >= W.shape[1] else cayley_rect(W.T).T
+    if scheme == "exponential":
+        if W.shape[0] != W.shape[1]:
+            return bjorck_ref(W, beta, max(iters, 25), extra_rounds=False)[0]
+        return exp_map(W, p=max(iters, 18))
+    if scheme == "cholesky":
+        return cholesky_orth(W) if W.shape[0] <= W.shape[1] else cholesky_orth(W.T).T
+    raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+
+
+def _sub_seed(seed, word):
+    return (*seed, word) if isinstance(seed, tuple) else (seed, word)
+
+
+def _orth(shape, seed, cfg):
+    return orthogonalize_ref(sample_params(shape, seed), cfg.scheme, cfg.iters, cfg.beta)
+
+
+def _projector_kernel(c_in, c_out, k1, k2, seed, cfg):
+    c = max(c_in, c_out)
+    axes = _factor_axes(k1, k2, cfg.ordering == "bcop")
+    if axes and c < 2:
+        raise UnsupportedConfigError(
+            f"channel width 1 is unsupported for a {k1}x{k2} projector kernel: "
+            f"its half-rank factors need at least 2 channels, got c_in={c_in}, "
+            f"c_out={c_out}"
+        )
+    chain = [KernelTensor(_orth((c, c_in), _sub_seed(seed, 0), cfg).reshape(c, c_in, 1, 1))]
+    for t, axis in enumerate(axes):
+        M0 = _orth((c, c // 2), _sub_seed(seed, 1 + t), cfg)
+        chain.append(_projector_factor(projector_pair(M0), axis))
+    K = scan_compose(chain)
+    return KernelTensor(K.data[:c_out]) if c_out < c else K
+
+
+def _rko_kernel(c_in, c_out, s, seed, cfg):
+    return KernelTensor(_orth((c_out, c_in * s * s), seed, cfg).reshape(c_out, c_in, s, s))
+
+
+def _group_kernel(ci, co, k1, k2, s, cfg, seed):
+    if k1 == s and k2 == s:
+        return _rko_kernel(ci, co, s, seed, cfg), "b", None
+    if s == 1:
+        return _projector_kernel(ci, co, k1, k2, seed, cfg), "a", None
+    c = max(ci, co // (s * s))
+    inner = _projector_kernel(ci, c, k1 - s + 1, k2 - s + 1, seed, cfg)
+    outer = _rko_kernel(c, co, s, _sub_seed(seed, 1 << 20), cfg)
+    return block_conv_fast(outer, inner), "d", c
+
+
+def aoc_kernel_per_group(cfg):
+    """`aoc_kernel` as a loop over groups, each built alone."""
+    spec = cfg.spec
+    s, g, d = spec.stride, spec.groups, spec.dilation
+    k1, k2 = spec.k_h, spec.k_w
+    if s > k1 or s > k2:
+        raise UnsupportedConfigError(
+            f"no orthogonal kernel exists for stride {s} > kernel size {k1}x{k2}"
+        )
+    if s > 1 and d > 1 and math.gcd(s, d) > 1:
+        raise UnsupportedConfigError(
+            f"stride {s} and dilation {d} share a common factor; the strided "
+            f"dilated convolution never reads part of its input and cannot "
+            f"be orthogonal in both directions"
+        )
+    ci, co = spec.c_in // g, spec.c_out // g
+    group_seeds = ((cfg.seed,) if g == 1 else
+                   tuple((cfg.seed, GROUP_SEED_BASE + q) for q in range(g)))
+    kernels = []
+    for seed in group_seeds:
+        K_q, branch, width = _group_kernel(ci, co, k1, k2, s, cfg, seed)
+        kernels.append(K_q.data)
+    K = KernelTensor(np.concatenate(kernels, axis=0), groups=g)
+    return K, BranchTag(branch=branch, internal_width=width, group_seeds=group_seeds,
+                        ordering=cfg.ordering)

@@ -5,6 +5,7 @@ import pytest
 
 from orthokernel import ConvSpec, read_kernel, roundtrip_check, write_kernel
 from orthokernel.cli import main
+from conftest import deeply_nested_documents
 
 
 def write_config(path, **overrides):
@@ -166,6 +167,25 @@ def test_malformed_kernel_file_exit_2(tmp_path, capsys, command):
         assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_deeply_nested_kernel_file_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.okt"
+    for text in deeply_nested_documents():
+        path.write_text(text)
+        capsys.readouterr()
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid input: kernel document is nested too deeply\n"
+
+
+def test_build_deeply_nested_config_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"c_in":' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["build", str(path), str(tmp_path / "k.okt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])

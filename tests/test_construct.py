@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orthokernel import construct
 from orthokernel import (
@@ -33,7 +35,10 @@ from orthokernel import (
     toeplitz_from_kernel,
     transpose_kernel_for,
 )
+from orthokernel.construct import ORDERINGS
+from orthokernel.orthogonalize import SCHEMES
 from conftest import random_kernel, rng
+from oracles import aoc_kernel_per_group
 
 
 def spectrum_ok(K, spec, h=8, w=8, tol=1e-4):
@@ -394,6 +399,39 @@ def test_aoc_config_validation():
         AocConfig(spec=spec, iters=0)
     with pytest.raises(ValueError):
         AocConfig(spec=spec, seed=-1)
+
+
+# --- groups as a batch axis ----------------------------------------------------
+
+@st.composite
+def aoc_configs(draw):
+    c_in, c_out = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    g = draw(st.sampled_from([q for q in range(1, 9) if c_in % q == 0 and c_out % q == 0]))
+    spec = ConvSpec(c_in=c_in, c_out=c_out, k_h=draw(st.integers(1, 4)),
+                    k_w=draw(st.integers(1, 4)), stride=draw(st.integers(1, 3)), groups=g,
+                    dilation=draw(st.integers(1, 3)))
+    return AocConfig(spec=spec, scheme=draw(st.sampled_from(SCHEMES)),
+                     iters=draw(st.sampled_from([1, 12, 25])), seed=draw(st.integers(0, 2 ** 32)),
+                     ordering=draw(st.sampled_from(ORDERINGS)))
+
+
+def _outcome(build, cfg):
+    """The kernel bytes and branch tag `build` gives, or its refusal."""
+    try:
+        K, tag = build(cfg)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return K.data.dtype, K.data.shape, K.groups, K.data.tobytes(), tag
+
+
+@settings(max_examples=300, deadline=None)
+@given(aoc_configs())
+# cholesky cannot make a 2x1 projector base column orthogonal at this seed
+@example(AocConfig(spec=ConvSpec(2, 4, 3, 3, groups=2), scheme="cholesky"))
+@example(AocConfig(spec=ConvSpec(8, 8, 3, 3, stride=2, groups=4), ordering="scfac"))
+@example(AocConfig(spec=ConvSpec(8, 8, 4, 2, groups=2), scheme="exponential", seed=3))
+def test_aoc_kernel_equals_per_group_oracle(cfg):
+    assert _outcome(aoc_kernel, cfg) == _outcome(aoc_kernel_per_group, cfg)
 
 
 # --- byte determinism ---------------------------------------------------------

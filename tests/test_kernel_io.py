@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from orthokernel import KernelTensor, kernel_from_json, kernel_to_json, read_kernel, write_kernel
 from orthokernel import kernel_io
 from orthokernel.kernel_io import _CHUNK
-from conftest import random_kernel, rng
+from conftest import deeply_nested_documents, random_kernel, rng
 from oracles import format_floats_ref, read_floats_ref
 
 
@@ -100,6 +100,15 @@ def test_malformed_data_rejected_in_writer_layout(body, n):
         for document in (text, text.encode()):
             with pytest.raises(ValueError):
                 kernel_from_json(document)
+
+
+@pytest.mark.parametrize("layout", range(3))
+def test_deeply_nested_documents_rejected(layout):
+    # json.loads raises RecursionError for these; the reader refuses them
+    text = deeply_nested_documents()[layout]
+    for doc in (text, text.encode()):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            kernel_from_json(doc)
 
 
 def test_second_data_key_reads_as_json_does():

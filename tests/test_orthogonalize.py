@@ -9,6 +9,7 @@ from orthokernel import (
     cholesky_orth,
     exp_map,
     orthogonalize,
+    orthogonalize_stack,
     power_iteration_norm,
     projector_pair,
     qr_mgs,
@@ -16,6 +17,7 @@ from orthokernel import (
     sample_params,
 )
 from conftest import gram_residual, rng
+from oracles import bjorck_ref, orthogonalize_ref
 
 # shapes drawn by the kernel factories: aspect-2 projector bases, channel
 # maps, reshaped-kernel flattenings
@@ -239,3 +241,83 @@ def test_product_closure():
 def test_scheme_interchangeability(scheme, tol, shape):
     W = rng((1, *shape)).standard_normal(shape)
     assert gram_residual(orthogonalize(W, scheme=scheme)) <= tol
+
+
+# --- stacked Björck -------------------------------------------------------------
+
+def _with_singular_values(n_rows, n_cols, sigmas, seed):
+    """A matrix with the given singular values and random singular vectors."""
+    U, _ = np.linalg.qr(rng(seed).standard_normal((n_rows, n_rows)))
+    V, _ = np.linalg.qr(rng(seed + 1).standard_normal((n_cols, n_cols)))
+    return U[:, :len(sigmas)] @ np.diag(sigmas) @ V[:, :len(sigmas)].T
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (7, 3), (5, 5), (1, 4), (4, 1), (6, 6)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orthogonalize_stack_equals_per_matrix_calls(shape, n):
+    Ws = rng((n, *shape)).standard_normal((n, *shape))
+    O = orthogonalize_stack(Ws)
+    assert O.shape == Ws.shape
+    assert np.array_equal(O, np.stack([bjorck_ref(W)[0] for W in Ws]))
+    assert np.array_equal(O, np.stack([orthogonalize(W) for W in Ws]))
+    assert np.array_equal(bjorck_orthogonalize(Ws), np.stack([bjorck_orthogonalize(W) for W in Ws]))
+
+
+@pytest.mark.parametrize("shape", [(8, 5), (6, 6), (5, 8)])
+def test_orthogonalize_stack_gives_each_matrix_its_own_schedule(shape):
+    # a well-conditioned matrix is done after the 12 sweeps; one with
+    # sigma_min = 1e-4 needs extra rounds, which must not reach the other
+    k = min(shape)
+    fast = _with_singular_values(*shape, np.linspace(1.0, 0.8, k), seed=5)
+    slow = _with_singular_values(*shape, np.logspace(0, -4, k), seed=7)
+    assert bjorck_ref(fast)[1] == 0 and 0 < bjorck_ref(slow)[1] < 60
+    for Ws in ([fast, slow], [slow, fast], [fast, slow, fast, slow, fast]):
+        want = np.stack([bjorck_ref(W)[0] for W in Ws])
+        assert np.array_equal(orthogonalize_stack(np.stack(Ws)), want)
+    assert np.array_equal(orthogonalize_stack(np.stack([slow, fast]), iters=3),
+                          np.stack([bjorck_ref(slow, iters=3)[0], bjorck_ref(fast, iters=3)[0]]))
+
+
+def test_unconverged_factor_is_logged(caplog):
+    # sigma_min = 1e-30 grows by 3/2 per sweep: 72 sweeps cannot reach 1
+    ill = _with_singular_values(8, 8, np.logspace(0, -30, 8), seed=3)
+    good = _with_singular_values(8, 8, np.linspace(1.0, 0.5, 8), seed=4)
+    with caplog.at_level("WARNING", logger="orthokernel"):
+        O = orthogonalize_stack(np.stack([good, ill, good]))
+    assert np.array_equal(O, np.stack([bjorck_ref(W)[0] for W in (good, ill, good)]))
+    [record] = caplog.records
+    assert record.name == "orthokernel" and record.levelname == "WARNING"
+    residual = gram_residual(O[1])
+    assert residual > 1e-10
+    assert record.getMessage() == (f"Bjorck factor 1 of a stack of 3 8x8 matrices did not "
+                                   f"converge: residual {residual:.3g} after 72 sweeps")
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="orthokernel"):
+        assert np.array_equal(orthogonalize(ill), O[1])
+        orthogonalize_stack(np.stack([good, good]))
+    assert [r.getMessage()[:36] for r in caplog.records] == ["Bjorck factor 0 of a stack of 1 8x8 "]
+
+
+def test_orthogonalize_stack_refusals_match_per_matrix_calls():
+    W = rng(8).standard_normal((4, 3))
+    deficient = np.column_stack([W[:, 0], W[:, 0], W[:, 1]])
+    for scheme, Ws in (("bjorck", [W, np.zeros((4, 3))]), ("qr_mgs", [W, deficient]),
+                       ("nope", [W])):
+        with pytest.raises(ValueError) as want:
+            [orthogonalize_ref(M, scheme=scheme) for M in Ws]
+        with pytest.raises(type(want.value)) as refused:
+            orthogonalize_stack(np.stack(Ws), scheme=scheme)
+        assert str(refused.value) == str(want.value)
+    with pytest.raises(ValueError, match="stack of matrices"):
+        orthogonalize_stack(W)
+    with pytest.raises(ValueError, match="cannot orthogonalize the zero matrix"):
+        orthogonalize(np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("scheme", ["qr_mgs", "cayley", "exponential", "cholesky"])
+@pytest.mark.parametrize("shape", [(6, 6), (4, 9), (9, 4)])
+def test_other_schemes_stack_per_matrix(scheme, shape):
+    Ws = rng((2, *shape)).standard_normal((3, *shape))
+    want = np.stack([orthogonalize_ref(W, scheme=scheme) for W in Ws])
+    assert np.array_equal(orthogonalize_stack(Ws, scheme=scheme), want)
+    assert np.array_equal(orthogonalize(Ws[0], scheme=scheme), want[0])

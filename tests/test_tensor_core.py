@@ -15,8 +15,9 @@ from orthokernel import (
     spec_for_kernel,
     toeplitz_from_kernel,
 )
+from orthokernel.tensor_core import _power_iteration
 from conftest import gram_residual, random_kernel, rng
-from oracles import conv2d_scatter, conv2d_transpose_scatter
+from oracles import conv2d_scatter, conv2d_transpose_scatter, power_iteration_ref
 
 
 def test_kernel_tensor_validation():
@@ -266,29 +267,15 @@ def test_grouped_channel_blocks_are_contiguous():
         np.testing.assert_allclose(y[q * 2:(q + 1) * 2], yq, atol=1e-13)
 
 
-def _power_iteration_linalg_norm(apply, apply_t, x, iters, tol):
-    # the power iteration loop with np.linalg.norm for every norm
-    sigma = 0.0
-    for _ in range(iters):
-        y = apply(x)
-        if np.linalg.norm(y) == 0.0:
-            return 0.0
-        x = apply_t(y)
-        x /= np.linalg.norm(x)
-        sigma_next = np.linalg.norm(apply(x))
-        if abs(sigma_next - sigma) <= tol * max(sigma_next, 1.0):
-            return float(sigma_next)
-        sigma = sigma_next
-    return float(sigma)
-
-
 def test_power_iteration_bits_match_linalg_norm_loop():
+    # the oracle applies the map three times per step; the library reuses
+    # the product of one step's estimate as the next step's start
     for seed in range(20):
         r = rng(300 + seed)
         m, n = (int(v) for v in r.integers(1, 40, size=2))
         W = r.standard_normal((m, n))
-        want = _power_iteration_linalg_norm(lambda v: W @ v, lambda u: W.T @ u,
-                                            np.ones(n) / np.sqrt(n), 50, 1e-6)
+        want = power_iteration_ref(lambda v: W @ v, lambda u: W.T @ u,
+                                   np.ones(n) / np.sqrt(n), 50, 1e-6)
         assert power_iteration_norm(W) == want
 
         s = int(r.integers(1, 3))
@@ -296,7 +283,19 @@ def test_power_iteration_bits_match_linalg_norm_loop():
         spec = spec_for_kernel(K, stride=s)
         x0 = np.random.Generator(np.random.PCG64(12345)).standard_normal((K.c_in, 8, 8))
         x0 /= np.linalg.norm(x0)
-        want = _power_iteration_linalg_norm(lambda v: conv2d_ref(K, v, spec),
-                                            lambda u: conv2d_transpose_ref(K, u, spec),
-                                            x0, 100, 1e-9)
+        want = power_iteration_ref(lambda v: conv2d_ref(K, v, spec),
+                                   lambda u: conv2d_transpose_ref(K, u, spec),
+                                   x0, 100, 1e-9)
         assert conv_operator_norm(K, spec) == want
+
+
+@pytest.mark.parametrize("iters", [0, 1, 2, 7])
+def test_power_iteration_fixed_step_counts_match_oracle(iters):
+    # tol 0 runs every step; a map with a vanishing iterate gives 0.0
+    W = rng(17).standard_normal((6, 4))
+    maps = [(W.__matmul__, W.T.__matmul__),
+            (lambda v: np.zeros(3), lambda u: np.zeros(4))]
+    for apply, apply_t in maps:
+        x = np.ones(4) / 2.0
+        assert (_power_iteration(apply, apply_t, x.copy(), iters, 0.0)
+                == power_iteration_ref(apply, apply_t, x.copy(), iters, 0.0))
