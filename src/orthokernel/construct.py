@@ -181,9 +181,10 @@ def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme, iters, beta,
     draws = [draw for seed in seeds for draw in [((c, c_in), _sub_seed(seed, 0))] + [
         ((c, c // 2), _sub_seed(seed, 1 + t)) for t in range(len(axes))]]
     factors = _orthogonal_draws(draws, scheme, iters, beta)
+    n = 1 + len(axes)  # factors per seed
     kernels = []
     for q in range(len(seeds)):
-        M, *halves = factors[q * (1 + len(axes)):(q + 1) * (1 + len(axes))]
+        M, *halves = factors[q * n:(q + 1) * n]
         chain = [KernelTensor(M.reshape(c, c_in, 1, 1))]
         for M0, axis in zip(halves, axes):
             chain.append(_projector_factor(projector_pair(M0), axis))

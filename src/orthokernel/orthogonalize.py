@@ -48,7 +48,7 @@ def power_iteration_norm(W: np.ndarray, iters: int = 50, tol: float = 1e-6) -> f
     the normalized all-ones vector."""
     W = np.asarray(W, dtype=np.float64)
     n = W.shape[1]
-    sigma = _power_iteration(W.__matmul__, W.T.__matmul__, np.ones(n) / np.sqrt(n), iters, tol)
+    sigma = _power_iteration(W.dot, W.T.dot, np.ones(n) / np.sqrt(n), iters, tol)
     if sigma == 0.0:
         raise ValueError("power iteration on a zero (or nilpotent-direction) matrix")
     return sigma

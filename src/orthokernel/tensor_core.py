@@ -287,7 +287,7 @@ def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a contiguous array: what `np.linalg.norm` computes
     for real input, bit for bit, without its dispatch."""
     v = v.ravel()
-    return math.sqrt(v @ v)
+    return math.sqrt(v.dot(v))
 
 
 def _power_iteration(apply, apply_t, x: np.ndarray, iters: int, tol: float) -> float:
