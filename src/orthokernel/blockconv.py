@@ -12,7 +12,13 @@ of B: one matrix product (a single BLAS GEMM) multiplies every tap's
 channel matrix with all of A at once, and each tap's product is then added
 into the output at spatial offset (u, v).  It sums in a different order
 than the loop, so the two agree to rounding (1e-12 in the tests), not bit
-for bit.
+for bit.  The call holds at most the product and the output at once: the
+stack of B's taps is dropped when the product is made, and the product
+before the output is copied into its KernelTensor.  One GEMM per tap would
+hold only one tap's product, but BLAS does not round a GEMM's rows the
+same in a smaller product (OpenBLAS picks its kernel by the operand
+shapes, and numpy sends a one-row product to GEMV), so the fused kernels'
+bytes would change.
 
 Under the centred tap convention, applying the fused kernel matches the
 two-step application exactly whenever at most one of the two sizes is even
@@ -71,12 +77,14 @@ def block_conv_fast(B: KernelTensor, A: KernelTensor) -> KernelTensor:
     Ad, Bd = A.data, B.data
     cm, ci, k1, k2 = Ad.shape
     co, _, l1, l2 = Bd.shape
-    taps = Bd.transpose(2, 3, 0, 1).reshape(l1 * l2 * co, cm)
+    taps = Bd.transpose(2, 3, 0, 1).reshape(l1 * l2 * co, cm)  # a contiguous copy
     prod = (taps @ Ad.reshape(cm, ci * k1 * k2)).reshape(l1, l2, co, ci, k1, k2)
+    del taps
     out = np.zeros((co, ci, k1 + l1 - 1, k2 + l2 - 1))
     for u in range(l1):
         for v in range(l2):
             out[..., u:u + k1, v:v + k2] += prod[u, v]
+    del prod
     return KernelTensor(out)
 
 

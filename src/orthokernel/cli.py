@@ -103,8 +103,8 @@ def cmd_build(args) -> int:
     try:
         kernel_io.write_kernel(args.out, K)
         with open(str(args.out) + ".meta.json", "w", encoding="utf-8") as f:
-            json.dump(sidecar, f, sort_keys=True, indent=2)
-            f.write("\n")
+            # one write: json.dump would make one for each small piece
+            f.write(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
         print(f"invalid output path: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -180,14 +180,13 @@ def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme, iters, beta,
         )
     draws = [draw for seed in seeds for draw in [((c, c_in), _sub_seed(seed, 0))] + [
         ((c, c // 2), _sub_seed(seed, 1 + t)) for t in range(len(axes))]]
-    factors = _orthogonal_draws(draws, scheme, iters, beta)
-    n = 1 + len(axes)  # factors per seed
+    # popped group by group, so no group's matrices outlive its chain
+    factors = _orthogonal_draws(draws, scheme, iters, beta)[::-1]
     kernels = []
-    for q in range(len(seeds)):
-        M, *halves = factors[q * n:(q + 1) * n]
-        chain = [KernelTensor(M.reshape(c, c_in, 1, 1))]
-        for M0, axis in zip(halves, axes):
-            chain.append(_projector_factor(projector_pair(M0), axis))
+    for _ in seeds:
+        chain = [KernelTensor(factors.pop().reshape(c, c_in, 1, 1))]
+        for axis in axes:
+            chain.append(_projector_factor(projector_pair(factors.pop()), axis))
         K = scan_compose(chain)
         kernels.append(KernelTensor(K.data[:c_out]) if c_out < c else K)
     return kernels
@@ -284,7 +283,9 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
         outer = _rko_kernels(width, co, s, s,
                              [_sub_seed(seed, 1 << 20) for seed in group_seeds], **kw)
         kernels = [block_conv_fast(B, A) for B, A in zip(outer, inner)]
-    K = KernelTensor(np.concatenate([K_q.data for K_q in kernels], axis=0), groups=g)
+    # one group's kernel is the layer's as built; groups are stacked once
+    K = kernels[0] if g == 1 else KernelTensor(
+        np.concatenate([K_q.data for K_q in kernels], axis=0), groups=g)
     tag = BranchTag(branch=branch, internal_width=width, group_seeds=group_seeds,
                     ordering=cfg.ordering)
     return K, tag

@@ -25,23 +25,31 @@ rejects any unknown "format" value or malformed field with ValueError.
 Most entries of an orthogonal kernel lie in [1e-4, 1), where the 17 digits
 are formatted in numpy (`_float_tokens`); the rest go through `format`.
 
-`read_kernel` reads the file's bytes, and a byte outside ASCII is a
-ValueError; `kernel_from_json` takes text or those bytes.  A document in
-the writer's layout (it starts with `{"data":[` and its first "]" is
-followed by ",") has its fields after the numbers parsed by `json.loads`,
-and its numbers parsed in numpy straight out of the bytes (`_data`): each
-token `-?0.` followed by 1..20 digits gets a candidate double, which is
-kept only when the writer's digit arithmetic (`_digits`) proves it to be
-what `float` gives the token (`_fraction_tokens`).  Every other token
-(zeros, |x| < 1e-4, |x| >= 1, integers, other float text, blanks) goes to
-one `json.loads` call.  Any other document, or one with a second "data"
-key, is read by `json.loads` whole.  Either way a document reads to the
-same array, bit for bit, as `json.loads` and `np.asarray` give, and the
-same documents are refused.
+`read_kernel` reads the file in blocks of `_BLOCK` bytes, and
+`kernel_from_json` runs the same loop (`_read`) over slices of its text or
+bytes; a byte outside ASCII is a ValueError.  A document in the writer's
+layout (it starts with `{"data":[` and its first "]" is followed by ",")
+has its numbers parsed in numpy straight out of each block (`_blocks`):
+each token `-?0.` followed by 1..20 digits gets a candidate double, which
+is kept only when the writer's digit arithmetic (`_digits`) proves it to be
+what `float` gives the token (`_fraction_tokens`).  The parser reads the 24
+bytes before each token's end, so the token a block ends inside is carried
+into the next block with those 24 bytes before it.  Every other token
+(zeros, |x| < 1e-4, |x| >= 1, integers, other float text, blanks) is kept
+as text and goes to one `json.loads` call, after the fields that follow
+the numbers are parsed by `json.loads`.  So a read holds one block, the
+arrays of its tokens, the values read so far and the text of the other
+tokens, and at the end the array and the kernel's copy of it: about twice
+the array, not the file's text, which is about 2.7 times the array.  Any
+other document, or one with a second "data" key, is read whole by
+`json.loads` (a file is read again from its start).  Either way a document
+reads to the same array, bit for bit, as `json.loads` and `np.asarray`
+give, and the same documents are refused with the same error.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from collections.abc import Iterator
@@ -60,6 +68,10 @@ _HEAD = b'{"data":['
 # and the reader is as fast at 8 192..32 768 (0.185-0.191 s for the 14
 # resnet_wide files)
 _CHUNK = 1 << 14
+# bytes read at a time: a block holds about 12 500 of the writer's tokens,
+# one `_CHUNK` pass; 64 KiB to 1 MiB blocks read the 14 resnet_wide files
+# in the same time
+_BLOCK = 1 << 18
 
 
 def _padded(texts, width: int, dtype) -> np.ndarray:
@@ -274,40 +286,6 @@ def _numbers(items: list) -> np.ndarray:
         raise ValueError("kernel data holds an integer beyond the float64 range") from None
 
 
-def _data(raw: bytes, stop: int) -> np.ndarray:
-    """The comma-separated JSON numbers raw[len(_HEAD):stop] as float64,
-    parsed by `_fraction_tokens` in passes of `_CHUNK` tokens and, where
-    that proves nothing, by one `json.loads`.  raw[stop + 1] must exist."""
-    b = np.frombuffer(raw, np.uint8)
-    # the 24 bytes at each offset (no copy)
-    windows = np.ndarray((len(raw) - 23,), np.dtype((np.void, 24)), raw, strides=(1,))
-    stops = np.flatnonzero(b[len(_HEAD):stop] == ord(","))
-    stops += len(_HEAD)
-    stops = np.append(stops, stop)
-    starts = np.empty_like(stops)
-    starts[0] = len(_HEAD)
-    starts[1:] = stops[:-1] + 1
-    out = np.empty(stops.size)
-    slow, pieces = [], []
-    for i in range(0, stops.size, _CHUNK):
-        a, z = starts[i:i + _CHUNK], stops[i:i + _CHUNK]
-        out[i:i + _CHUNK], proven = _fraction_tokens(b, windows, a, z)
-        unproven = np.flatnonzero(~proven)
-        if unproven.size:
-            slow.append(unproven + i)
-            pieces.append(_spans(b, a[unproven], z[unproven] + 1))
-    if slow:
-        slow = np.concatenate(slow)
-        text = b"".join(pieces)
-        # each token kept its "," (the last one maybe its "]")
-        items = _loads(b"[" + text[:-1] + b"]")
-        # an empty or blank token leaves the list one item short
-        if len(items) != slow.size:
-            raise ValueError("kernel data must be a flat list of numbers")
-        out[slow] = _numbers(items)
-    return out
-
-
 def _spans(b: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> bytes:
     """The bytes b[start:stop] of each span, joined."""
     lengths = stops - starts
@@ -344,22 +322,113 @@ def _kernel(data: np.ndarray, shape: list, groups: int) -> KernelTensor:
     return KernelTensor(data.reshape(shape), groups=groups)
 
 
+def _ascii(raw: bytes) -> bytes:
+    if not raw.isascii():
+        raise ValueError("a kernel file must be ASCII text")
+    return raw
+
+
+def _blocks(read) -> tuple[list, list, list, bytes] | None:
+    """The numbers of a writer-layout document, read by `read(n)` in
+    blocks of `_BLOCK` bytes: the value of each block's tokens, the index
+    and text (each with its "," or "]") of the tokens not proven, and the
+    text after "],", read to the end.  None if the document does not start
+    with `_HEAD` or its first "]" is not followed by ",".
+
+    A block's complete tokens are parsed at once; the token it ends
+    inside is carried into the next block with the 24 bytes before it,
+    which `_fraction_tokens` reads.  A token's last byte is searched for
+    "," again in the next block, so `b[stop + 1]` exists.  Only a non-ASCII
+    block raises here, so that error comes first, as for a whole read.
+    """
+    buf = _ascii(read(_BLOCK))
+    if len(buf) < 24 or not buf.startswith(_HEAD):
+        return None
+    # the first byte of the first unparsed token, and of the unsearched text
+    start = seen = len(_HEAD)
+    values, slow, pieces, n = [], [], [], 0
+    while True:
+        close = buf.find(b"]", seen)
+        last = 0 <= close < len(buf) - 1
+        if last and buf[close + 1] != ord(","):
+            return None
+        edge = close if last else len(buf) - 1
+        b = np.frombuffer(buf, np.uint8)
+        stops = np.flatnonzero(b[seen:edge] == ord(","))
+        stops += seen
+        if last:
+            stops = np.append(stops, close)
+        starts = np.empty_like(stops)
+        starts[:1] = start
+        starts[1:] = stops[:-1] + 1
+        # the 24 bytes at each offset (no copy)
+        windows = np.ndarray((len(buf) - 23,), np.dtype((np.void, 24)), buf, strides=(1,))
+        for i in range(0, stops.size, _CHUNK):
+            a, z = starts[i:i + _CHUNK], stops[i:i + _CHUNK]
+            v, proven = _fraction_tokens(b, windows, a, z)
+            unproven = np.flatnonzero(~proven)
+            if unproven.size:
+                slow.append(unproven + n + i)
+                pieces.append(_spans(b, a[unproven], z[unproven] + 1))
+            values.append(v)
+        if last:
+            return values, slow, pieces, _ascii(buf[close + 2:] + read())
+        n += stops.size
+        if stops.size:
+            start = int(stops[-1]) + 1
+        # a token longer than a block doubles the next read, so carrying it
+        # stays linear in its length
+        keep = max(start - 24, 0)
+        more = _ascii(read(max(_BLOCK, len(buf) - keep)))
+        if not more:
+            return None
+        buf = buf[keep:] + more
+        start -= keep
+        seen = edge - keep
+
+
+def _writer_layout(read) -> KernelTensor | None:
+    """The kernel of a document in the writer's layout (`_blocks`), or None
+    for any other document, one with a second "data" key included."""
+    streamed = _blocks(read)
+    if streamed is None:
+        return None
+    values, slow, pieces, rest = streamed
+    doc = _loads(b"{" + rest)
+    if "data" in doc:
+        return None
+    shape, groups = _fields(doc)
+    data = np.concatenate(values)
+    values.clear()  # copied
+    if slow:
+        slow = np.concatenate(slow)
+        text = b"".join(pieces)
+        # each token kept its "," (the last one maybe its "]")
+        items = _loads(b"[" + text[:-1] + b"]")
+        # an empty or blank token leaves the list one item short
+        if len(items) != slow.size:
+            raise ValueError("kernel data must be a flat list of numbers")
+        data[slow] = _numbers(items)
+    return _kernel(data, shape, groups)
+
+
+def _read(f) -> KernelTensor:
+    """The kernel of the okt-v1 document in the binary file `f`: a
+    writer-layout document block by block, any other read whole."""
+    K = _writer_layout(f.read)
+    if K is None:
+        f.seek(0)
+        K = _whole_document(_ascii(f.read()).decode("ascii"))
+    return K
+
+
 def kernel_from_json(text: str | bytes) -> KernelTensor:
     """The kernel of an okt-v1 document, given as text or as ASCII bytes."""
     if isinstance(text, str):
         if not text.isascii():
             return _whole_document(text)
         text = text.encode("ascii")
-    elif not text.isascii():
-        raise ValueError("a kernel file must be ASCII text")
-    stop = text.find(b"]")
-    if text.startswith(_HEAD) and text[stop + 1:stop + 2] == b",":
-        # the writer's layout: the fields after the numbers
-        doc = _loads(b"{" + text[stop + 2:])
-        if "data" not in doc:
-            shape, groups = _fields(doc)
-            return _kernel(_data(text, stop), shape, groups)
-    return _whole_document(text.decode("ascii"))
+    return _read(io.BytesIO(text))
 
 
 def _whole_document(text: str) -> KernelTensor:
@@ -379,4 +448,4 @@ def write_kernel(path, K: KernelTensor) -> None:
 
 def read_kernel(path) -> KernelTensor:
     with open(path, "rb") as f:
-        return kernel_from_json(f.read())
+        return _read(f)

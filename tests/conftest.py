@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,15 @@ def deeply_nested_documents(depth=100_000):
 @pytest.fixture
 def make_rng():
     return rng
+
+
+def traced_peak(fn):
+    """`fn()` and the peak of the memory it allocated, in bytes.  numpy
+    reports its buffers to tracemalloc, so the peak is the same every run."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

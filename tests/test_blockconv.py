@@ -14,7 +14,7 @@ from orthokernel import (
     sequential_compose,
     spec_for_kernel,
 )
-from conftest import random_kernel, rng
+from conftest import random_kernel, rng, traced_peak
 
 
 def test_identity_left_factor_is_neutral():
@@ -180,3 +180,12 @@ def test_transpose_antihomomorphism(seed):
     rhs = block_conv_fast(kernel_transpose(A), kernel_transpose(B))
     np.testing.assert_allclose(lhs.data, rhs.data, atol=1e-11)
 
+
+
+def test_block_conv_fast_holds_the_product_and_the_output():
+    # B's tap stack is gone before the output is made, and the product
+    # before the output is copied into its KernelTensor
+    B, A = random_kernel(256, 128, 2, 2, seed=1), random_kernel(128, 128, 2, 2, seed=2)
+    K, peak = traced_peak(lambda: block_conv_fast(B, A))
+    product = 2 * 2 * 256 * (128 * 2 * 2) * 8
+    assert peak <= product + K.data.nbytes + 2 ** 18

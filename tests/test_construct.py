@@ -37,7 +37,7 @@ from orthokernel import (
 )
 from orthokernel.construct import ORDERINGS
 from orthokernel.orthogonalize import SCHEMES
-from conftest import random_kernel, rng
+from conftest import random_kernel, rng, traced_peak
 from oracles import aoc_kernel_per_group
 
 
@@ -461,6 +461,15 @@ def _sha256(K: KernelTensor) -> str:
     head = f"{K.data.dtype.str} {K.data.shape} {K.groups}\n".encode()
     return hashlib.sha256(head + K.data.tobytes()).hexdigest()
 
+
+
+def test_aoc_kernel_peak_memory_on_a_wide_strided_layer():
+    # 128->256 k3 s2 is branch "d": its peak is the final fusion's product
+    # (4 MiB) and output (the kernel, 2.25 MiB) beside the two factors; the
+    # single group's kernel is returned as built, not stacked and copied
+    (K, tag), peak = traced_peak(lambda: aoc_kernel(AocConfig(ConvSpec(128, 256, 3, 3, stride=2))))
+    assert tag.branch == "d"
+    assert peak <= 4 * K.data.nbytes
 
 @pytest.mark.parametrize("case", sorted(PINNED_SHA256))
 def test_aoc_kernel_bytes_pinned(case):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import struct
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from orthokernel import KernelTensor, kernel_from_json, kernel_to_json, read_kernel, write_kernel
 from orthokernel import kernel_io
 from orthokernel.kernel_io import _CHUNK
-from conftest import deeply_nested_documents, random_kernel, rng
+from conftest import deeply_nested_documents, random_kernel, rng, traced_peak
 from oracles import format_floats_ref, read_floats_ref
 
 
@@ -86,14 +87,17 @@ def writer_layout(body: str, n: int) -> str:
             f'"order":"row-major","shape":[{n},1,1,1]}}')
 
 
-@pytest.mark.parametrize("body, n", [
+_BAD_BODIES = [
     ("0.5,,0.5", 3), ("0.5,,0.5", 2), ("0.5,0.25,", 3), ("0.5,0.25,", 2), ("", 1), (" ", 1),
     ("0.5, ", 2), ("+0.5", 1), (".5", 1), ("01", 1), ("0x1", 1), ("0x5", 1), ("005", 1),
     ("-0.", 1), ("0.5e", 1), ("0.5p", 1), ("0.4:", 1), ("0.25/", 1),
     ('"0.5"', 1), ('"0.5,0.25"', 2), ("true", 1), ("0.5,false", 2), ("null", 1),
     ("[0.5]", 1), ("0.5,[0.25]", 2), ('{"a":0.5}', 1), ("1e400", 1), ("-1e400", 1),
     ("NaN", 1), ("Infinity", 1), ("0.5,-Infinity", 2),
-])
+]
+
+
+@pytest.mark.parametrize("body, n", _BAD_BODIES)
 def test_malformed_data_rejected_in_writer_layout(body, n):
     # first, and after a token that ends more than 24 bytes into the file
     for text in (writer_layout(body, n), writer_layout("0.12345678901234566," + body, n + 1)):
@@ -313,6 +317,76 @@ def test_read_across_chunk_boundaries(n):
             tokens[i] = token
     assert_read_like_oracle(writer_layout(",".join(tokens), len(tokens)))
 
+
+
+@pytest.mark.parametrize("block", [32, 64, kernel_io._BLOCK])
+def test_read_across_block_edges(monkeypatch, block):
+    # each step of the first token's length moves the rest of the document
+    # one byte, so a block edge falls at every byte of the 24 before a
+    # token's end, on its "," and on the "]"; the one-token documents keep
+    # the "]" in the first block
+    monkeypatch.setattr(kernel_io, "_BLOCK", block)
+    slow = []
+    real = kernel_io._numbers
+    monkeypatch.setattr(kernel_io, "_numbers", lambda items: slow.extend(items) or real(items))
+    # a little over one block of tokens
+    x = 0.05 * rng(block).standard_normal(max(8, block // 18))
+    tokens = [format(v, ".17") for v in x.tolist()]
+    tokens[1::7] = ["1e-05"] * len(tokens[1::7])  # tokens for json.loads among them
+    # short tokens, proven only with all of the 24 bytes before their end
+    tokens[3::11] = ["0.5"] * len(tokens[3::11])
+    tokens[5::13] = ["-0.25"] * len(tokens[5::13])
+    unproven = [json.loads(t) for t in tokens if not _proven(t)]
+    for m in range(48):
+        first = "1" + "0" * m
+        for doc, want in (([first], [int(first)]), ([first] + tokens, [int(first)] + unproven)):
+            text = writer_layout(",".join(doc), len(doc))
+            slow.clear()
+            assert kernel_io._writer_layout(io.BytesIO(text.encode()).read) is not None
+            # the numpy parser proves the same tokens as in one block
+            assert slow == want
+            assert_read_like_oracle(text)
+        # empty and "-" tokens, whose parse reads the byte after their ","
+        bad = writer_layout(",".join([first] + ["", "-"] * 40), 81)
+        for document in (bad, bad.encode()):
+            with pytest.raises(ValueError):
+                kernel_from_json(document)
+
+
+def test_read_kernel_reads_as_kernel_from_json_of_the_file(tmp_path):
+    # the file is read block by block, the bytes from memory: the same
+    # kernel, or both refused
+    base = json.loads(kernel_to_json(random_kernel(2, 2, 1, 1)))
+    documents = [writer_layout(body, n) for body, n in _BAD_BODIES]
+    for mutate in _MUTATIONS:
+        doc = dict(base)
+        mutate(doc)
+        documents += [json.dumps(doc), json.dumps(doc, sort_keys=True, separators=(",", ":"))]
+    path = tmp_path / "k.okt"
+    for text in documents:
+        path.write_text(text)
+        assert _outcome(read_kernel, path) == _outcome(kernel_from_json, path.read_bytes())
+
+
+def test_shape_claiming_more_entries_than_held_rejected(tmp_path):
+    text = writer_layout("0.5,0.25", 2).replace("[2,1,1,1]", "[100000,100000,3,3]")
+    path = tmp_path / "k.okt"
+    path.write_text(text)
+    for read, document in ((kernel_from_json, text), (kernel_from_json, text.encode()),
+                           (read_kernel, path)):
+        with pytest.raises(ValueError, match="does not match shape"):
+            read(document)
+
+
+def test_read_peak_memory_is_bounded_by_the_array(tmp_path):
+    # the reader holds a block of text, its tokens' arrays, the values read
+    # so far and, at the end, the array and the kernel's copy of it
+    K = random_kernel(256, 128, 3, 3, seed=5, scale=0.05)
+    path = tmp_path / "k.okt"
+    write_kernel(path, K)
+    back, peak = traced_peak(lambda: read_kernel(path))
+    assert back.data.tobytes() == K.data.tobytes()
+    assert peak <= 3 * K.data.nbytes + 2 ** 21
 
 def _proven(token: str) -> bool:
     """Whether the numpy parser keeps `token`: it is -?0.<1..20 digits>
