@@ -12,13 +12,13 @@ of B: one matrix product (a single BLAS GEMM) multiplies every tap's
 channel matrix with all of A at once, and each tap's product is then added
 into the output at spatial offset (u, v).  It sums in a different order
 than the loop, so the two agree to rounding (1e-12 in the tests), not bit
-for bit.  The call holds at most the product and the output at once: the
-stack of B's taps is dropped when the product is made, and the product
-before the output is copied into its KernelTensor.  One GEMM per tap would
-hold only one tap's product, but BLAS does not round a GEMM's rows the
-same in a smaller product (OpenBLAS picks its kernel by the operand
-shapes, and numpy sends a one-row product to GEMV), so the fused kernels'
-bytes would change.
+for bit.  The call holds two large arrays at a time: the stack of B's taps
+and the product, then the product and the output, then the output and
+its KernelTensor's copy.  One GEMM per tap would hold one tap's product
+instead of all of them, but BLAS does not round a GEMM's rows the same in
+a smaller product (OpenBLAS picks its kernel by the operand shapes, and
+numpy sends a one-row product to GEMV), so fused kernels' bytes would
+change.
 
 Under the centred tap convention, applying the fused kernel matches the
 two-step application exactly whenever at most one of the two sizes is even

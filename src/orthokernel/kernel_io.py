@@ -342,10 +342,11 @@ def _blocks(read) -> tuple[list, list, list, bytes] | None:
     block raises here, so that error comes first, as for a whole read.
     """
     buf = _ascii(read(_BLOCK))
-    if len(buf) < 24 or not buf.startswith(_HEAD):
+    if not buf.startswith(_HEAD):
         return None
     # the first byte of the first unparsed token, and of the unsearched text
     start = seen = len(_HEAD)
+    # n counts the tokens of the blocks before
     values, slow, pieces, n = [], [], [], 0
     while True:
         close = buf.find(b"]", seen)
@@ -361,8 +362,10 @@ def _blocks(read) -> tuple[list, list, list, bytes] | None:
         starts = np.empty_like(stops)
         starts[:1] = start
         starts[1:] = stops[:-1] + 1
-        # the 24 bytes at each offset (no copy)
-        windows = np.ndarray((len(buf) - 23,), np.dtype((np.void, 24)), buf, strides=(1,))
+        # the 24 bytes at each offset (no copy), with blanks after a
+        # document shorter than that
+        padded = buf.ljust(24)
+        windows = np.ndarray((len(padded) - 23,), np.dtype((np.void, 24)), padded, strides=(1,))
         for i in range(0, stops.size, _CHUNK):
             a, z = starts[i:i + _CHUNK], stops[i:i + _CHUNK]
             v, proven = _fraction_tokens(b, windows, a, z)
@@ -387,39 +390,30 @@ def _blocks(read) -> tuple[list, list, list, bytes] | None:
         seen = edge - keep
 
 
-def _writer_layout(read) -> KernelTensor | None:
-    """The kernel of a document in the writer's layout (`_blocks`), or None
-    for any other document, one with a second "data" key included."""
-    streamed = _blocks(read)
-    if streamed is None:
-        return None
-    values, slow, pieces, rest = streamed
-    doc = _loads(b"{" + rest)
-    if "data" in doc:
-        return None
-    shape, groups = _fields(doc)
-    data = np.concatenate(values)
-    values.clear()  # copied
-    if slow:
-        slow = np.concatenate(slow)
-        text = b"".join(pieces)
-        # each token kept its "," (the last one maybe its "]")
-        items = _loads(b"[" + text[:-1] + b"]")
-        # an empty or blank token leaves the list one item short
-        if len(items) != slow.size:
-            raise ValueError("kernel data must be a flat list of numbers")
-        data[slow] = _numbers(items)
-    return _kernel(data, shape, groups)
-
-
 def _read(f) -> KernelTensor:
     """The kernel of the okt-v1 document in the binary file `f`: a
-    writer-layout document block by block, any other read whole."""
-    K = _writer_layout(f.read)
-    if K is None:
-        f.seek(0)
-        K = _whole_document(_ascii(f.read()).decode("ascii"))
-    return K
+    writer-layout document block by block (`_blocks`), any other read
+    whole, one with a second "data" key included."""
+    streamed = _blocks(f.read)
+    if streamed is not None:
+        values, slow, pieces, rest = streamed
+        doc = _loads(b"{" + rest)
+        if "data" not in doc:
+            shape, groups = _fields(doc)
+            data = np.concatenate(values)
+            values.clear()  # copied: free them before the kernel copies `data`
+            if slow:
+                slow = np.concatenate(slow)
+                text = b"".join(pieces)
+                # each token kept its "," (the last one maybe its "]")
+                items = _loads(b"[" + text[:-1] + b"]")
+                # an empty or blank token leaves the list one item short
+                if len(items) != slow.size:
+                    raise ValueError("kernel data must be a flat list of numbers")
+                data[slow] = _numbers(items)
+            return _kernel(data, shape, groups)
+    f.seek(0)
+    return _whole_document(_ascii(f.read()).decode("ascii"))
 
 
 def kernel_from_json(text: str | bytes) -> KernelTensor:

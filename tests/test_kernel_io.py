@@ -341,8 +341,9 @@ def test_read_across_block_edges(monkeypatch, block):
         first = "1" + "0" * m
         for doc, want in (([first], [int(first)]), ([first] + tokens, [int(first)] + unproven)):
             text = writer_layout(",".join(doc), len(doc))
+            assert kernel_io._blocks(io.BytesIO(text.encode()).read) is not None
             slow.clear()
-            assert kernel_io._writer_layout(io.BytesIO(text.encode()).read) is not None
+            kernel_from_json(text.encode())
             # the numpy parser proves the same tokens as in one block
             assert slow == want
             assert_read_like_oracle(text)
@@ -377,6 +378,14 @@ def test_shape_claiming_more_entries_than_held_rejected(tmp_path):
         with pytest.raises(ValueError, match="does not match shape"):
             read(document)
 
+
+
+def test_document_shorter_than_a_token_window_is_refused_by_its_fields():
+    # shorter than the 24 bytes the numpy parser reads before a token's end
+    for text, error in (('{"data":[0.5],"x":1}', "format None"), ('{"data":[0.5],', "char 1")):
+        for document in (text, text.encode()):
+            with pytest.raises(ValueError, match=error):
+                kernel_from_json(document)
 
 def test_read_peak_memory_is_bounded_by_the_array(tmp_path):
     # the reader holds a block of text, its tokens' arrays, the values read
