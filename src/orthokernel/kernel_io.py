@@ -442,4 +442,5 @@ def write_kernel(path, K: KernelTensor) -> None:
 
 def read_kernel(path) -> KernelTensor:
     with open(path, "rb") as f:
-        return _read(f)
+        # a pipe cannot be read again from its start: read it whole
+        return _read(f if f.seekable() else io.BytesIO(f.read()))

@@ -1,8 +1,10 @@
 import io
 import json
 import math
+import os
 import struct
 import tempfile
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -368,6 +370,23 @@ def test_read_kernel_reads_as_kernel_from_json_of_the_file(tmp_path):
         path.write_text(text)
         assert _outcome(read_kernel, path) == _outcome(kernel_from_json, path.read_bytes())
 
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_kernel_reads_a_pipe(tmp_path):
+    # a pipe cannot be rewound for a document outside the writer's layout
+    K = random_kernel(3, 2, 2, 2, seed=4)
+    path = tmp_path / "k.fifo"
+    os.mkfifo(path)
+    for text in (kernel_to_json(K), json.dumps(json.loads(kernel_to_json(K)))):
+        writer = threading.Thread(target=path.write_text, args=(text,))
+        writer.start()
+        try:
+            back = read_kernel(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert back.data.tobytes() == K.data.tobytes()
 
 def test_shape_claiming_more_entries_than_held_rejected(tmp_path):
     text = writer_layout("0.5,0.25", 2).replace("[2,1,1,1]", "[100000,100000,3,3]")
