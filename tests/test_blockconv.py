@@ -181,7 +181,6 @@ def test_transpose_antihomomorphism(seed):
     np.testing.assert_allclose(lhs.data, rhs.data, atol=1e-11)
 
 
-
 def test_block_conv_fast_holds_the_product_and_the_output():
     # B's tap stack is gone before the output is made, and the product
     # before the output is copied into its KernelTensor

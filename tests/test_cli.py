@@ -204,7 +204,6 @@ def test_non_ascii_or_bool_writer_layout_file_exit_2(tmp_path, capsys, command):
         assert err.startswith("invalid input: ") and err.count("\n") == 1
 
 
-
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
 def test_shape_claiming_more_entries_than_held_exit_2(tmp_path, capsys, command):
     path = tmp_path / "k.okt"
@@ -213,6 +212,7 @@ def test_shape_claiming_more_entries_than_held_exit_2(tmp_path, capsys, command)
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and err.count("\n") == 1
+
 
 def test_verify_wide_strided_layer(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", c_in=64, c_out=128, seed=0)

@@ -462,7 +462,6 @@ def _sha256(K: KernelTensor) -> str:
     return hashlib.sha256(head + K.data.tobytes()).hexdigest()
 
 
-
 def test_aoc_kernel_peak_memory_on_a_wide_strided_layer():
     # 128->256 k3 s2 is branch "d": its peak is the final fusion's product
     # (4 MiB) and output (the kernel, 2.25 MiB) beside the two factors; the
@@ -470,6 +469,7 @@ def test_aoc_kernel_peak_memory_on_a_wide_strided_layer():
     (K, tag), peak = traced_peak(lambda: aoc_kernel(AocConfig(ConvSpec(128, 256, 3, 3, stride=2))))
     assert tag.branch == "d"
     assert peak <= 4 * K.data.nbytes
+
 
 @pytest.mark.parametrize("case", sorted(PINNED_SHA256))
 def test_aoc_kernel_bytes_pinned(case):

@@ -320,7 +320,6 @@ def test_read_across_chunk_boundaries(n):
     assert_read_like_oracle(writer_layout(",".join(tokens), len(tokens)))
 
 
-
 @pytest.mark.parametrize("block", [32, 64, kernel_io._BLOCK])
 def test_read_across_block_edges(monkeypatch, block):
     # each step of the first token's length moves the rest of the document
@@ -371,7 +370,6 @@ def test_read_kernel_reads_as_kernel_from_json_of_the_file(tmp_path):
         assert _outcome(read_kernel, path) == _outcome(kernel_from_json, path.read_bytes())
 
 
-
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_read_kernel_reads_a_pipe(tmp_path):
     # a pipe cannot be rewound for a document outside the writer's layout
@@ -388,6 +386,7 @@ def test_read_kernel_reads_a_pipe(tmp_path):
         assert not writer.is_alive()
         assert back.data.tobytes() == K.data.tobytes()
 
+
 def test_shape_claiming_more_entries_than_held_rejected(tmp_path):
     text = writer_layout("0.5,0.25", 2).replace("[2,1,1,1]", "[100000,100000,3,3]")
     path = tmp_path / "k.okt"
@@ -398,13 +397,13 @@ def test_shape_claiming_more_entries_than_held_rejected(tmp_path):
             read(document)
 
 
-
 def test_document_shorter_than_a_token_window_is_refused_by_its_fields():
     # shorter than the 24 bytes the numpy parser reads before a token's end
     for text, error in (('{"data":[0.5],"x":1}', "format None"), ('{"data":[0.5],', "char 1")):
         for document in (text, text.encode()):
             with pytest.raises(ValueError, match=error):
                 kernel_from_json(document)
+
 
 def test_read_peak_memory_is_bounded_by_the_array(tmp_path):
     # the reader holds a block of text, its tokens' arrays, the values read
@@ -415,6 +414,7 @@ def test_read_peak_memory_is_bounded_by_the_array(tmp_path):
     back, peak = traced_peak(lambda: read_kernel(path))
     assert back.data.tobytes() == K.data.tobytes()
     assert peak <= 3 * K.data.nbytes + 2 ** 21
+
 
 def _proven(token: str) -> bool:
     """Whether the numpy parser keeps `token`: it is -?0.<1..20 digits>
