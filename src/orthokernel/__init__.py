@@ -12,16 +12,15 @@ from .tensor_core import (
     UnsupportedConfigError,
     conv2d_ref,
     conv2d_transpose_ref,
-    conv_operator_norm,
     identity_kernel,
     kernel_transpose,
-    product_bound,
     spec_for_kernel,
 )
 from .kernel_io import read_kernel, write_kernel, kernel_to_json, kernel_from_json
 from .blockconv import (
     block_conv_fast,
     block_conv_naive,
+    product_bound,
     scan_compose,
     sequential_compose,
 )

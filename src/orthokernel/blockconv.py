@@ -24,15 +24,19 @@ Under the centred tap convention, applying the fused kernel matches the
 two-step application exactly whenever at most one of the two sizes is even
 per axis; an even-by-even fusion differs by a one-pixel circular shift
 (which leaves singular values and orthogonality untouched).
+
+`product_bound` bounds the operator norm of a chain at every image size
+from each factor's Gram kernel, which it fuses here.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from .tensor_core import KernelTensor
+from .tensor_core import KernelTensor, kernel_transpose
 
 def _require_compat(A: KernelTensor, B: KernelTensor):
     """Refuse unless B can be applied after A: both ungrouped, and B's
@@ -117,3 +121,31 @@ def scan_compose(chain: Sequence[KernelTensor]) -> KernelTensor:
         carry = [firsts.pop()] if len(firsts) > len(seconds) else []
         level = [block_conv_fast(B, A) for A, B in zip(firsts, seconds)] + carry
     return level[0]
+
+
+def product_bound(factors: Sequence[KernelTensor]) -> float:
+    """Upper bound on the spectral norm of a fused chain's circular
+    operator at every image size, stride and dilation: the product of the
+    factors' bounds, each 1 (to rounding) for an orthogonal factor.
+
+    A factor's bound is sqrt(sum over taps (i, j) of ||G[:, :, i, j]||_2),
+    with G = K . K^T its Gram kernel on the smaller channel side (K^T . K
+    when c_out > c_in): ||T||^2 = ||T T^T||, and T T^T is, up to a
+    circular shift, the sum of each tap's channel matrix times a shift.
+    A grouped factor's operator is block-diagonal over its groups, so its
+    bound is the largest group's.
+    """
+    if len(factors) == 0:
+        raise ValueError("product bound of an empty chain")
+    bound = 1.0
+    for K in factors:
+        groups = K.data.reshape(K.groups, -1, *K.shape[1:])
+        bound *= max(_gram_bound(KernelTensor(data)) for data in groups)
+    return bound
+
+
+def _gram_bound(K: KernelTensor) -> float:
+    """One ungrouped factor's bound, as `product_bound` defines it."""
+    Kt = kernel_transpose(K)
+    G = block_conv_fast(K, Kt) if K.c_out <= K.c_in else block_conv_fast(Kt, K)
+    return math.sqrt(np.linalg.norm(G.data.transpose(2, 3, 0, 1), 2, axis=(-2, -1)).sum())

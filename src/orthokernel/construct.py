@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blockconv import block_conv_fast, scan_compose
+from .blockconv import block_conv_fast, product_bound, scan_compose
 from .orthogonalize import (
     DEFAULT_BETA,
     DEFAULT_ITERS,
@@ -42,7 +42,6 @@ from .tensor_core import (
     _check_kernel_spec,
     identity_kernel,
     kernel_transpose,
-    product_bound,
 )
 
 ORDERINGS = ("bcop", "scfac")
@@ -330,8 +329,10 @@ def soc_explicit_kernel(K: KernelTensor, terms: int = 12) -> KernelTensor:
     computed by accumulating successive fused powers; all terms are
     centre-aligned, so one convolution with E equals applying the truncated
     series term by term.  The result spans terms*(k-1)+1 per axis.  For a
-    skew-symmetrized odd-size kernel of operator norm <= 1 the result is
-    orthogonal up to the series tail.
+    skew-symmetrized odd-size kernel of operator norm <= 1, such as
+    `soc_normalized_skew` gives, every singular value of the result's
+    operator, at every image size, lies within the series tail
+    sum_{t > terms} 1/t! of 1.
     """
     if K.c_in != K.c_out:
         raise ValueError("exponential of a kernel needs square channel counts")
@@ -352,9 +353,9 @@ def soc_explicit_kernel(K: KernelTensor, terms: int = 12) -> KernelTensor:
 
 
 def soc_normalized_skew(K: KernelTensor) -> KernelTensor:
-    """Skew-symmetrize a square-channel kernel and scale it under the quick
-    spectral product bound, so its circular operator has norm <= ~1 and the
-    truncated exponential converges fast."""
+    """Skew-symmetrize a square-channel kernel and divide it by its
+    `product_bound`, so its circular operator has norm <= 1 at every image
+    size and the truncated exponential converges fast."""
     S = skew_symmetrize_kernel(K)
     bound = product_bound([S])
     if bound == 0.0:

@@ -33,8 +33,9 @@ has its numbers parsed in numpy straight out of each block (`_blocks`):
 each token `-?0.` followed by 1..20 digits gets a candidate double, which
 is kept only when the writer's digit arithmetic (`_digits`) proves it to be
 what `float` gives the token (`_fraction_tokens`).  The parser reads the 24
-bytes before each token's end, so the token a block ends inside is carried
-into the next block with those 24 bytes before it.  Every other token
+bytes before each token's end: the first block has 24 filler bytes put
+before it, and the token a block ends inside is carried into the next
+block with those 24 bytes before it.  Every other token
 (zeros, |x| < 1e-4, |x| >= 1, integers, other float text, blanks) is kept
 as text and goes to one `json.loads` call, after the fields that follow
 the numbers are parsed by `json.loads`.  So a read holds one block, the
@@ -230,21 +231,20 @@ def _fraction_tokens(b: np.ndarray, windows: np.ndarray, starts: np.ndarray,
     when 1e-4 <= c < 1 and `_digits(c)` is D with zeros appended, N = D *
     10^(q - F): then the 17 digits of c denote the token's value, and 17
     digits read back to the double they were taken from.  `b[stop + 1]`
-    must exist.
+    must exist, and so must the 24 bytes before each stop; their content
+    before the digits does not matter.
     """
     negative = b[starts] == ord("-")
     zero = starts + negative
     f = stops - zero - 2
-    # a token that ends fewer than 24 bytes into the file is left to json.loads
-    proven = ((b[zero] == ord("0")) & (b[zero + 1] == ord(".")) & (f >= 1) & (f <= 20)
-              & (stops >= 24))
+    proven = (b[zero] == ord("0")) & (b[zero + 1] == ord(".")) & (f >= 1) & (f <= 20)
     f[~proven] = 1
     # the 24 bytes before the stop as three little-endian words, one row
     # per word (row-wise numpy steps ran faster than strided ones), with
     # the bytes before the F digits set to "0"; the first word must hold
     # D // 10^16 < 10
     n = np.clip(f - _WORD_GAP, 0, 8)
-    w = windows[np.maximum(stops - 24, 0)].view("<u8").reshape(-1, 3).T.copy()
+    w = windows[stops - 24].view("<u8").reshape(-1, 3).T.copy()
     w &= _KEEP[n]
     w |= _FILL[n]
     value, digits = _eight_digits(w)
@@ -335,17 +335,19 @@ def _blocks(read) -> tuple[list, list, list, bytes] | None:
     text after "],", read to the end.  None if the document does not start
     with `_HEAD` or its first "]" is not followed by ",".
 
-    A block's complete tokens are parsed at once; the token it ends
-    inside is carried into the next block with the 24 bytes before it,
-    which `_fraction_tokens` reads.  A token's last byte is searched for
+    A block's complete tokens are parsed at once, each with the 24 bytes
+    before its end, which `_fraction_tokens` reads: 24 filler bytes go
+    before the first block, and the token a block ends inside is carried
+    into the next block with the 24 bytes before it.  A token's last byte is searched for
     "," again in the next block, so `b[stop + 1]` exists.  Only a non-ASCII
     block raises here, so that error comes first, as for a whole read.
     """
     buf = _ascii(read(_BLOCK))
     if not buf.startswith(_HEAD):
         return None
+    buf = b"0" * 24 + buf
     # the first byte of the first unparsed token, and of the unsearched text
-    start = seen = len(_HEAD)
+    start = seen = 24 + len(_HEAD)
     # n counts the tokens of the blocks before
     values, slow, pieces, n = [], [], [], 0
     while True:
@@ -362,10 +364,8 @@ def _blocks(read) -> tuple[list, list, list, bytes] | None:
         starts = np.empty_like(stops)
         starts[:1] = start
         starts[1:] = stops[:-1] + 1
-        # the 24 bytes at each offset (no copy), with blanks after a
-        # document shorter than that
-        padded = buf.ljust(24)
-        windows = np.ndarray((len(padded) - 23,), np.dtype((np.void, 24)), padded, strides=(1,))
+        # the 24 bytes at each offset (no copy)
+        windows = np.ndarray((len(buf) - 23,), np.dtype((np.void, 24)), buf, strides=(1,))
         for i in range(0, stops.size, _CHUNK):
             a, z = starts[i:i + _CHUNK], stops[i:i + _CHUNK]
             v, proven = _fraction_tokens(b, windows, a, z)
@@ -381,7 +381,7 @@ def _blocks(read) -> tuple[list, list, list, bytes] | None:
             start = int(stops[-1]) + 1
         # a token longer than a block doubles the next read, so carrying it
         # stays linear in its length
-        keep = max(start - 24, 0)
+        keep = start - 24
         more = _ascii(read(max(_BLOCK, len(buf) - keep)))
         if not more:
             return None

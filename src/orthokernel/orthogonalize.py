@@ -9,11 +9,10 @@ Gram side (W W^T for wide matrices, W^T W for tall ones).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tensor_core import _power_iteration
 
 SCHEMES = ("bjorck", "qr_mgs", "cayley", "exponential", "cholesky")
 
@@ -45,10 +44,25 @@ def sample_params(shape, seed) -> np.ndarray:
 
 def power_iteration_norm(W: np.ndarray, iters: int = 50, tol: float = 1e-6) -> float:
     """Spectral norm estimate by power iteration on W^T W, started from
-    the normalized all-ones vector."""
+    the normalized all-ones vector.  A step's estimate is the norm of the
+    product the next step starts from; `math.sqrt(v.dot(v))` is what
+    `np.linalg.norm` computes for a real vector, bit for bit."""
     W = np.asarray(W, dtype=np.float64)
     n = W.shape[1]
-    sigma = _power_iteration(W.dot, W.T.dot, np.ones(n) / np.sqrt(n), iters, tol)
+    x = np.ones(n) / np.sqrt(n)
+    y = W.dot(x)
+    sigma, sigma_next = 0.0, math.sqrt(y.dot(y))
+    for _ in range(iters):
+        if sigma_next == 0.0:
+            break
+        x = W.T.dot(y)
+        x /= math.sqrt(x.dot(x))
+        y = W.dot(x)
+        sigma_next = math.sqrt(y.dot(y))
+        converged = abs(sigma_next - sigma) <= tol * max(sigma_next, 1.0)
+        sigma = sigma_next
+        if converged:
+            break
     if sigma == 0.0:
         raise ValueError("power iteration on a zero (or nilpotent-direction) matrix")
     return sigma

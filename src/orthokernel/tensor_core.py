@@ -9,10 +9,7 @@ to the pixels they read.  Both walk the taps through one iterator,
 (`_tap_major`, one contiguous copy per call) so a tap's GEMM reads a
 contiguous block, and the input rows and columns the tap reads; the
 adjoint adds a tap by gathering its product in target order into one
-stride phase of the output.  The matrix-free spectral-norm
-estimates `conv_operator_norm` and `product_bound` live here too, since
-they need nothing but these two operators; their power iteration loop,
-`_power_iteration`, also serves `orthogonalize.power_iteration_norm`.
+stride phase of the output.
 
 Index convention, fixed once for the whole package
 --------------------------------------------------
@@ -35,9 +32,7 @@ skew-symmetric operator.  Neither identity holds for any uncentred origin.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -281,56 +276,6 @@ def conv2d_transpose_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.n
         y_phases[..., rows[0] % s, :, cols[0] % s] += \
             contrib[..., inv_r[:, None], inv_c[None, :]]
     return y.reshape(*lead, spec.c_in, ho * s, wo * s)
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a contiguous array: what `np.linalg.norm` computes
-    for real input, bit for bit, without its dispatch."""
-    v = v.ravel()
-    return math.sqrt(v.dot(v))
-
-
-def _power_iteration(apply, apply_t, x: np.ndarray, iters: int, tol: float) -> float:
-    """Largest singular value of the linear map `apply` (adjoint `apply_t`)
-    by power iteration from the unit vector x; 0.0 if an iterate vanishes.
-    A step's estimate is the norm of the product the next step starts from."""
-    y = apply(x)
-    sigma_next = _norm(y)
-    sigma = 0.0
-    for _ in range(iters):
-        if sigma_next == 0.0:
-            return 0.0
-        x = apply_t(y)
-        x /= _norm(x)
-        y = apply(x)
-        sigma_next = _norm(y)
-        if abs(sigma_next - sigma) <= tol * max(sigma_next, 1.0):
-            return float(sigma_next)
-        sigma = sigma_next
-    return float(sigma)
-
-
-def conv_operator_norm(K: KernelTensor, spec: ConvSpec, h: int = 8, w: int = 8,
-                       iters: int = 100, tol: float = 1e-9) -> float:
-    """Spectral norm of the strided circular operator at the given image
-    size, by power iteration with the exact adjoint (matrix-free)."""
-    rng = np.random.Generator(np.random.PCG64(12345))
-    x = rng.standard_normal((spec.c_in, h, w))
-    x /= np.linalg.norm(x)
-    return _power_iteration(lambda v: conv2d_ref(K, v, spec),
-                            lambda u: conv2d_transpose_ref(K, u, spec), x, iters, tol)
-
-
-def product_bound(factors: Sequence[KernelTensor], h: int = 8, w: int = 8) -> float:
-    """Fast upper bound for the spectral norm of a fused chain: the product
-    of per-factor spectral-norm estimates at desk scale.  Tight for chains
-    of orthogonal factors, loose otherwise."""
-    if len(factors) == 0:
-        raise ValueError("product bound of an empty chain")
-    bound = 1.0
-    for K in factors:
-        bound *= conv_operator_norm(K, spec_for_kernel(K), h, w)
-    return bound
 
 
 def kernel_transpose(K: KernelTensor) -> KernelTensor:

@@ -36,11 +36,6 @@ Their unit impulses go through the reference operator stacked as batches
 `_IMPULSE_BATCH_ENTRIES`), so a matrix takes a few calls, not one per
 column; a batched call gives each image the same bits as a single one.
 
-This module sits above `construct`: the grid builds its kernels with
-`aoc_kernel`, and construction never calls back into verification (the
-matrix-free norm estimate it needs, `product_bound`, lives in
-`tensor_core`).
-
 The grid at the bottom mirrors a unit-test bank over convolution
 configurations: common CNN shapes, extended strided ones, even kernel
 sizes, depthwise with k = s, kernel-size-equals-stride, grouped, dilated,

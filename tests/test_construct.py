@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from orthokernel import (
     conv2d_transpose_ref,
     identity_kernel,
     kernel_transpose,
+    polyphase_spectrum,
     rko_kernel,
     roundtrip_check,
     scfac_kernel,
@@ -375,6 +377,23 @@ def test_soc_18_terms_spectrum_flat():
     assert rep.passed
 
 
+@pytest.mark.parametrize("size", [8, 16, 32])
+def test_soc_normalized_skew_norm_at_most_one(size):
+    S = soc_normalized_skew(random_kernel(4, 4, 5, 5, seed=1))
+    assert polyphase_spectrum(S, spec_for_kernel(S), size, size).max() <= 1.0
+
+
+@pytest.mark.parametrize("size", [8, 16, 32])
+def test_soc_six_terms_within_series_tail(size):
+    # exp(S) is orthogonal for a skew S, and ||S|| <= 1 bounds the rest of
+    # the series by its tail
+    S = soc_normalized_skew(random_kernel(4, 4, 5, 5, seed=1))
+    E = soc_explicit_kernel(S, terms=6)
+    tail = sum(1.0 / math.factorial(t) for t in range(7, 30))
+    sv = polyphase_spectrum(E, spec_for_kernel(E), size, size)
+    assert np.max(np.abs(sv - 1.0)) <= tail
+
+
 def test_soc_rejects_bad_inputs():
     with pytest.raises(ValueError):
         soc_explicit_kernel(random_kernel(2, 3, 3, 3, seed=0), terms=3)
@@ -454,7 +473,7 @@ PINNED_SHA256 = {
     "scfac": (ConvSpec(4, 8, 3, 3), "scfac", "a",
               "2fa90fa1902db02f2f0837a171fadeb2def7219bbcf41041bf626184d5004da8"),
 }
-SOC_SKEW_SHA256 = "0b80426709b3ad0031aee8901be82e827056f0446b98368ffa6d7c7a36ec56ca"
+SOC_SKEW_SHA256 = "d0cec0f679b70747a4e8e273bec595425cb646afe5dfe484f133bfb77115919b"
 
 
 def _sha256(K: KernelTensor) -> str:
@@ -480,7 +499,7 @@ def test_aoc_kernel_bytes_pinned(case):
 
 
 def test_soc_normalized_skew_bytes_pinned():
-    # the scale comes from the shared power iteration (`conv_operator_norm`)
+    # the scale is `product_bound`, the Gram-kernel bound
     S = soc_normalized_skew(random_kernel(4, 4, 3, 3, seed=2))
     assert _sha256(S) == SOC_SKEW_SHA256
 
