@@ -338,9 +338,10 @@ def _blocks(read) -> tuple[list, list, list, bytes] | None:
     A block's complete tokens are parsed at once, each with the 24 bytes
     before its end, which `_fraction_tokens` reads: 24 filler bytes go
     before the first block, and the token a block ends inside is carried
-    into the next block with the 24 bytes before it.  A token's last byte is searched for
-    "," again in the next block, so `b[stop + 1]` exists.  Only a non-ASCII
-    block raises here, so that error comes first, as for a whole read.
+    into the next block with the 24 bytes before it.  A token's last byte
+    is searched for "," again in the next block, so `b[stop + 1]` exists.
+    Only a non-ASCII block raises here, so that error comes first, as for
+    a whole read.
     """
     buf = _ascii(read(_BLOCK))
     if not buf.startswith(_HEAD):
