@@ -306,10 +306,13 @@ def transpose_kernel_for(K: KernelTensor, spec: ConvSpec) -> tuple[KernelTensor,
 
 
 def skew_symmetrize_kernel(K: KernelTensor) -> KernelTensor:
-    """K - transpose(K); for odd kernel sizes the induced circular operator
-    is exactly skew-symmetric."""
+    """K - transpose(K), whose circular operator is exactly skew-symmetric.
+    Even kernel sizes are refused: there `kernel_transpose` is the adjoint
+    only up to a one-pixel shift."""
     if K.c_in != K.c_out or K.groups != 1:
         raise ValueError("skew symmetrization needs square channel counts and groups == 1")
+    if K.k_h % 2 == 0 or K.k_w % 2 == 0:
+        raise ValueError(f"skew symmetrization needs odd kernel sizes, got {K.k_h}x{K.k_w}")
     return KernelTensor(K.data - kernel_transpose(K).data)
 
 

@@ -47,6 +47,8 @@ def power_iteration_norm(W: np.ndarray, iters: int = 50, tol: float = 1e-6) -> f
     the normalized all-ones vector.  A step's estimate is the norm of the
     product the next step starts from; `math.sqrt(v.dot(v))` is what
     `np.linalg.norm` computes for a real vector, bit for bit."""
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     W = np.asarray(W, dtype=np.float64)
     n = W.shape[1]
     x = np.ones(n) / np.sqrt(n)

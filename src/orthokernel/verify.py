@@ -8,22 +8,24 @@ s*b + q) is the response to the impulse at (c, p, q) shifted by (a, b).
 The c_in*s^2 responses to the impulses with p, q < s therefore determine
 the whole operator, and `fft2` over the output grid block-diagonalizes
 it: its singular values are those of one c_out x c_in*s^2 complex matrix
-per frequency (Sedghi, Gupta & Long, ICLR 2019).  Those responses are not
-computed by convolution: each kernel tap is scattered straight onto the
-output grid at the lag and input phase it reads (`_tap_stack`, the
-polyphase kernel of Su et al., ICML 2022, laid out per image size),
-walking the taps with the reference operators' own `tensor_core._taps`.
-The kernel is real, so the block at (-f1, -f2) is the conjugate of the
-block at (f1, f2); one batched SVD of the blocks with f2 <= (w/s)//2
-gives the whole spectrum.  Before the spectrum is trusted, a guard
-applies the operator rebuilt from the blocks to a fixed random input and
-compares the result with the reference convolution `conv2d_ref`, so the
-phase and lag placement of the taps and the shift structure are checked
+per frequency (Sedghi, Gupta & Long, ICLR 2019).  That matrix is
+block-diagonal over groups, so only each group's c_out/g x c_in/g*s^2
+block is stored, the groups a batch axis.  The responses are not computed
+by convolution: each kernel tap is scattered straight onto the output
+grid at the lag and input phase it reads (`_tap_stack`, the polyphase
+kernel of Su et al., ICML 2022, laid out per image size), walking the
+taps with the reference operators' own `tensor_core._taps`.  The kernel
+is real, so the block at (-f1, -f2) is the conjugate of the block at
+(f1, f2); one batched SVD of the blocks with f2 <= (w/s)//2 gives the
+whole spectrum.  Before the spectrum is trusted, a guard applies the
+operator rebuilt from the blocks to a fixed random input and compares
+the result with the reference convolution `conv2d_ref`, so the phase and
+lag placement of the taps and the shift structure are checked
 against the operator itself, groups and dilation included, rather than
 assumed.  The index convention the two share through `_taps` is checked
 by the tests, against scatter oracles with their own index arithmetic
 (`tests/oracles.py`).  The route is budgeted at `ENTRY_BUDGET` entries of
-the block array, c_out*c_in*h*w.  A convolution passes when its whole
+the per-group stack, c_out*c_in*h*w/g.  A convolution passes when its whole
 spectrum lies within `tolerance` of 1 (default 1e-4).
 
 The dense operator matrix stays as the test oracle and for the grid's
@@ -165,23 +167,17 @@ def singular_values(Mx: np.ndarray) -> np.ndarray:
     return np.linalg.svd(Mx, compute_uv=False)
 
 
-def _polyphase(x: np.ndarray, s: int) -> np.ndarray:
-    """Split an image [c][h][w] into its s^2 phases: [(c, p, q)][h/s][w/s]
-    holds x[c, s*a + p, s*b + q] at [a][b]."""
-    c, h, w = x.shape
-    return x.reshape(c, h // s, s, w // s, s).transpose(0, 2, 4, 1, 3).reshape(
-        c * s * s, h // s, w // s)
-
-
 def _require_block_circulant(K: KernelTensor, spec: ConvSpec, blocks: np.ndarray,
                              h: int, w: int) -> None:
     """Raise ValueError unless the operator rebuilt from the frequency
-    blocks (shape [h/s][w/s][c_out][c_in*s^2]) maps one fixed random input
-    to what `conv2d_ref` gives."""
+    blocks (shape [g][h/s][w/s][c_out/g][c_in/g*s^2]) maps one fixed random
+    input to what `conv2d_ref` gives.  The input's phases X[g][(c, p, q)]
+    hold x[c, s*a + p, s*b + q] at [a][b]."""
+    s, g, ho, wo = spec.stride, spec.groups, h // spec.stride, w // spec.stride
     x = np.random.Generator(np.random.PCG64(0)).standard_normal((spec.c_in, h, w))
-    X = np.fft.fft2(_polyphase(x, spec.stride))
-    Y = np.einsum("ijmn,nij->mij", blocks, X)
-    y = np.fft.ifft2(Y).real
+    X = x.reshape(g, -1, ho, s, wo, s).transpose(0, 1, 3, 5, 2, 4).reshape(g, -1, ho, wo)
+    Y = np.einsum("gijmn,gnij->gmij", blocks, np.fft.fft2(X))
+    y = np.fft.ifft2(Y).real.reshape(-1, ho, wo)
     y_ref = conv2d_ref(K, x, spec)
     err = float(np.max(np.abs(y - y_ref)))
     scale = float(np.sum(np.abs(K.data)) * np.max(np.abs(x)))
@@ -193,31 +189,29 @@ def _require_block_circulant(K: KernelTensor, spec: ConvSpec, blocks: np.ndarray
 
 
 def _tap_stack(K: KernelTensor, spec: ConvSpec, h: int, w: int) -> np.ndarray:
-    """Responses to the c_in*s^2 unit impulses at (c, p, q), p, q < s, as
-    [c_out][h/s][w/s][(c, p, q)], scattered straight from the kernel taps.
+    """Responses to the c_in*s^2 unit impulses at (c, p, q), p, q < s, per
+    group as [g][h/s][w/s][c_out/g][(c, p, q)], straight from the taps.
 
     A tap reads input row rows[i] for output row i (`_taps`), and every
     one of those rows has the phase p = rows[0] mod s, so the tap sees the
     impulse at phase p from output row t with s*t = -(rows[0] - p) mod h,
     i.e. at lag t = -(rows[0] // s) mod h/s, and likewise for columns.
-    Each tap is added, block-diagonally over groups, in the order in which
-    `conv2d_ref` sums them, so taps that wrap onto the same entry give the
-    same bits as the impulse responses.  Refused when the stack,
-    c_out*c_in*h*w entries, exceeds `ENTRY_BUDGET`."""
+    Each tap is added in the order in which `conv2d_ref` sums them, so
+    taps that wrap onto the same entry give the same bits as the impulse
+    responses.  Refused when the stack, c_out*c_in*h*w/g entries, exceeds
+    `ENTRY_BUDGET`."""
     _check_kernel_spec(K, spec)
     ho, wo = _strided_size(spec, h, w)
-    if spec.c_out * spec.c_in * h * w > ENTRY_BUDGET:
-        raise ValueError(
-            f"block array {spec.c_out}x{spec.c_in * h * w} exceeds the entry "
-            f"budget ({ENTRY_BUDGET}); use a smaller image or fewer channels"
-        )
     s, g = spec.stride, spec.groups
-    stack = np.zeros((g, spec.c_out // g, ho, wo, g, spec.c_in // g, s, s))
-    q = np.arange(g)
+    if spec.c_out * spec.c_in * h * w // g > ENTRY_BUDGET:
+        raise ValueError(
+            f"per-group block array {g}x{spec.c_out // g}x{spec.c_in // g * h * w} exceeds "
+            f"the entry budget ({ENTRY_BUDGET}); use a smaller image or fewer channels")
+    stack = np.zeros((g, ho, wo, spec.c_out // g, spec.c_in // g, s, s))
     for block, rows, cols in _taps(K, spec, h, w):
-        stack[q, :, -(rows[0] // s) % ho, -(cols[0] // s) % wo, q, :,
-              rows[0] % s, cols[0] % s] += block
-    return stack.reshape(spec.c_out, ho, wo, spec.c_in * s * s)
+        stack[:, -(rows[0] // s) % ho, -(cols[0] // s) % wo, ..., rows[0] % s,
+              cols[0] % s] += block
+    return stack.reshape(g, ho, wo, spec.c_out // g, -1)
 
 
 def polyphase_spectrum(K: KernelTensor, spec: ConvSpec, h: int = 8,
@@ -229,17 +223,18 @@ def polyphase_spectrum(K: KernelTensor, spec: ConvSpec, h: int = 8,
     `toeplitz_from_kernel` matrix.
 
     The blocks come from the kernel taps (`_tap_stack`) and are checked by
-    the block-circulant guard before the SVD.  The SVD runs on the columns
+    the block-circulant guard before the SVD; a grouped block's singular
+    values are the union of its groups'.  The SVD runs on the columns
     f2 <= (w/s)//2 only; the kernel is real, so the block at (-f1, -f2) is
     the conjugate of the block at (f1, f2) and has the same singular
-    values, which fill the other columns.  Refused when the block array,
-    c_out*c_in*h*w entries, exceeds `ENTRY_BUDGET`.
+    values, which fill the other columns.  Refused when the stack,
+    c_out*c_in*h*w/g entries, exceeds `ENTRY_BUDGET`.
     """
     ho, wo = _strided_size(spec, h, w)
-    stack = _tap_stack(K, spec, h, w)
-    blocks = np.fft.fft2(stack, axes=(1, 2)).transpose(1, 2, 0, 3)
+    blocks = np.fft.fft2(_tap_stack(K, spec, h, w), axes=(1, 2))
     _require_block_circulant(K, spec, blocks, h, w)
-    half = np.linalg.svd(blocks[:, :wo // 2 + 1], compute_uv=False)
+    per_group = np.linalg.svd(blocks[:, :, :wo // 2 + 1], compute_uv=False)
+    half = np.sort(np.concatenate(per_group, axis=-1), axis=-1)[..., ::-1]
     mirror = half[-np.arange(ho) % ho][:, wo - np.arange(wo // 2 + 1, wo)]
     return np.concatenate([half, mirror], axis=1)
 

@@ -1,11 +1,15 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from orthokernel import ConvSpec, read_kernel, roundtrip_check, write_kernel
+from orthokernel import ConvSpec, KernelTensor, read_kernel, roundtrip_check, write_kernel
 from orthokernel.cli import main
 from conftest import deeply_nested_documents
+
+# `spectrum` output of a random 4->6 k3 groups=2 kernel at 4x6
+GROUPED_SPECTRUM_SHA256 = "b08f781e1ad26353f84a3c5449e5015e078be8e718059fcf26eec47275eac692"
 
 
 def write_config(path, **overrides):
@@ -236,6 +240,33 @@ def test_verify_over_budget_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and "budget" in err
     assert err.count("\n") == 1
+
+
+def test_verify_grouped_wide_layer_at_16(tmp_path, capsys):
+    # the budget counts the per-group stack, 256x2x512 entries, not the
+    # 512x131072 block-diagonal array (four times the budget)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c_in": 512, "c_out": 512, "kernel": 3, "groups": 256}))
+    out = tmp_path / "k.okt"
+    assert main(["build", str(cfg), str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), "--size", "16", "16"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"sigma_min", "sigma_max", "freq_min", "freq_max", "pass",
+                        "tolerance", "n_rows", "n_cols", "config"}
+    assert doc["pass"] is True and doc["config"]["groups"] == 256
+    assert (doc["n_rows"], doc["n_cols"]) == (512 * 256, 512 * 256)
+
+
+def test_spectrum_grouped_text_pinned(tmp_path, capsys):
+    out = tmp_path / "g.okt"
+    data = np.random.Generator(np.random.PCG64(3)).standard_normal((6, 2, 3, 3))
+    write_kernel(out, KernelTensor(data, groups=2))
+    capsys.readouterr()
+    assert main(["spectrum", str(out), "--size", "4", "6"]) == 0
+    text = capsys.readouterr().out
+    assert len(text.split()) == 4 * 6 * 4
+    assert hashlib.sha256(text.encode()).hexdigest() == GROUPED_SPECTRUM_SHA256
 
 
 @pytest.mark.parametrize("size", [["0", "0"], ["-4", "4"]])

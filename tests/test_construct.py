@@ -394,6 +394,16 @@ def test_soc_six_terms_within_series_tail(size):
     assert np.max(np.abs(sv - 1.0)) <= tail
 
 
+@pytest.mark.parametrize("k_h,k_w", [(2, 2), (4, 4), (3, 2), (2, 5)])
+def test_skew_refuses_even_kernel_sizes(k_h, k_w):
+    # at even sizes kernel_transpose is the adjoint only up to a one-pixel
+    # shift, so the exponential of K - transpose(K) is not orthogonal
+    K = random_kernel(4, 4, k_h, k_w, seed=1)
+    for make in (skew_symmetrize_kernel, soc_normalized_skew):
+        with pytest.raises(ValueError, match=f"odd kernel sizes, got {k_h}x{k_w}"):
+            make(K)
+
+
 def test_soc_rejects_bad_inputs():
     with pytest.raises(ValueError):
         soc_explicit_kernel(random_kernel(2, 3, 3, 3, seed=0), terms=3)

@@ -38,6 +38,12 @@ def test_power_iteration_zero_matrix():
         power_iteration_norm(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("iters", [0, -1])
+def test_power_iteration_refuses_no_steps(iters):
+    with pytest.raises(ValueError, match="iters"):
+        power_iteration_norm(np.eye(3), iters=iters)
+
+
 # --- Bjorck ------------------------------------------------------------------
 
 def test_bjorck_orthogonal_input_is_fixed_point():

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orthokernel import (
@@ -99,7 +99,8 @@ def test_impulse_batches_match_per_impulse_calls(monkeypatch):
     K = random_kernel(6, 4, 3, 3, seed=13)
     spec = spec_for_kernel(K, stride=2)
     monkeypatch.setattr(verify, "_IMPULSE_BATCH_ENTRIES", 1)
-    np.testing.assert_array_equal(verify._tap_stack(K, spec, 8, 8), impulse_stack(K, spec, 8, 8))
+    np.testing.assert_array_equal(verify._tap_stack(K, spec, 8, 8),
+                                  diagonal_blocks(impulse_stack(K, spec, 8, 8), 1))
 
 
 def test_transpose_matrix_is_forward_transpose():
@@ -219,6 +220,16 @@ def impulse_stack(K, spec, h, w):
     return T.reshape(spec.c_out, h // s, w // s, -1)
 
 
+def diagonal_blocks(stack, g):
+    """The groups' diagonal blocks [g][h/s][w/s][c_out/g][c_in/g*s^2] of an
+    impulse stack [c_out][h/s][w/s][c_in*s^2]; every off-diagonal block
+    must be zero."""
+    c_out, ho, wo, n = stack.shape
+    blocks = stack.reshape(g, c_out // g, ho, wo, g, n // g).transpose(0, 4, 2, 3, 1, 5)
+    assert not np.any(blocks[~np.eye(g, dtype=bool)])
+    return blocks[np.arange(g), np.arange(g)]
+
+
 def oracle_blocks(K, spec, h, w):
     """Frequency blocks [h/s][w/s][c_out][c_in*s^2] from the columns of the
     dense oracle at the impulses (c, p, q), p, q < s."""
@@ -232,7 +243,7 @@ def oracle_blocks(K, spec, h, w):
 
 @st.composite
 def conv_configs(draw):
-    g = draw(st.sampled_from([1, 2, 3]))
+    g = draw(st.sampled_from([1, 2, 3, 4]))
     c_in = g * draw(st.integers(1, 6 // g))
     c_out = g * draw(st.integers(1, 6 // g))
     k, s, d = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -263,7 +274,24 @@ def test_tap_stack_equals_impulse_stack(config):
     c_in, c_out, k, s, g, d, h, w, seed = config
     K = KernelTensor(rng(seed).standard_normal((c_out, c_in // g, k, k)), groups=g)
     spec = spec_for_kernel(K, stride=s, dilation=d)
-    assert np.array_equal(verify._tap_stack(K, spec, h, w), impulse_stack(K, spec, h, w))
+    assert np.array_equal(verify._tap_stack(K, spec, h, w),
+                          diagonal_blocks(impulse_stack(K, spec, h, w), g))
+
+
+@given(conv_configs())
+@example((4, 6, 3, 2, 2, 1, 4, 6, 5))
+@settings(max_examples=60, deadline=None)
+def test_grouped_spectrum_is_union_of_group_spectra(config):
+    c_in, c_out, k, s, g, d, h, w, seed = config
+    assume(g > 1)
+    K = KernelTensor(rng(seed).standard_normal((c_out, c_in // g, k, k)), groups=g)
+    spec = spec_for_kernel(K, stride=s, dilation=d)
+    parts = []
+    for data in np.split(K.data, g):
+        Kq = KernelTensor(data)
+        parts.append(polyphase_spectrum(Kq, spec_for_kernel(Kq, stride=s, dilation=d), h, w))
+    union = np.sort(np.concatenate(parts, axis=-1), axis=-1)[..., ::-1]
+    assert np.array_equal(polyphase_spectrum(K, spec, h, w), union)
 
 
 def test_tap_stack_refuses_mismatched_spec():
@@ -280,16 +308,16 @@ def test_guard_rejects_misplaced_tap(fault):
     h, w = 8, 6
 
     def guard(stack):
-        blocks = np.fft.fft2(stack.reshape(3, 4, 3, 8), axes=(1, 2)).transpose(1, 2, 0, 3)
+        blocks = np.fft.fft2(stack.reshape(1, 4, 3, 3, 8), axes=(1, 2))
         verify._require_block_circulant(K, spec, blocks, h, w)
 
-    stack = verify._tap_stack(K, spec, h, w).reshape(3, 4, 3, 2, 2, 2)
+    stack = verify._tap_stack(K, spec, h, w).reshape(1, 4, 3, 3, 2, 2, 2)
     guard(stack)
     # only the centre tap reads phase (0, 0) at lag (0, 0)
     tap = K.data[0, 1, 1, 1]
-    assert stack[0, 0, 0, 1, 0, 0] == tap
-    stack[0, 0, 0, 1, 0, 0] = 0.0
-    stack[(0, 0, 0, 1, 1, 0) if fault == "phase" else (0, 1, 0, 1, 0, 0)] += tap
+    assert stack[0, 0, 0, 0, 1, 0, 0] == tap
+    stack[0, 0, 0, 0, 1, 0, 0] = 0.0
+    stack[(0, 0, 0, 0, 1, 1, 0) if fault == "phase" else (0, 1, 0, 0, 1, 0, 0)] += tap
     with pytest.raises(ValueError, match="block-circulant"):
         guard(stack)
 
@@ -336,10 +364,10 @@ def test_guard_rejects_inconsistent_impulse_stack(monkeypatch):
     T = toeplitz_from_kernel(K, spec, h, w)
     cols = [c * h * w + p * w + q for c in range(2) for p in range(2) for q in range(2)]
     blocks = np.fft.fft2(T[:, cols].reshape(3, h // 2, w // 2, 8), axes=(1, 2))
-    blocks = blocks.transpose(1, 2, 0, 3)
+    blocks = blocks.transpose(1, 2, 0, 3)[None]
     verify._require_block_circulant(K, spec, blocks, h, w)
     blocks = blocks.copy()
-    blocks[1, 2, 0, 5] += 1e-3
+    blocks[0, 1, 2, 0, 5] += 1e-3
     with pytest.raises(ValueError, match="block-circulant"):
         verify._require_block_circulant(K, spec, blocks, h, w)
 
