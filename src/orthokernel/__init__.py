@@ -32,7 +32,6 @@ from .orthogonalize import (
     exp_map,
     orthogonalize,
     orthogonalize_stack,
-    power_iteration_norm,
     projector_pair,
     qr_mgs,
     qr_mgs_full,

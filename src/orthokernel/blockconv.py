@@ -8,17 +8,12 @@ applying A first and B second.  Entrywise,
 with A treated as zero outside its support; the result has spatial size
 (k1A + k1B - 1, k2A + k2B - 1).  `block_conv_naive` is the literal loop and
 serves as the oracle.  `block_conv_fast` splits the sum by the tap (u, v)
-of B: one matrix product (a single BLAS GEMM) multiplies every tap's
-channel matrix with all of A at once, and each tap's product is then added
-into the output at spatial offset (u, v).  It sums in a different order
-than the loop, so the two agree to rounding (1e-12 in the tests), not bit
-for bit.  The call holds two large arrays at a time: the stack of B's taps
-and the product, then the product and the output, then the output and
-its KernelTensor's copy.  One GEMM per tap would hold one tap's product
-instead of all of them, but BLAS does not round a GEMM's rows the same in
-a smaller product (OpenBLAS picks its kernel by the operand shapes, and
-numpy sends a one-row product to GEMV), so fused kernels' bytes would
-change.
+of B: one matrix product (a BLAS GEMM) per tap multiplies that tap's
+channel matrix with all of A, and adds the product in place into the
+output at spatial offset (u, v).  It sums in a different order than the
+loop, so the two agree to rounding (1e-12 in the tests), not bit for bit.
+The call holds the output, one tap's channel matrix and its product, then
+the output and its KernelTensor's copy.
 
 Under the centred tap convention, applying the fused kernel matches the
 two-step application exactly whenever at most one of the two sizes is even
@@ -32,7 +27,7 @@ from each factor's Gram kernel, which it fuses here.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,24 +66,24 @@ def block_conv_naive(B: KernelTensor, A: KernelTensor) -> KernelTensor:
 
 
 def block_conv_fast(B: KernelTensor, A: KernelTensor) -> KernelTensor:
-    """Fused-kernel computation as one GEMM and a shifted sum.
+    """Fused-kernel computation as one GEMM per tap of B and a shifted sum.
 
-    The product of the (l1*l2*co) x cm stack of B's taps with the
-    cm x (ci*k1*k2) flattening of A gives every tap's contribution; tap
-    (u, v) lands at out[..., u:u+k1, v:v+k2].
+    The product of tap (u, v)'s co x cm channel matrix with the
+    cm x (ci*k1*k2) flattening of A lands at out[..., u:u+k1, v:v+k2].
     """
     _require_compat(A, B)
     Ad, Bd = A.data, B.data
     cm, ci, k1, k2 = Ad.shape
     co, _, l1, l2 = Bd.shape
-    taps = Bd.transpose(2, 3, 0, 1).reshape(l1 * l2 * co, cm)  # a contiguous copy
-    prod = (taps @ Ad.reshape(cm, ci * k1 * k2)).reshape(l1, l2, co, ci, k1, k2)
-    del taps
+    flat = Ad.reshape(cm, ci * k1 * k2)
     out = np.zeros((co, ci, k1 + l1 - 1, k2 + l2 - 1))
     for u in range(l1):
         for v in range(l2):
-            out[..., u:u + k1, v:v + k2] += prod[u, v]
-    del prod
+            # the tap made contiguous, so it always goes to BLAS: numpy
+            # multiplies a strided slice by a one-column A in its own loop,
+            # which rounds differently
+            out[..., u:u + k1, v:v + k2] += (
+                np.ascontiguousarray(Bd[:, :, u, v]) @ flat).reshape(co, ci, k1, k2)
     return KernelTensor(out)
 
 
@@ -104,22 +99,26 @@ def sequential_compose(chain: Sequence[KernelTensor]) -> KernelTensor:
     return K
 
 
-def scan_compose(chain: Sequence[KernelTensor]) -> KernelTensor:
+def scan_compose(chain: Iterable[KernelTensor]) -> KernelTensor:
     """Tree-reduction composition of a kernel chain (first element applied
     first).  Associativity makes any bracketing equivalent; adjacent pairs
     are fused each round and an odd tail is carried forward unchanged, so
     the result is reproducible and reached in ceil(log2 n) rounds.
+
+    Each pair is dropped as it is fused, so a factor that only the chain
+    holds (pass an iterator to give it up) does not outlive its fusion.
     """
-    if len(chain) == 0:
-        raise ValueError("cannot compose an empty chain")
-    for earlier, later in zip(chain, chain[1:]):
-        _require_compat(earlier, later)
     level = list(chain)
+    if len(level) == 0:
+        raise ValueError("cannot compose an empty chain")
+    for i in range(1, len(level)):
+        _require_compat(level[i - 1], level[i])
     while len(level) > 1:
-        firsts = level[0::2]
-        seconds = level[1::2]
-        carry = [firsts.pop()] if len(firsts) > len(seconds) else []
-        level = [block_conv_fast(B, A) for A, B in zip(firsts, seconds)] + carry
+        fused = []
+        while len(level) > 1:
+            A, B = level.pop(0), level.pop(0)
+            fused.append(block_conv_fast(B, A))
+        level = fused + level
     return level[0]
 
 

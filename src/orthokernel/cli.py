@@ -10,7 +10,9 @@ Subcommands:
 The config file sets every build value, uncoerced: integer keys must be
 JSON integers and `beta` a number.  The build sidecar `out.okt.meta.json`
 holds "branch" (`BranchTag.to_dict`: branch, internal_width, group_seeds,
-ordering) and "config" (the resolved build config).
+ordering), "config" (the resolved build config) and "version"
+(`SIDECAR_VERSION`, raised whenever a config and seed stop giving the
+kernel bytes they gave before).
 
 Exit codes: 0 success / verification pass, 1 verification failure,
 2 invalid input (including a malformed config or kernel file and an
@@ -40,6 +42,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_UNSUPPORTED = 3
+
+#: 2: Björck factors scaled by their Gram row sums, nonzero sub-seed words
+#: and one GEMM per fused tap (sidecars written before had no version)
+SIDECAR_VERSION = 2
 
 # every build config key with its default; None marks a required key
 _CONFIG_DEFAULTS = {
@@ -99,7 +105,7 @@ def cmd_build(args) -> int:
         reason = str(exc).partition("\n")[0]
         print(f"unsupported configuration: {reason}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    sidecar = {"branch": tag.to_dict(), "config": config}
+    sidecar = {"branch": tag.to_dict(), "config": config, "version": SIDECAR_VERSION}
     try:
         kernel_io.write_kernel(args.out, K)
         with open(str(args.out) + ".meta.json", "w", encoding="utf-8") as f:
@@ -144,8 +150,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    if args.seed < 0:
-        print(f"invalid input: seed must be >= 0, got {args.seed}", file=sys.stderr)
+    if not 0 <= args.seed < 2 ** 32:
+        print(f"invalid input: seed must lie in [0, 2**32), got {args.seed}", file=sys.stderr)
         return EXIT_BAD_INPUT
     # checked here, not left to run_grid: a ValueError from run_grid means an
     # unbuildable entry (exit 3), and the transposed entries compare their

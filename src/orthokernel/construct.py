@@ -67,8 +67,10 @@ class AocConfig:
             raise ValueError(f"beta must lie in (0, 0.5], got {self.beta}")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # numpy splits an integer seed into 32-bit words, so a seed of 2**32
+        # or more would draw the stream of a tuple of smaller seed words
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2 ** 32:
+            raise ValueError(f"seed must be an integer in [0, 2**32), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -106,13 +108,16 @@ class BranchTag:
 
 #: second seed word of group q's seed (seed, GROUP_SEED_BASE + q) in a
 #: grouped layer; it lies above every sub-seed word a builder appends
-#: (0..t for the projector factors, 1 << 20 for the fused branch's outer
-#: factor), so no group draws another group's or a sub-seed's stream
+#: (1 for the channel map, 2..t+1 for the projector factors, 1 << 20 for
+#: the fused branch's outer factor), so no group draws another group's or
+#: a sub-seed's stream
 GROUP_SEED_BASE = 1 << 21
 
 
 def _sub_seed(seed, word: int) -> tuple[int, ...]:
-    """Seed words of a sub-stream of `seed` (an int or a tuple of ints)."""
+    """Seed words of a sub-stream of `seed` (an int or a tuple of ints).
+    `word` must be nonzero: numpy's SeedSequence ignores trailing zero
+    words, so (seed, 0) would draw the stream of `seed` itself."""
     return (*seed, word) if isinstance(seed, tuple) else (seed, word)
 
 
@@ -177,15 +182,16 @@ def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme, iters, beta,
             f"its half-rank factors need at least 2 channels, got c_in={c_in}, "
             f"c_out={c_out}"
         )
-    draws = [draw for seed in seeds for draw in [((c, c_in), _sub_seed(seed, 0))] + [
-        ((c, c // 2), _sub_seed(seed, 1 + t)) for t in range(len(axes))]]
+    draws = [draw for seed in seeds for draw in [((c, c_in), _sub_seed(seed, 1))] + [
+        ((c, c // 2), _sub_seed(seed, 2 + t)) for t in range(len(axes))]]
     # popped group by group, so no group's matrices outlive its chain
     factors = _orthogonal_draws(draws, scheme, iters, beta)[::-1]
     kernels = []
     for _ in seeds:
-        chain = [KernelTensor(factors.pop().reshape(c, c_in, 1, 1))]
-        for axis in axes:
-            chain.append(_projector_factor(projector_pair(factors.pop()), axis))
+        # an iterator, so that scan_compose alone holds each factor
+        chain = (KernelTensor(factors.pop().reshape(c, c_in, 1, 1)) if axis is None
+                 else _projector_factor(projector_pair(factors.pop()), axis)
+                 for axis in [None, *axes])
         K = scan_compose(chain)
         kernels.append(KernelTensor(K.data[:c_out]) if c_out < c else K)
     return kernels
@@ -276,7 +282,7 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
         branch, width = "d", max(ci, co // (s * s))
         inner = _projector_kernels(ci, width, k1 - s + 1, k2 - s + 1, group_seeds, **kw,
                                    interleave=interleave)
-        # disjoint sub-seed namespace from the projector factors (seed, 0..t);
+        # disjoint sub-seed namespace from the projector factors (seed, 1..t+1);
         # an s x s factor never has a projector factor's shape, so this is
         # still one orthogonalization pass per shape
         outer = _rko_kernels(width, co, s, s,

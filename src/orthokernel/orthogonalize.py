@@ -9,7 +9,6 @@ Gram side (W W^T for wide matrices, W^T W for tall ones).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,8 @@ SCHEMES = ("bjorck", "qr_mgs", "cayley", "exponential", "cholesky")
 DEFAULT_SCHEME = "bjorck"
 DEFAULT_BETA = 0.5
 DEFAULT_ITERS = 12
+#: Gram residual above which `orthogonalize_stack` adds Björck sweeps
+RESIDUAL_STOP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,34 +43,6 @@ def sample_params(shape, seed) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
-def power_iteration_norm(W: np.ndarray, iters: int = 50, tol: float = 1e-6) -> float:
-    """Spectral norm estimate by power iteration on W^T W, started from
-    the normalized all-ones vector.  A step's estimate is the norm of the
-    product the next step starts from; `math.sqrt(v.dot(v))` is what
-    `np.linalg.norm` computes for a real vector, bit for bit."""
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    W = np.asarray(W, dtype=np.float64)
-    n = W.shape[1]
-    x = np.ones(n) / np.sqrt(n)
-    y = W.dot(x)
-    sigma, sigma_next = 0.0, math.sqrt(y.dot(y))
-    for _ in range(iters):
-        if sigma_next == 0.0:
-            break
-        x = W.T.dot(y)
-        x /= math.sqrt(x.dot(x))
-        y = W.dot(x)
-        sigma_next = math.sqrt(y.dot(y))
-        converged = abs(sigma_next - sigma) <= tol * max(sigma_next, 1.0)
-        sigma = sigma_next
-        if converged:
-            break
-    if sigma == 0.0:
-        raise ValueError("power iteration on a zero (or nilpotent-direction) matrix")
-    return sigma
-
-
 def _bjorck_sweeps(W: np.ndarray, beta: float, iters: int) -> np.ndarray:
     for _ in range(iters):
         if W.shape[-2] <= W.shape[-1]:
@@ -84,13 +57,15 @@ def bjorck_orthogonalize(W: np.ndarray, beta: float = DEFAULT_BETA,
     """Iterative polar-style orthogonalization of a matrix, or of each
     matrix of a stack `[..., m, n]`.
 
-    Each matrix is first scaled by its spectral norm (power iteration, one
-    matrix at a time), then the stack is refined with W <- (1+beta) W -
-    beta W W^T W, which is gradient descent on ||W W^T - I|| with step
-    beta; convergence requires beta <= 1/2 after the normalization.  Works
-    for wide, square and tall inputs (the update is the same matrix either
-    way; only the cheaper Gram side is formed).  A stacked `matmul` makes
-    numpy's 2-D BLAS call per matrix, so a stack gives each matrix's bits.
+    Each matrix is first divided by sqrt(||G||_inf), with G its smaller
+    Gram side and ||G||_inf the largest absolute row sum of G; that is at
+    least the largest eigenvalue of G, so every scaled singular value is at
+    most 1.  Then the stack is refined with W <- (1+beta) W - beta W W^T W,
+    which is gradient descent on ||W W^T - I|| with step beta; convergence
+    requires beta <= 1/2 after the scaling.  Works for wide, square and tall
+    inputs (the update is the same matrix either way; only the cheaper Gram
+    side is formed).  A stacked `matmul` makes numpy's 2-D BLAS call per
+    matrix, so a stack gives each matrix's bits.
 
     `iters` is the fixed sweep count.  12 sweeps reach 1e-4 residuals on
     well-conditioned inputs (aspect ratio away from 1); near-square
@@ -98,13 +73,12 @@ def bjorck_orthogonalize(W: np.ndarray, beta: float = DEFAULT_BETA,
     starts arbitrarily close to zero and only grows by 3/2 per sweep.
     """
     W = np.asarray(W, dtype=np.float64)
-    stack = W.reshape(-1, *W.shape[-2:])
-    if not np.all(np.any(stack, axis=(1, 2))):
+    norms = np.abs(_gram(W)).sum(axis=-1).max(axis=-1)
+    if not np.all(norms):
         raise ValueError("cannot orthogonalize the zero matrix")
     if not (0.0 < beta <= 0.5):
         raise ValueError(f"beta must lie in (0, 0.5], got {beta}")
-    norms = np.array([power_iteration_norm(M) for M in stack])
-    return _bjorck_sweeps(W / norms.reshape(*W.shape[:-2], 1, 1), beta, iters)
+    return _bjorck_sweeps(W / np.sqrt(norms)[..., None, None], beta, iters)
 
 
 def qr_mgs(W: np.ndarray) -> np.ndarray:
@@ -221,10 +195,16 @@ def projector_pair(M0: np.ndarray) -> ProjectorPair:
     return ProjectorPair(N=N, complement=np.eye(c) - N)
 
 
+def _gram(O: np.ndarray) -> np.ndarray:
+    """The smaller Gram side of each matrix of a stack: O O^T for wide
+    matrices, O^T O for tall ones."""
+    Ot = O.swapaxes(-1, -2)
+    return O @ Ot if O.shape[-2] <= O.shape[-1] else Ot @ O
+
+
 def _gram_residual(O: np.ndarray) -> np.ndarray:
     """max |G - I| over the smaller Gram side G of each matrix of a stack."""
-    Ot = O.swapaxes(-1, -2)
-    G = O @ Ot if O.shape[-2] <= O.shape[-1] else Ot @ O
+    G = _gram(O)
     return np.max(np.abs(G - np.eye(G.shape[-1])), axis=(-2, -1))
 
 
@@ -262,10 +242,14 @@ def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME,
 
     The iterative scheme refines the whole stack.  `iters` is its minimum
     sweep count: kernel constructions assume factor-level orthogonality,
-    and ill conditioned square draws converge slower, so each matrix still
-    above a 1e-10 residual gets rounds of 4 more sweeps, at most 60 more,
-    as it would alone.  One still above 1e-10 then is returned as it is,
-    with a warning on the "orthokernel" logger.
+    and ill conditioned square draws converge slower (the row-sum scaling
+    of `bjorck_orthogonalize` starts every singular value at or below 1,
+    often well below), so each matrix still above a 1e-12 Gram residual
+    gets rounds of 4 more sweeps, at most 60 more, as it would alone.  One
+    still above 1e-12 then is returned as it is, with a warning on the
+    "orthokernel" logger.  Converged factors of real widths sit far below
+    the stop (under 1e-15 for 512x512, 512x4608 and 1024x1024 draws), so it
+    adds no rounds there.
     """
     Ws = np.asarray(Ws, dtype=np.float64)
     if Ws.ndim != 3:
@@ -274,12 +258,12 @@ def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME,
         return np.stack([orthogonalize(W, scheme, iters, beta) for W in Ws])
     O = bjorck_orthogonalize(Ws, beta=beta, iters=iters)
     residual = _gram_residual(O)
-    active, extra = np.flatnonzero(residual > 1e-10), 0
+    active, extra = np.flatnonzero(residual > RESIDUAL_STOP), 0
     while active.size and extra < 60:
         extra += 4
         O[active] = _bjorck_sweeps(O[active], beta, 4)
         residual[active] = _gram_residual(O[active])
-        active = active[residual[active] > 1e-10]
+        active = active[residual[active] > RESIDUAL_STOP]
     if active.size:
         # imported only here: it would add ~5 ms to every process start
         import logging

@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,17 @@ def gram_residual(O):
     O = np.asarray(O)
     G = O @ O.T if O.shape[0] <= O.shape[1] else O.T @ O
     return float(np.max(np.abs(G - np.eye(G.shape[0]))))
+
+
+def perfbench_workloads():
+    """`perfbench/workloads.py`, imported by path (nothing under
+    `perfbench/` is written)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
 
 
 def deeply_nested_documents(depth=100_000):

@@ -13,12 +13,11 @@ tap multiplies by the strided kernel slice `Kg[..., i', j']`, and the
 adjoint adds its tap into the output through fancy indices.  The operators
 must give the same bits.
 
-`power_iteration_ref`, `bjorck_ref`, `orthogonalize_ref` and
-`aoc_kernel_per_group` are the builders before groups and same-shape
-factors became a batch axis: power iteration with three operator
-applications per step, Björck sweeps on one 2-D matrix at a time with
-their extra rounds, and `aoc_kernel` as a loop that builds each group
-alone, orthogonalizing its factors one by one.  The stacked builders must
+`bjorck_ref`, `orthogonalize_ref` and `aoc_kernel_per_group` are the
+builders before groups and same-shape factors became a batch axis: Björck
+sweeps on one 2-D matrix at a time with their row-sum scaling and extra
+rounds, and `aoc_kernel` as a loop that builds each group alone,
+orthogonalizing its factors one by one.  The stacked builders must
 give the same bytes and branch tags, and refuse with the same exception
 type and message.
 """
@@ -105,23 +104,6 @@ def conv2d_transpose_scatter(K, x, spec):
     return y.reshape(*lead, spec.c_in, h, w)
 
 
-def power_iteration_ref(apply, apply_t, x, iters, tol):
-    """The power iteration loop with three applications per step and
-    `np.linalg.norm` for every norm."""
-    sigma = 0.0
-    for _ in range(iters):
-        y = apply(x)
-        if np.linalg.norm(y) == 0.0:
-            return 0.0
-        x = apply_t(y)
-        x /= np.linalg.norm(x)
-        sigma_next = np.linalg.norm(apply(x))
-        if abs(sigma_next - sigma) <= tol * max(sigma_next, 1.0):
-            return float(sigma_next)
-        sigma = sigma_next
-    return float(sigma)
-
-
 def _sweeps(W, beta, iters):
     for _ in range(iters):
         if W.shape[0] <= W.shape[1]:
@@ -137,20 +119,19 @@ def _residual(O):
 
 
 def bjorck_ref(W, beta=0.5, iters=12, extra_rounds=True):
-    """Björck on one 2-D matrix: scaled by its power-iteration norm, `iters`
-    sweeps, then (with `extra_rounds`) rounds of 4 sweeps while the
-    residual is above 1e-10, at most 60 more.  Returns (O, extra sweeps)."""
+    """Björck on one 2-D matrix: divided by the square root of the largest
+    absolute row sum of its smaller Gram side, `iters` sweeps, then (with
+    `extra_rounds`) rounds of 4 sweeps while the residual is above 1e-12,
+    at most 60 more.  Returns (O, extra sweeps)."""
     W = np.asarray(W, dtype=np.float64)
     if not np.any(W):
         raise ValueError("cannot orthogonalize the zero matrix")
     if not (0.0 < beta <= 0.5):
         raise ValueError(f"beta must lie in (0, 0.5], got {beta}")
-    n = W.shape[1]
-    sigma = power_iteration_ref(lambda v: W @ v, lambda u: W.T @ u, np.ones(n) / np.sqrt(n),
-                                50, 1e-6)
-    O = _sweeps(W / sigma, beta, iters)
+    G = W @ W.T if W.shape[0] <= W.shape[1] else W.T @ W
+    O = _sweeps(W / math.sqrt(max(np.sum(np.abs(row)) for row in G)), beta, iters)
     extra = 0
-    while extra_rounds and _residual(O) > 1e-10 and extra < 60:
+    while extra_rounds and _residual(O) > 1e-12 and extra < 60:
         O = _sweeps(O, beta, 4)
         extra += 4
     return O, extra
@@ -191,9 +172,9 @@ def _projector_kernel(c_in, c_out, k1, k2, seed, cfg):
             f"its half-rank factors need at least 2 channels, got c_in={c_in}, "
             f"c_out={c_out}"
         )
-    chain = [KernelTensor(_orth((c, c_in), _sub_seed(seed, 0), cfg).reshape(c, c_in, 1, 1))]
+    chain = [KernelTensor(_orth((c, c_in), _sub_seed(seed, 1), cfg).reshape(c, c_in, 1, 1))]
     for t, axis in enumerate(axes):
-        M0 = _orth((c, c // 2), _sub_seed(seed, 1 + t), cfg)
+        M0 = _orth((c, c // 2), _sub_seed(seed, 2 + t), cfg)
         chain.append(_projector_factor(projector_pair(M0), axis))
     K = scan_compose(chain)
     return KernelTensor(K.data[:c_out]) if c_out < c else K

@@ -182,9 +182,8 @@ def test_transpose_antihomomorphism(seed):
 
 
 def test_block_conv_fast_holds_the_product_and_the_output():
-    # B's tap stack is gone before the output is made, and the product
-    # before the output is copied into its KernelTensor
+    # one tap's product (1 MiB here) at a time beside the output, and none
+    # when the output is copied into its KernelTensor
     B, A = random_kernel(256, 128, 2, 2, seed=1), random_kernel(128, 128, 2, 2, seed=2)
     K, peak = traced_peak(lambda: block_conv_fast(B, A))
-    product = 2 * 2 * 256 * (128 * 2 * 2) * 8
-    assert peak <= product + K.data.nbytes + 2 ** 18
+    assert peak <= 2 * K.data.nbytes + 2 ** 18

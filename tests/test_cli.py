@@ -89,7 +89,7 @@ def test_build_invalid_config_exit_2(tmp_path):
     # bool), beta a number
     for bad in ({"c_in": 2.7}, {"seed": 1.9}, {"c_in": "4"}, {"c_out": True},
                 {"kernel": [3.5, 3]}, {"kernel": True}, {"stride": 2.0},
-                {"iters": "12"}, {"beta": "0.5"}, {"beta": True}):
+                {"iters": "12"}, {"beta": "0.5"}, {"beta": True}, {"seed": 2 ** 32}):
         cfg = write_config(tmp_path / "cfg4.json", **bad)
         out = tmp_path / "k4.okt"
         assert main(["build", str(cfg), str(out)]) == 2, bad
@@ -106,11 +106,11 @@ def test_build_unsupported_exit_3(tmp_path, capsys):
 
 
 def test_build_unorthogonalizable_factor_exit_3(tmp_path, capsys):
-    # cholesky cannot make the 2x1 projector matrix of a 1->2 group
-    # column orthogonal; the ValueError must become exit 3, not escape
+    # at seed 1, cholesky cannot make the 2x1 projector matrix of a 1->2
+    # group column orthogonal; the ValueError must become exit 3, not escape
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"c_in": 2, "c_out": 4, "kernel": 3,
-                                "groups": 2, "scheme": "cholesky"}))
+                                "groups": 2, "scheme": "cholesky", "seed": 1}))
     assert main(["build", str(path), str(tmp_path / "k.okt")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("unsupported configuration: ")
@@ -362,6 +362,9 @@ def test_selftest_unknown_scheme_exit_2(capsys):
 def test_selftest_negative_seed_exit_2(capsys):
     assert main(["selftest", "--seed", "-1", "--category", "common"]) == 2
     assert "seed" in capsys.readouterr().err
+    # 2**32 would draw the stream of the seed words (0, 1); refused the same way
+    assert main(["selftest", "--seed", str(2 ** 32), "--category", "common"]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -441,7 +444,8 @@ SIDECAR_MINIMAL = """\
     "scheme": "bjorck",
     "seed": 0,
     "stride": 1
-  }
+  },
+  "version": 2
 }
 """
 SIDECAR_GROUPED = """\
@@ -476,7 +480,8 @@ SIDECAR_GROUPED = """\
     "scheme": "cayley",
     "seed": 7,
     "stride": 2
-  }
+  },
+  "version": 2
 }
 """
 

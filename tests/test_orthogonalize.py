@@ -10,7 +10,6 @@ from orthokernel import (
     exp_map,
     orthogonalize,
     orthogonalize_stack,
-    power_iteration_norm,
     projector_pair,
     qr_mgs,
     qr_mgs_full,
@@ -22,26 +21,6 @@ from oracles import bjorck_ref, orthogonalize_ref
 # shapes drawn by the kernel factories: aspect-2 projector bases, channel
 # maps, reshaped-kernel flattenings
 WELL_CONDITIONED_GRID = [(8, 4), (4, 8), (16, 8), (3, 27), (12, 6), (6, 12), (9, 18), (4, 12)]
-
-
-# --- power iteration ---------------------------------------------------------
-
-def test_power_iteration_matches_svd():
-    W = rng(0).standard_normal((7, 5))
-    sigma = power_iteration_norm(W)
-    assert isinstance(sigma, float)
-    assert abs(sigma - np.linalg.svd(W, compute_uv=False)[0]) < 1e-5
-
-
-def test_power_iteration_zero_matrix():
-    with pytest.raises(ValueError):
-        power_iteration_norm(np.zeros((3, 3)))
-
-
-@pytest.mark.parametrize("iters", [0, -1])
-def test_power_iteration_refuses_no_steps(iters):
-    with pytest.raises(ValueError, match="iters"):
-        power_iteration_norm(np.eye(3), iters=iters)
 
 
 # --- Bjorck ------------------------------------------------------------------

@@ -3,23 +3,16 @@ kind through `perfbench/workloads.py`'s `run_layer`, which reads
 `SpectrumReport` fields and the `orthokernel verify` JSON.  The module is
 imported by path; nothing under `perfbench/` is written."""
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+from conftest import perfbench_workloads
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
-    spec.loader.exec_module(module)
-    return module
+    return perfbench_workloads()
 
 
 @pytest.mark.parametrize("check", ["roundtrip", "spectrum", "transpose", "cli_verify"])

@@ -10,12 +10,11 @@ from orthokernel import (
     conv2d_transpose_ref,
     identity_kernel,
     kernel_transpose,
-    power_iteration_norm,
     spec_for_kernel,
     toeplitz_from_kernel,
 )
 from conftest import gram_residual, random_kernel, rng
-from oracles import conv2d_scatter, conv2d_transpose_scatter, power_iteration_ref
+from oracles import conv2d_scatter, conv2d_transpose_scatter
 
 
 def test_kernel_tensor_validation():
@@ -263,28 +262,3 @@ def test_grouped_channel_blocks_are_contiguous():
         Kq = KernelTensor(K.data[q * 2:(q + 1) * 2])
         yq = conv2d_ref(Kq, x[q * 2:(q + 1) * 2], spec_for_kernel(Kq))
         np.testing.assert_allclose(y[q * 2:(q + 1) * 2], yq, atol=1e-13)
-
-
-def test_power_iteration_bits_match_linalg_norm_loop():
-    # the oracle applies the map three times per step; the library reuses
-    # the product of one step's estimate as the next step's start
-    for seed in range(20):
-        r = rng(300 + seed)
-        m, n = (int(v) for v in r.integers(1, 40, size=2))
-        W = r.standard_normal((m, n))
-        want = power_iteration_ref(lambda v: W @ v, lambda u: W.T @ u,
-                                   np.ones(n) / np.sqrt(n), 50, 1e-6)
-        assert power_iteration_norm(W) == want
-
-
-@pytest.mark.parametrize("iters", [0, 1, 2, 7])
-def test_power_iteration_fixed_step_counts_match_oracle(iters):
-    # tol 0 runs every step; where the oracle gives 0.0 (no step run, or a
-    # vanishing iterate) the library raises
-    for W in (rng(17).standard_normal((6, 4)), np.zeros((3, 4))):
-        want = power_iteration_ref(W.__matmul__, W.T.__matmul__, np.ones(4) / 2.0, iters, 0.0)
-        if want == 0.0:
-            with pytest.raises(ValueError):
-                power_iteration_norm(W, iters, tol=0.0)
-        else:
-            assert power_iteration_norm(W, iters, tol=0.0) == want
