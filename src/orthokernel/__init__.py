@@ -25,12 +25,10 @@ from .blockconv import (
     sequential_compose,
 )
 from .orthogonalize import (
-    ProjectorPair,
     bjorck_orthogonalize,
     cayley_rect,
     cholesky_orth,
     exp_map,
-    orthogonalize,
     orthogonalize_stack,
     projector_pair,
     qr_mgs,

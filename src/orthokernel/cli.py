@@ -44,8 +44,10 @@ EXIT_BAD_INPUT = 2
 EXIT_UNSUPPORTED = 3
 
 #: 2: Björck factors scaled by their Gram row sums, nonzero sub-seed words
-#: and one GEMM per fused tap (sidecars written before had no version)
-SIDECAR_VERSION = 2
+#: and one GEMM per fused tap (sidecars written before had no version);
+#: 3: rectangular factors of the exponential scheme get Björck's residual
+#: stop, so those that had not converged after 25 sweeps change
+SIDECAR_VERSION = 3
 
 # every build config key with its default; None marks a required key
 _CONFIG_DEFAULTS = {

@@ -30,7 +30,6 @@ from .orthogonalize import (
     DEFAULT_ITERS,
     DEFAULT_SCHEME,
     SCHEMES,
-    ProjectorPair,
     orthogonalize_stack,
     projector_pair,
     sample_params,
@@ -123,26 +122,23 @@ def _sub_seed(seed, word: int) -> tuple[int, ...]:
 
 def _orthogonal_draws(draws, scheme, iters, beta) -> list[np.ndarray]:
     """The orthogonalized `sample_params(shape, seed)` of each (shape, seed)
-    draw: Björck in one pass per distinct shape, the other schemes (matrix
-    by matrix anyway) one draw at a time, so the first to refuse raises."""
+    draw, in one `orthogonalize_stack` call per distinct shape."""
     batches: dict = {}
     for i, (shape, _) in enumerate(draws):
-        batches.setdefault(shape if scheme == "bjorck" else i, []).append(i)
+        batches.setdefault(shape, []).append(i)
     out = [None] * len(draws)
-    for at in batches.values():
-        shape = draws[at[0]][0]
+    for shape, at in batches.items():
         stack = np.stack([sample_params(shape, draws[i][1]) for i in at])
         for i, O in zip(at, orthogonalize_stack(stack, scheme=scheme, iters=iters, beta=beta)):
             out[i] = O
     return out
 
 
-def _projector_factor(P: ProjectorPair, axis: int) -> KernelTensor:
-    """1x2 (axis=3) or 2x1 (axis=2) kernel stacking [N, I-N] spatially."""
-    c = P.N.shape[0]
-    n4 = P.N.reshape(c, c, 1, 1)
-    c4 = P.complement.reshape(c, c, 1, 1)
-    return KernelTensor(np.concatenate([n4, c4], axis=axis))
+def _projector_factor(pair: tuple[np.ndarray, np.ndarray], axis: int) -> KernelTensor:
+    """1x2 (axis=3) or 2x1 (axis=2) kernel stacking the `projector_pair`
+    (N, I-N) spatially."""
+    c = pair[0].shape[0]
+    return KernelTensor(np.concatenate([P.reshape(c, c, 1, 1) for P in pair], axis=axis))
 
 
 def _factor_axes(k1: int, k2: int, interleave: bool) -> list[int]:

@@ -1,15 +1,14 @@
 """Orthogonalization of unconstrained matrices.
 
 Five interchangeable schemes produce a row- or column-orthogonal matrix
-from an arbitrary dense one, plus the symmetric-projector construction
+from an arbitrary dense one, all dispatched by `orthogonalize_stack` over
+a stack of same-shape matrices, plus the symmetric-projector construction
 used by the kernel factories.  All routines work in float64.  Orientation
 convention: the orthogonality residual is always measured on the smaller
 Gram side (W W^T for wide matrices, W^T W for tall ones).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +19,6 @@ DEFAULT_BETA = 0.5
 DEFAULT_ITERS = 12
 #: Gram residual above which `orthogonalize_stack` adds Björck sweeps
 RESIDUAL_STOP = 1e-12
-
-
-@dataclass(frozen=True)
-class ProjectorPair:
-    """Symmetric projector N and its complement I - N; both satisfy
-    P = P^2 = P^T to 1e-10."""
-
-    N: np.ndarray
-    complement: np.ndarray
 
 
 def sample_params(shape, seed) -> np.ndarray:
@@ -181,9 +171,10 @@ def cholesky_orth(M: np.ndarray, eps: float = 1e-7) -> np.ndarray:
     return np.linalg.solve(L, M)
 
 
-def projector_pair(M0: np.ndarray) -> ProjectorPair:
-    """Build the symmetric projector N = M0 M0^T and its complement from a
-    column-orthogonal c x floor(c/2) matrix."""
+def projector_pair(M0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric projector N = M0 M0^T and its complement I - N of a
+    column-orthogonal c x floor(c/2) matrix; both satisfy P = P^2 = P^T to
+    1e-10."""
     M0 = np.asarray(M0, dtype=np.float64)
     c = M0.shape[0]
     if c < 2:
@@ -192,7 +183,7 @@ def projector_pair(M0: np.ndarray) -> ProjectorPair:
     if np.max(np.abs(gram - np.eye(M0.shape[1]))) > 1e-6:
         raise ValueError("M0 is not column orthogonal (orthogonalize it first)")
     N = M0 @ M0.T
-    return ProjectorPair(N=N, complement=np.eye(c) - N)
+    return N, np.eye(c) - N
 
 
 def _gram(O: np.ndarray) -> np.ndarray:
@@ -208,45 +199,26 @@ def _gram_residual(O: np.ndarray) -> np.ndarray:
     return np.max(np.abs(G - np.eye(G.shape[-1])), axis=(-2, -1))
 
 
-def orthogonalize(W: np.ndarray, scheme: str = DEFAULT_SCHEME,
-                  iters: int = DEFAULT_ITERS, beta: float = DEFAULT_BETA) -> np.ndarray:
-    """Scheme dispatcher for one matrix.
-
-    Output orientation follows the input shape: wide matrices come back
-    row orthogonal, tall ones column orthogonal.  Schemes whose natural
-    orientation is fixed are applied to the transpose as needed.  The
-    exponential scheme is square-only by design; rectangular factors fall
-    back to the iterative scheme (padding a rectangle is wasteful).  The
-    iterative scheme is the one-matrix case of `orthogonalize_stack`.
-    """
-    W = np.asarray(W, dtype=np.float64)
-    if scheme == "bjorck":
-        return orthogonalize_stack(W[None], scheme, iters, beta)[0]
-    if scheme == "qr_mgs":
-        return qr_mgs(W) if W.shape[0] >= W.shape[1] else qr_mgs(W.T).T
-    if scheme == "cayley":
-        return cayley_rect(W) if W.shape[0] >= W.shape[1] else cayley_rect(W.T).T
-    if scheme == "exponential":
-        if W.shape[0] != W.shape[1]:
-            return bjorck_orthogonalize(W, beta=beta, iters=max(iters, 25))
-        return exp_map(W, p=max(iters, 18))
-    if scheme == "cholesky":
-        return cholesky_orth(W) if W.shape[0] <= W.shape[1] else cholesky_orth(W.T).T
-    raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-
-
 def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME,
                         iters: int = DEFAULT_ITERS, beta: float = DEFAULT_BETA) -> np.ndarray:
-    """`orthogonalize` of each matrix of the stack `Ws[n, rows, cols]`, bit
-    for bit; the other schemes run matrix by matrix.
+    """The scheme dispatcher: each matrix of the stack `Ws[n, rows, cols]`
+    orthogonalized by `scheme` (one matrix W is `W[None]`).
 
-    The iterative scheme refines the whole stack.  `iters` is its minimum
-    sweep count: kernel constructions assume factor-level orthogonality,
-    and ill conditioned square draws converge slower (the row-sum scaling
-    of `bjorck_orthogonalize` starts every singular value at or below 1,
-    often well below), so each matrix still above a 1e-12 Gram residual
-    gets rounds of 4 more sweeps, at most 60 more, as it would alone.  One
-    still above 1e-12 then is returned as it is, with a warning on the
+    Output orientation follows the input shape: wide matrices come back
+    row orthogonal, tall ones column orthogonal.  `qr_mgs`, `cayley` and
+    `cholesky` run matrix by matrix, on the transpose where their natural
+    orientation is the other one.  `exponential` is `exp_map` on square
+    matrices; rectangular ones (padding them would be wasteful) take the
+    iterative scheme with at least 25 sweeps.
+
+    The iterative scheme refines the whole stack and gives each matrix the
+    bits it would get alone.  `iters` is its minimum sweep count: kernel
+    constructions assume factor-level orthogonality, and ill conditioned
+    square draws converge slower (the row-sum scaling of
+    `bjorck_orthogonalize` starts every singular value at or below 1, often
+    well below), so each matrix still above a 1e-12 Gram residual gets
+    rounds of 4 more sweeps, at most 60 more, as it would alone.  One still
+    above 1e-12 then is returned as it is, with a warning on the
     "orthokernel" logger.  Converged factors of real widths sit far below
     the stop (under 1e-15 for 512x512, 512x4608 and 1024x1024 draws), so it
     adds no rounds there.
@@ -254,8 +226,19 @@ def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME,
     Ws = np.asarray(Ws, dtype=np.float64)
     if Ws.ndim != 3:
         raise ValueError(f"expected a stack of matrices [n, rows, cols], got shape {Ws.shape}")
+    rows, cols = Ws.shape[1:]
+    if scheme == "exponential":
+        if rows == cols:
+            return np.stack([exp_map(W, p=max(iters, 18)) for W in Ws])
+        scheme, iters = "bjorck", max(iters, 25)
+    one = {"qr_mgs": qr_mgs, "cayley": cayley_rect, "cholesky": cholesky_orth}.get(scheme)
+    if one is not None:
+        # qr_mgs and cayley_rect take tall matrices, cholesky_orth wide ones
+        if rows > cols if scheme == "cholesky" else rows < cols:
+            return np.stack([one(W.T).T for W in Ws])
+        return np.stack([one(W) for W in Ws])
     if scheme != "bjorck":
-        return np.stack([orthogonalize(W, scheme, iters, beta) for W in Ws])
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     O = bjorck_orthogonalize(Ws, beta=beta, iters=iters)
     residual = _gram_residual(O)
     active, extra = np.flatnonzero(residual > RESIDUAL_STOP), 0

@@ -23,11 +23,11 @@ def gram_residual(O):
     return float(np.max(np.abs(G - np.eye(G.shape[0]))))
 
 
-def perfbench_workloads():
-    """`perfbench/workloads.py`, imported by path (nothing under
-    `perfbench/` is written)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def perfbench_module(name):
+    """`perfbench/<name>.py`, e.g. "workloads" or "spans", imported by path
+    (nothing under `perfbench/` is written)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     spec.loader.exec_module(module)

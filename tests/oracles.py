@@ -118,11 +118,11 @@ def _residual(O):
     return float(np.max(np.abs(G - np.eye(G.shape[0]))))
 
 
-def bjorck_ref(W, beta=0.5, iters=12, extra_rounds=True):
+def bjorck_ref(W, beta=0.5, iters=12):
     """Björck on one 2-D matrix: divided by the square root of the largest
-    absolute row sum of its smaller Gram side, `iters` sweeps, then (with
-    `extra_rounds`) rounds of 4 sweeps while the residual is above 1e-12,
-    at most 60 more.  Returns (O, extra sweeps)."""
+    absolute row sum of its smaller Gram side, `iters` sweeps, then rounds
+    of 4 sweeps while the residual is above 1e-12, at most 60 more.
+    Returns (O, extra sweeps)."""
     W = np.asarray(W, dtype=np.float64)
     if not np.any(W):
         raise ValueError("cannot orthogonalize the zero matrix")
@@ -131,14 +131,15 @@ def bjorck_ref(W, beta=0.5, iters=12, extra_rounds=True):
     G = W @ W.T if W.shape[0] <= W.shape[1] else W.T @ W
     O = _sweeps(W / math.sqrt(max(np.sum(np.abs(row)) for row in G)), beta, iters)
     extra = 0
-    while extra_rounds and _residual(O) > 1e-12 and extra < 60:
+    while _residual(O) > 1e-12 and extra < 60:
         O = _sweeps(O, beta, 4)
         extra += 4
     return O, extra
 
 
 def orthogonalize_ref(W, scheme="bjorck", iters=12, beta=0.5):
-    """The scheme dispatcher on one matrix."""
+    """`orthogonalize_stack` on one matrix: rectangular exponential draws
+    take the Björck path, extra rounds included."""
     W = np.asarray(W, dtype=np.float64)
     if scheme == "bjorck":
         return bjorck_ref(W, beta, iters)[0]
@@ -148,7 +149,7 @@ def orthogonalize_ref(W, scheme="bjorck", iters=12, beta=0.5):
         return cayley_rect(W) if W.shape[0] >= W.shape[1] else cayley_rect(W.T).T
     if scheme == "exponential":
         if W.shape[0] != W.shape[1]:
-            return bjorck_ref(W, beta, max(iters, 25), extra_rounds=False)[0]
+            return bjorck_ref(W, beta, max(iters, 25))[0]
         return exp_map(W, p=max(iters, 18))
     if scheme == "cholesky":
         return cholesky_orth(W) if W.shape[0] <= W.shape[1] else cholesky_orth(W.T).T

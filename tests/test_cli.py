@@ -417,6 +417,20 @@ def test_build_wide_channel_increasing_strided(tmp_path):
     assert roundtrip_check(K, spec, direction="row") <= 1e-8
 
 
+def test_exponential_near_square_layer_verifies(tmp_path, capsys):
+    # its 256x255 channel map takes the Björck path with the residual stop;
+    # 25 sweeps alone leave it at 8.2e-3, and the layer at sigma_min 0.862
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"c_in": 255, "c_out": 256, "kernel": 3,
+                                "scheme": "exponential", "seed": 4}))
+    out = tmp_path / "k.okt"
+    assert main(["build", str(path), str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True and report["config"]["size"] == [8, 8]
+
+
 # the whole sidecar text, pinned so that a change to how the build config
 # is resolved or written is deliberate
 SIDECAR_MINIMAL = """\
@@ -445,7 +459,7 @@ SIDECAR_MINIMAL = """\
     "seed": 0,
     "stride": 1
   },
-  "version": 2
+  "version": 3
 }
 """
 SIDECAR_GROUPED = """\
@@ -481,7 +495,7 @@ SIDECAR_GROUPED = """\
     "seed": 7,
     "stride": 2
   },
-  "version": 2
+  "version": 3
 }
 """
 

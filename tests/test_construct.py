@@ -40,7 +40,7 @@ from orthokernel import (
 )
 from orthokernel.construct import ORDERINGS
 from orthokernel.orthogonalize import SCHEMES
-from conftest import perfbench_workloads, random_kernel, rng, traced_peak
+from conftest import perfbench_module, random_kernel, rng, traced_peak
 from oracles import aoc_kernel_per_group
 
 
@@ -562,7 +562,7 @@ def _wide_digests() -> dict:
     """Digests of kernels too wide to pin by hand, computed in this process:
     `aoc_kernel` of the benchmark's `resnet_wide` and `verify_dense` layers
     at seed 1, and a 12-term exponential with a 49x49 result."""
-    workloads = perfbench_workloads().WORKLOADS
+    workloads = perfbench_module("workloads").WORKLOADS
     digests = {name: [_sha256(aoc_kernel(AocConfig(spec=layer.spec(), seed=1))[0])
                       for layer in workloads[name]()]
                for name in ("resnet_wide", "verify_dense")}

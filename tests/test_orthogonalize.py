@@ -8,7 +8,6 @@ from orthokernel import (
     cayley_rect,
     cholesky_orth,
     exp_map,
-    orthogonalize,
     orthogonalize_stack,
     projector_pair,
     qr_mgs,
@@ -163,18 +162,18 @@ def test_cholesky_rejects_tall_and_bad_eps():
 
 def test_projector_pair_basic_2x1():
     M0 = np.array([[1.0], [0.0]])
-    pair = projector_pair(M0)
-    np.testing.assert_allclose(pair.N, np.diag([1.0, 0.0]), atol=0)
-    np.testing.assert_allclose(pair.complement, np.diag([0.0, 1.0]), atol=0)
+    N, complement = projector_pair(M0)
+    np.testing.assert_allclose(N, np.diag([1.0, 0.0]), atol=0)
+    np.testing.assert_allclose(complement, np.diag([0.0, 1.0]), atol=0)
 
 
 def test_projector_invariants_random():
     M0 = qr_mgs(rng(9).standard_normal((6, 3)))
-    pair = projector_pair(M0)
-    for P in (pair.N, pair.complement):
+    N, complement = projector_pair(M0)
+    for P in (N, complement):
         assert np.max(np.abs(P @ P - P)) <= 1e-10
         assert np.max(np.abs(P - P.T)) <= 1e-10
-    assert abs(np.trace(pair.N) - 3.0) <= 1e-10
+    assert abs(np.trace(N) - 3.0) <= 1e-10
 
 
 def test_projector_rejects_non_orthogonal_base():
@@ -225,7 +224,7 @@ def test_product_closure():
 @pytest.mark.parametrize("shape", [(6, 6), (4, 9), (9, 4)])
 def test_scheme_interchangeability(scheme, tol, shape):
     W = rng((1, *shape)).standard_normal(shape)
-    assert gram_residual(orthogonalize(W, scheme=scheme)) <= tol
+    assert gram_residual(orthogonalize_stack(W[None], scheme=scheme)[0]) <= tol
 
 
 # --- stacked Björck -------------------------------------------------------------
@@ -244,7 +243,7 @@ def test_orthogonalize_stack_equals_per_matrix_calls(shape, n):
     O = orthogonalize_stack(Ws)
     assert O.shape == Ws.shape
     assert np.array_equal(O, np.stack([bjorck_ref(W)[0] for W in Ws]))
-    assert np.array_equal(O, np.stack([orthogonalize(W) for W in Ws]))
+    assert np.array_equal(O, np.stack([orthogonalize_stack(W[None])[0] for W in Ws]))
     assert np.array_equal(bjorck_orthogonalize(Ws), np.stack([bjorck_orthogonalize(W) for W in Ws]))
 
 
@@ -278,7 +277,7 @@ def test_unconverged_factor_is_logged(caplog):
                                    f"converge: residual {residual:.3g} after 72 sweeps")
     caplog.clear()
     with caplog.at_level("WARNING", logger="orthokernel"):
-        assert np.array_equal(orthogonalize(ill), O[1])
+        assert np.array_equal(orthogonalize_stack(ill[None])[0], O[1])
         orthogonalize_stack(np.stack([good, good]))
     assert [r.getMessage()[:36] for r in caplog.records] == ["Bjorck factor 0 of a stack of 1 8x8 "]
 
@@ -296,7 +295,24 @@ def test_orthogonalize_stack_refusals_match_per_matrix_calls():
     with pytest.raises(ValueError, match="stack of matrices"):
         orthogonalize_stack(W)
     with pytest.raises(ValueError, match="cannot orthogonalize the zero matrix"):
-        orthogonalize(np.zeros((3, 4)))
+        orthogonalize_stack(np.zeros((3, 4))[None])
+
+
+def test_exponential_rectangular_factor_converges_or_warns(caplog):
+    # rectangular factors take the Björck path, residual stop and warning
+    # included: 25 sweeps leave this near-square draw at 1.4e-5
+    W = sample_params((64, 63), 1)
+    with caplog.at_level("WARNING", logger="orthokernel"):
+        O = orthogonalize_stack(W[None], "exponential")
+    assert gram_residual(O[0]) <= 1e-12
+    assert np.array_equal(O[0], bjorck_ref(W, iters=25)[0])
+    assert not caplog.records
+    ill = _with_singular_values(8, 6, np.logspace(0, -30, 6), seed=3)
+    with caplog.at_level("WARNING", logger="orthokernel"):
+        O = orthogonalize_stack(ill[None], "exponential")
+    [record] = caplog.records
+    assert record.getMessage() == (f"Bjorck factor 0 of a stack of 1 8x6 matrices did not "
+                                   f"converge: residual {gram_residual(O[0]):.3g} after 85 sweeps")
 
 
 @pytest.mark.parametrize("scheme", ["qr_mgs", "cayley", "exponential", "cholesky"])
@@ -305,4 +321,4 @@ def test_other_schemes_stack_per_matrix(scheme, shape):
     Ws = rng((2, *shape)).standard_normal((3, *shape))
     want = np.stack([orthogonalize_ref(W, scheme=scheme) for W in Ws])
     assert np.array_equal(orthogonalize_stack(Ws, scheme=scheme), want)
-    assert np.array_equal(orthogonalize(Ws[0], scheme=scheme), want[0])
+    assert np.array_equal(orthogonalize_stack(Ws[0][None], scheme=scheme)[0], want[0])

@@ -1,18 +1,21 @@
 """Smoke test of the benchmark's check path: one small layer of each check
 kind through `perfbench/workloads.py`'s `run_layer`, which reads
-`SpectrumReport` fields and the `orthokernel verify` JSON.  The module is
-imported by path; nothing under `perfbench/` is written."""
+`SpectrumReport` fields and the `orthokernel verify` JSON, and one under
+`perfbench/spans.py`'s tracer.  The modules are imported by path; nothing
+under `perfbench/` is written."""
 
+import inspect
 import json
 
 import pytest
 
-from conftest import perfbench_workloads
+import orthokernel
+from conftest import perfbench_module
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    return perfbench_workloads()
+    return perfbench_module("workloads")
 
 
 @pytest.mark.parametrize("check", ["roundtrip", "spectrum", "transpose", "cli_verify"])
@@ -24,3 +27,21 @@ def test_check_kind_runs_ok(workloads, tmp_path, check):
     assert rec["reason"] is None
     assert rec["ok"] and rec["check"]["held"]
     assert len(rec["sha256"]) == 64
+
+
+def test_tracer_sees_calls_inside_orthogonalize_module(workloads, tmp_path):
+    # the package attribute is the module, so the tracer wraps its functions
+    # where the module itself looks them up
+    assert inspect.ismodule(orthokernel.orthogonalize)
+    spans = perfbench_module("spans")
+    layer = workloads.conv(4, 8, 3, 2, check="roundtrip")
+    cfg = tmp_path / "layer.json"
+    cfg.write_text(json.dumps(layer.config(1)))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rec = workloads.run_layer(layer, 1, cfg, tmp_path / "layer.okt")
+    finally:
+        tracer.uninstall()
+    assert rec["ok"]
+    assert "orthogonalize.bjorck_orthogonalize" in {sp.name for sp in tracer.spans}

@@ -510,3 +510,12 @@ def test_certificate_guards():
         robustness_certificate([1.0], 0)
     with pytest.raises(ValueError):
         robustness_certificate([1.0, 2.0], 5)
+
+
+# --- verification grid -------------------------------------------------------------
+
+@pytest.mark.parametrize("scheme", ["qr_mgs", "cayley", "exponential"])
+def test_grid_passes_under_other_schemes(scheme):
+    results = verify.run_grid(scheme=scheme, seed=0)
+    assert len(results) == len(verify.grid_entries())
+    assert [r["key"] for r in results if not r["passed"]] == []
