@@ -8,11 +8,12 @@ Subcommands:
     selftest                        -> run the verification grid (one thread)
 
 The config file sets every build value, uncoerced: integer keys must be
-JSON integers and `beta` a number.  The build sidecar `out.okt.meta.json`
-holds "branch" (`BranchTag.to_dict`: branch, internal_width, group_seeds,
-ordering), "config" (the resolved build config) and "version"
-(`SIDECAR_VERSION`, raised whenever a config and seed stop giving the
-kernel bytes they gave before).
+JSON integers, and a key outside `_CONFIG_DEFAULTS` is refused by name.
+The build sidecar `out.okt.meta.json` holds "branch" (`BranchTag.to_dict`:
+branch, internal_width, group_seeds), "config" (the resolved build config)
+and "version" (`SIDECAR_VERSION`, raised whenever a config and seed stop
+giving the kernel bytes they gave before, and whenever the sidecar gains
+or loses a key).
 
 Exit codes: 0 success / verification pass, 1 verification failure,
 2 invalid input (including a malformed config or kernel file and an
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import kernel_io
 from .construct import AocConfig, aoc_kernel
-from .orthogonalize import DEFAULT_BETA, DEFAULT_ITERS, DEFAULT_SCHEME, SCHEMES
+from .orthogonalize import DEFAULT_SCHEME, SCHEMES
 from .tensor_core import ConvSpec, spec_for_kernel
 from .verify import DEFAULT_TOLERANCE, check_orthogonality, grid_entries, polyphase_spectrum, run_grid
 
@@ -46,17 +47,17 @@ EXIT_UNSUPPORTED = 3
 #: 2: Björck factors scaled by their Gram row sums, nonzero sub-seed words
 #: and one GEMM per fused tap (sidecars written before had no version);
 #: 3: rectangular factors of the exponential scheme get Björck's residual
-#: stop, so those that had not converged after 25 sweeps change
-SIDECAR_VERSION = 3
+#: stop, so those that had not converged after 25 sweeps change;
+#: 4: "config" loses iters and beta, "branch" loses ordering (bytes unchanged)
+SIDECAR_VERSION = 4
 
 # every build config key with its default; None marks a required key
 _CONFIG_DEFAULTS = {
     "c_in": None, "c_out": None, "kernel": None,
     "stride": 1, "groups": 1, "dilation": 1,
-    "scheme": DEFAULT_SCHEME, "iters": DEFAULT_ITERS, "beta": DEFAULT_BETA,
-    "seed": 0, "ordering": "bcop",
+    "scheme": DEFAULT_SCHEME, "seed": 0, "ordering": "bcop",
 }
-_INT_KEYS = ("c_in", "c_out", "stride", "groups", "dilation", "iters", "seed")
+_INT_KEYS = ("c_in", "c_out", "stride", "groups", "dilation", "seed")
 
 
 def _load_build_config(path) -> tuple[AocConfig, dict]:
@@ -84,12 +85,9 @@ def _load_build_config(path) -> tuple[AocConfig, dict]:
     if not (isinstance(kernel, list) and len(kernel) == 2
             and all(type(k) is int for k in kernel)):
         raise ValueError("config key 'kernel' must be an integer or a [k1, k2] pair of integers")
-    if type(doc["beta"]) not in (int, float):
-        raise ValueError(f"config key 'beta' must be a number, got {doc['beta']!r}")
     spec = ConvSpec(c_in=doc["c_in"], c_out=doc["c_out"], k_h=kernel[0], k_w=kernel[1],
                     stride=doc["stride"], groups=doc["groups"], dilation=doc["dilation"])
-    cfg = AocConfig(spec=spec, scheme=doc["scheme"], iters=doc["iters"],
-                    beta=doc["beta"], seed=doc["seed"], ordering=doc["ordering"])
+    cfg = AocConfig(spec=spec, scheme=doc["scheme"], seed=doc["seed"], ordering=doc["ordering"])
     return cfg, doc
 
 

@@ -26,8 +26,6 @@ import numpy as np
 
 from .blockconv import block_conv_fast, product_bound, scan_compose
 from .orthogonalize import (
-    DEFAULT_BETA,
-    DEFAULT_ITERS,
     DEFAULT_SCHEME,
     SCHEMES,
     orthogonalize_stack,
@@ -52,8 +50,6 @@ class AocConfig:
 
     spec: ConvSpec
     scheme: str = DEFAULT_SCHEME
-    iters: int = DEFAULT_ITERS
-    beta: float = DEFAULT_BETA
     seed: int = 0
     ordering: str = "bcop"
 
@@ -62,10 +58,6 @@ class AocConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.ordering not in ORDERINGS:
             raise ValueError(f"unknown ordering {self.ordering!r}")
-        if not (0.0 < self.beta <= 0.5):
-            raise ValueError(f"beta must lie in (0, 0.5], got {self.beta}")
-        if self.iters < 1:
-            raise ValueError("iters must be >= 1")
         # numpy splits an integer seed into 32-bit words, so a seed of 2**32
         # or more would draw the stream of a tuple of smaller seed words
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2 ** 32:
@@ -88,20 +80,18 @@ class BranchTag:
     translation-equivariant map does.
 
     `to_dict` gives the "branch" object of the build sidecar, with keys
-    branch, internal_width, group_seeds and ordering.
+    branch, internal_width and group_seeds.
     """
 
     branch: str
     internal_width: int | None = None
     group_seeds: tuple[int | tuple[int, ...], ...] = ()
-    ordering: str = "bcop"
 
     def to_dict(self) -> dict:
         return {
             "branch": self.branch,
             "internal_width": self.internal_width,
             "group_seeds": list(self.group_seeds),
-            "ordering": self.ordering,
         }
 
 
@@ -120,7 +110,7 @@ def _sub_seed(seed, word: int) -> tuple[int, ...]:
     return (*seed, word) if isinstance(seed, tuple) else (seed, word)
 
 
-def _orthogonal_draws(draws, scheme, iters, beta) -> list[np.ndarray]:
+def _orthogonal_draws(draws, scheme) -> list[np.ndarray]:
     """The orthogonalized `sample_params(shape, seed)` of each (shape, seed)
     draw, in one `orthogonalize_stack` call per distinct shape."""
     batches: dict = {}
@@ -129,7 +119,7 @@ def _orthogonal_draws(draws, scheme, iters, beta) -> list[np.ndarray]:
     out = [None] * len(draws)
     for shape, at in batches.items():
         stack = np.stack([sample_params(shape, draws[i][1]) for i in at])
-        for i, O in zip(at, orthogonalize_stack(stack, scheme=scheme, iters=iters, beta=beta)):
+        for i, O in zip(at, orthogonalize_stack(stack, scheme)):
             out[i] = O
     return out
 
@@ -156,7 +146,7 @@ def _factor_axes(k1: int, k2: int, interleave: bool) -> list[int]:
     return [3] * (k2 - 1) + [2] * (k1 - 1)
 
 
-def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme, iters, beta,
+def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme,
                        interleave: bool) -> list[KernelTensor]:
     """Shared body of the two unstrided constructions: one kernel per seed.
 
@@ -181,7 +171,7 @@ def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme, iters, beta,
     draws = [draw for seed in seeds for draw in [((c, c_in), _sub_seed(seed, 1))] + [
         ((c, c // 2), _sub_seed(seed, 2 + t)) for t in range(len(axes))]]
     # popped group by group, so no group's matrices outlive its chain
-    factors = _orthogonal_draws(draws, scheme, iters, beta)[::-1]
+    factors = _orthogonal_draws(draws, scheme)[::-1]
     kernels = []
     for _ in seeds:
         # an iterator, so that scan_compose alone holds each factor
@@ -193,42 +183,36 @@ def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme, iters, beta,
     return kernels
 
 
-def _rko_kernels(c_in, c_out, k1, k2, seeds, scheme, iters, beta) -> list[KernelTensor]:
-    Ws = _orthogonal_draws([((c_out, c_in * k1 * k2), seed) for seed in seeds], scheme, iters,
-                           beta)
+def _rko_kernels(c_in, c_out, k1, k2, seeds, scheme) -> list[KernelTensor]:
+    Ws = _orthogonal_draws([((c_out, c_in * k1 * k2), seed) for seed in seeds], scheme)
     return [KernelTensor(W.reshape(c_out, c_in, k1, k2)) for W in Ws]
 
 
-def bcop_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME,
-                iters=DEFAULT_ITERS, beta=DEFAULT_BETA) -> KernelTensor:
+def bcop_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTensor:
     """Unstrided orthogonal kernel from alternating 2x1 / 1x2 projector
     pairs applied after a 1x1 orthogonal channel map.
 
     The resulting convolution (stride 1, circular padding) is row
     orthogonal when c_out <= c_in and column orthogonal otherwise.
     """
-    return _projector_kernels(c_in, c_out, k1, k2, [seed], scheme, iters, beta,
-                              interleave=True)[0]
+    return _projector_kernels(c_in, c_out, k1, k2, [seed], scheme, interleave=True)[0]
 
 
-def scfac_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME,
-                 iters=DEFAULT_ITERS, beta=DEFAULT_BETA) -> KernelTensor:
+def scfac_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTensor:
     """Alternative composition order: all 1x2 factors, then all 2x1
     factors (grouped by direction instead of alternating).  Same
     orthogonality contract and parameter count as `bcop_kernel`."""
-    return _projector_kernels(c_in, c_out, k1, k2, [seed], scheme, iters, beta,
-                              interleave=False)[0]
+    return _projector_kernels(c_in, c_out, k1, k2, [seed], scheme, interleave=False)[0]
 
 
-def rko_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME,
-               iters=DEFAULT_ITERS, beta=DEFAULT_BETA) -> KernelTensor:
+def rko_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTensor:
     """Orthogonalize the c_out x (c_in*k1*k2) flattening and reshape back.
 
     The strided convolution with this kernel is orthogonal precisely when
     k1 == k2 == s (non-overlapping receptive fields); for other strides it
     is 1-Lipschitz material but carries no orthogonality claim.
     """
-    return _rko_kernels(c_in, c_out, k1, k2, [seed], scheme, iters, beta)[0]
+    return _rko_kernels(c_in, c_out, k1, k2, [seed], scheme)[0]
 
 
 def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
@@ -264,32 +248,29 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
             f"be orthogonal in both directions"
         )
     ci, co = spec.c_in // g, spec.c_out // g
-    kw = dict(scheme=cfg.scheme, iters=cfg.iters, beta=cfg.beta)
-    interleave = cfg.ordering == "bcop"
+    scheme, interleave = cfg.scheme, cfg.ordering == "bcop"
     group_seeds = ((cfg.seed,) if g == 1 else
                    tuple((cfg.seed, GROUP_SEED_BASE + q) for q in range(g)))
     width = None
     if k1 == s and k2 == s:
-        branch, kernels = "b", _rko_kernels(ci, co, s, s, group_seeds, **kw)
+        branch, kernels = "b", _rko_kernels(ci, co, s, s, group_seeds, scheme)
     elif s == 1:
-        branch, kernels = "a", _projector_kernels(ci, co, k1, k2, group_seeds, **kw,
-                                                  interleave=interleave)
+        branch, kernels = "a", _projector_kernels(ci, co, k1, k2, group_seeds, scheme,
+                                                  interleave)
     else:
         branch, width = "d", max(ci, co // (s * s))
-        inner = _projector_kernels(ci, width, k1 - s + 1, k2 - s + 1, group_seeds, **kw,
-                                   interleave=interleave)
+        inner = _projector_kernels(ci, width, k1 - s + 1, k2 - s + 1, group_seeds, scheme,
+                                   interleave)
         # disjoint sub-seed namespace from the projector factors (seed, 1..t+1);
         # an s x s factor never has a projector factor's shape, so this is
         # still one orthogonalization pass per shape
         outer = _rko_kernels(width, co, s, s,
-                             [_sub_seed(seed, 1 << 20) for seed in group_seeds], **kw)
+                             [_sub_seed(seed, 1 << 20) for seed in group_seeds], scheme)
         kernels = [block_conv_fast(B, A) for B, A in zip(outer, inner)]
     # one group's kernel is the layer's as built; groups are stacked once
     K = kernels[0] if g == 1 else KernelTensor(
         np.concatenate([K_q.data for K_q in kernels], axis=0), groups=g)
-    tag = BranchTag(branch=branch, internal_width=width, group_seeds=group_seeds,
-                    ordering=cfg.ordering)
-    return K, tag
+    return K, BranchTag(branch=branch, internal_width=width, group_seeds=group_seeds)
 
 
 def transpose_kernel_for(K: KernelTensor, spec: ConvSpec) -> tuple[KernelTensor, ConvSpec]:
@@ -339,8 +320,8 @@ def soc_explicit_kernel(K: KernelTensor, terms: int = 12) -> KernelTensor:
     operator, at every image size, lies within the series tail
     sum_{t > terms} 1/t! of 1.
     """
-    if K.c_in != K.c_out:
-        raise ValueError("exponential of a kernel needs square channel counts")
+    if K.c_in != K.c_out or K.groups != 1:
+        raise ValueError("exponential of a kernel needs square channel counts and groups == 1")
     if terms < 1:
         raise ValueError("terms must be >= 1")
     c, _, kh, kw = K.shape

@@ -19,6 +19,8 @@ DEFAULT_BETA = 0.5
 DEFAULT_ITERS = 12
 #: Gram residual above which `orthogonalize_stack` adds Björck sweeps
 RESIDUAL_STOP = 1e-12
+#: first Björck sweeps of a rectangular factor of the exponential scheme
+EXP_RECT_SWEEPS = 25
 
 
 def sample_params(shape, seed) -> np.ndarray:
@@ -199,8 +201,7 @@ def _gram_residual(O: np.ndarray) -> np.ndarray:
     return np.max(np.abs(G - np.eye(G.shape[-1])), axis=(-2, -1))
 
 
-def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME,
-                        iters: int = DEFAULT_ITERS, beta: float = DEFAULT_BETA) -> np.ndarray:
+def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME) -> np.ndarray:
     """The scheme dispatcher: each matrix of the stack `Ws[n, rows, cols]`
     orthogonalized by `scheme` (one matrix W is `W[None]`).
 
@@ -209,28 +210,28 @@ def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME,
     `cholesky` run matrix by matrix, on the transpose where their natural
     orientation is the other one.  `exponential` is `exp_map` on square
     matrices; rectangular ones (padding them would be wasteful) take the
-    iterative scheme with at least 25 sweeps.
+    iterative scheme with `EXP_RECT_SWEEPS` first sweeps.
 
     The iterative scheme refines the whole stack and gives each matrix the
-    bits it would get alone.  `iters` is its minimum sweep count: kernel
-    constructions assume factor-level orthogonality, and ill conditioned
-    square draws converge slower (the row-sum scaling of
-    `bjorck_orthogonalize` starts every singular value at or below 1, often
-    well below), so each matrix still above a 1e-12 Gram residual gets
-    rounds of 4 more sweeps, at most 60 more, as it would alone.  One still
-    above 1e-12 then is returned as it is, with a warning on the
-    "orthokernel" logger.  Converged factors of real widths sit far below
-    the stop (under 1e-15 for 512x512, 512x4608 and 1024x1024 draws), so it
-    adds no rounds there.
+    bits it would get alone: 12 sweeps of `bjorck_orthogonalize` at step
+    1/2.  Kernel constructions assume factor-level orthogonality, and ill
+    conditioned square draws converge slower (the row-sum scaling starts
+    every singular value at or below 1, often well below), so each matrix
+    still above a `RESIDUAL_STOP` Gram residual gets rounds of 4 more
+    sweeps, at most 60 more, as it would alone.  One still above the stop
+    then is returned as it is, with a warning on the "orthokernel" logger.
+    Converged factors of real widths sit far below the stop (under 1e-15
+    for 512x512, 512x4608 and 1024x1024 draws), so it adds no rounds there.
     """
     Ws = np.asarray(Ws, dtype=np.float64)
     if Ws.ndim != 3:
         raise ValueError(f"expected a stack of matrices [n, rows, cols], got shape {Ws.shape}")
     rows, cols = Ws.shape[1:]
+    sweeps = DEFAULT_ITERS
     if scheme == "exponential":
         if rows == cols:
-            return np.stack([exp_map(W, p=max(iters, 18)) for W in Ws])
-        scheme, iters = "bjorck", max(iters, 25)
+            return np.stack([exp_map(W) for W in Ws])
+        scheme, sweeps = "bjorck", EXP_RECT_SWEEPS
     one = {"qr_mgs": qr_mgs, "cayley": cayley_rect, "cholesky": cholesky_orth}.get(scheme)
     if one is not None:
         # qr_mgs and cayley_rect take tall matrices, cholesky_orth wide ones
@@ -239,12 +240,12 @@ def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME,
         return np.stack([one(W) for W in Ws])
     if scheme != "bjorck":
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    O = bjorck_orthogonalize(Ws, beta=beta, iters=iters)
+    O = bjorck_orthogonalize(Ws, iters=sweeps)
     residual = _gram_residual(O)
     active, extra = np.flatnonzero(residual > RESIDUAL_STOP), 0
     while active.size and extra < 60:
         extra += 4
-        O[active] = _bjorck_sweeps(O[active], beta, 4)
+        O[active] = _bjorck_sweeps(O[active], DEFAULT_BETA, 4)
         residual[active] = _gram_residual(O[active])
         active = active[residual[active] > RESIDUAL_STOP]
     if active.size:
@@ -253,5 +254,5 @@ def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME,
         for i in active:
             logging.getLogger("orthokernel").warning(
                 "Bjorck factor %d of a stack of %d %dx%d matrices did not converge: "
-                "residual %.3g after %d sweeps", i, len(O), *O.shape[1:], residual[i], iters + 60)
+                "residual %.3g after %d sweeps", i, len(O), *O.shape[1:], residual[i], sweeps + 60)
     return O

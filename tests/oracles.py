@@ -137,20 +137,20 @@ def bjorck_ref(W, beta=0.5, iters=12):
     return O, extra
 
 
-def orthogonalize_ref(W, scheme="bjorck", iters=12, beta=0.5):
+def orthogonalize_ref(W, scheme="bjorck"):
     """`orthogonalize_stack` on one matrix: rectangular exponential draws
     take the Björck path, extra rounds included."""
     W = np.asarray(W, dtype=np.float64)
     if scheme == "bjorck":
-        return bjorck_ref(W, beta, iters)[0]
+        return bjorck_ref(W)[0]
     if scheme == "qr_mgs":
         return qr_mgs(W) if W.shape[0] >= W.shape[1] else qr_mgs(W.T).T
     if scheme == "cayley":
         return cayley_rect(W) if W.shape[0] >= W.shape[1] else cayley_rect(W.T).T
     if scheme == "exponential":
         if W.shape[0] != W.shape[1]:
-            return bjorck_ref(W, beta, max(iters, 25))[0]
-        return exp_map(W, p=max(iters, 18))
+            return bjorck_ref(W, iters=25)[0]
+        return exp_map(W)
     if scheme == "cholesky":
         return cholesky_orth(W) if W.shape[0] <= W.shape[1] else cholesky_orth(W.T).T
     raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
@@ -161,7 +161,7 @@ def _sub_seed(seed, word):
 
 
 def _orth(shape, seed, cfg):
-    return orthogonalize_ref(sample_params(shape, seed), cfg.scheme, cfg.iters, cfg.beta)
+    return orthogonalize_ref(sample_params(shape, seed), cfg.scheme)
 
 
 def _projector_kernel(c_in, c_out, k1, k2, seed, cfg):
@@ -219,5 +219,4 @@ def aoc_kernel_per_group(cfg):
         K_q, branch, width = _group_kernel(ci, co, k1, k2, s, cfg, seed)
         kernels.append(K_q.data)
     K = KernelTensor(np.concatenate(kernels, axis=0), groups=g)
-    return K, BranchTag(branch=branch, internal_width=width, group_seeds=group_seeds,
-                        ordering=cfg.ordering)
+    return K, BranchTag(branch=branch, internal_width=width, group_seeds=group_seeds)

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,7 @@ GROUPED_SPECTRUM_SHA256 = "b08f781e1ad26353f84a3c5449e5015e078be8e718059fcf26eec
 
 def write_config(path, **overrides):
     doc = {"c_in": 4, "c_out": 8, "kernel": [3, 3], "stride": 2, "groups": 1,
-           "dilation": 1, "scheme": "bjorck", "iters": 12, "beta": 0.5,
-           "seed": 7, "ordering": "bcop"}
+           "dilation": 1, "scheme": "bjorck", "seed": 7, "ordering": "bcop"}
     doc.update(overrides)
     path.write_text(json.dumps(doc))
     return path
@@ -85,8 +86,11 @@ def test_build_invalid_config_exit_2(tmp_path):
     assert main(["build", str(cfg), str(tmp_path / "k.okt")]) == 2
     cfg = write_config(tmp_path / "cfg3.json", extra_key=1)
     assert main(["build", str(cfg), str(tmp_path / "k.okt")]) == 2
+    for text in ("[4, 8, 3]", '{"c_in": 4, "c_out": 8}'):  # a list; no "kernel"
+        bad.write_text(text)
+        assert main(["build", str(bad), str(tmp_path / "k.okt")]) == 2, text
     # values are not coerced: integer keys take JSON integers only (not
-    # bool), beta a number
+    # bool); iters and beta are not keys at all
     for bad in ({"c_in": 2.7}, {"seed": 1.9}, {"c_in": "4"}, {"c_out": True},
                 {"kernel": [3.5, 3]}, {"kernel": True}, {"stride": 2.0},
                 {"iters": "12"}, {"beta": "0.5"}, {"beta": True}, {"seed": 2 ** 32}):
@@ -94,6 +98,30 @@ def test_build_invalid_config_exit_2(tmp_path):
         out = tmp_path / "k4.okt"
         assert main(["build", str(cfg), str(out)]) == 2, bad
         assert not out.exists()
+
+
+def test_build_sweep_count_or_step_exit_2(tmp_path, capsys):
+    # Björck's sweeps and step are the library's: either key is refused by
+    # name.  At step 0.05 this layer built and then failed verification
+    # (sigma_min 0.995).
+    for key, value in (("beta", 0.05), ("iters", 12)):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"c_in": 64, "c_out": 64, "kernel": 2, "stride": 2,
+                                    key: value}))
+        out = tmp_path / "k.okt"
+        assert main(["build", str(path), str(out)]) == 2
+        assert capsys.readouterr().err == f"invalid config: unknown config keys: ['{key}']\n"
+        assert not out.exists()
+
+
+def test_readme_build_config_example_builds(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"Build config JSON: `(\{.*?\})`", readme, re.S)
+    path = tmp_path / "cfg.json"
+    path.write_text(example)
+    assert main(["build", str(path), str(tmp_path / "k.okt")]) == 0
+    assert json.loads((tmp_path / "k.okt.meta.json").read_text())["config"] == {
+        **json.loads(example), "kernel": [3, 3]}
 
 
 def test_build_unsupported_exit_3(tmp_path, capsys):
@@ -199,8 +227,9 @@ def test_non_ascii_or_bool_writer_layout_file_exit_2(tmp_path, capsys, command):
     path = tmp_path / "k.okt"
     path.write_text(text)
     assert main([command, str(path)]) == 0
+    # the last one ends inside its data list, before any "]"
     for bad in (text.replace('"f64"', '"f64","note":"\u00e9"').encode("utf-8"),
-                text.replace("1.0", "true").encode()):
+                text.replace("1.0", "true").encode(), b'{"data":[0.5,0.25'):
         path.write_bytes(bad)
         capsys.readouterr()
         assert main([command, str(path)]) == 2
@@ -344,6 +373,13 @@ def test_parser_built_once_parses_each_call_afresh(tmp_path, capsys):
     assert "depthwise" in second and "even_kernel" not in second
 
 
+def test_selftest_failures_exit_1(capsys):
+    # at tolerance 0 an entry passes only with every singular value exactly 1
+    assert main(["selftest", "--category", "common", "--tol", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "\nFAIL " in out and out.endswith(": FAILURES\n")
+
+
 def test_selftest_full_grid(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
@@ -440,16 +476,13 @@ SIDECAR_MINIMAL = """\
     "group_seeds": [
       0
     ],
-    "internal_width": null,
-    "ordering": "bcop"
+    "internal_width": null
   },
   "config": {
-    "beta": 0.5,
     "c_in": 4,
     "c_out": 8,
     "dilation": 1,
     "groups": 1,
-    "iters": 12,
     "kernel": [
       3,
       3
@@ -459,7 +492,7 @@ SIDECAR_MINIMAL = """\
     "seed": 0,
     "stride": 1
   },
-  "version": 3
+  "version": 4
 }
 """
 SIDECAR_GROUPED = """\
@@ -476,16 +509,13 @@ SIDECAR_GROUPED = """\
         2097153
       ]
     ],
-    "internal_width": 4,
-    "ordering": "scfac"
+    "internal_width": 4
   },
   "config": {
-    "beta": 0.25,
     "c_in": 8,
     "c_out": 16,
     "dilation": 3,
     "groups": 2,
-    "iters": 20,
     "kernel": [
       3,
       2
@@ -495,7 +525,7 @@ SIDECAR_GROUPED = """\
     "seed": 7,
     "stride": 2
   },
-  "version": 3
+  "version": 4
 }
 """
 
@@ -503,7 +533,7 @@ SIDECAR_GROUPED = """\
 @pytest.mark.parametrize("doc, text", [
     ({"c_in": 4, "c_out": 8, "kernel": 3}, SIDECAR_MINIMAL),
     ({"c_in": 8, "c_out": 16, "kernel": [3, 2], "stride": 2, "groups": 2, "dilation": 3,
-      "scheme": "cayley", "iters": 20, "beta": 0.25, "seed": 7, "ordering": "scfac"},
+      "scheme": "cayley", "seed": 7, "ordering": "scfac"},
      SIDECAR_GROUPED),
 ], ids=["minimal", "grouped"])
 def test_build_sidecar_text_pinned(tmp_path, doc, text):

@@ -84,6 +84,10 @@ def test_bcop_spectrum_various_shapes(ci, co, k1, k2):
 def test_bcop_rejects_width_one_spatial():
     with pytest.raises(UnsupportedConfigError):
         bcop_kernel(1, 1, 3, 3)
+    with pytest.raises(ValueError, match="kernel size must be >= 1, got 0x3"):
+        bcop_kernel(2, 2, 0, 3)
+    with pytest.raises(ValueError, match="channel counts must be >= 1"):
+        bcop_kernel(0, 2, 3, 3)
 
 
 def test_scfac_k1_identical_to_bcop():
@@ -430,6 +434,19 @@ def test_soc_rejects_bad_inputs():
         soc_explicit_kernel(random_kernel(2, 3, 3, 3, seed=0), terms=3)
     with pytest.raises(ValueError):
         soc_explicit_kernel(random_kernel(2, 2, 3, 3, seed=0), terms=0)
+    # square channel counts, but 2 groups of 2 -> 2: refused before any fusion
+    grouped = KernelTensor(0.1 * rng(0).standard_normal((4, 2, 3, 3)), groups=2)
+    for make in (soc_explicit_kernel, skew_symmetrize_kernel):
+        with pytest.raises(ValueError, match="square channel counts and groups == 1"):
+            make(grouped)
+    with pytest.raises(ValueError, match="square channel counts and groups == 1"):
+        skew_symmetrize_kernel(random_kernel(2, 4, 3, 3, seed=0))
+
+
+def test_soc_normalized_skew_of_a_symmetric_kernel_is_zero():
+    # the identity is its own transpose, so its skew part and bound are 0
+    S = soc_normalized_skew(identity_kernel(3, 3, 3))
+    assert S.shape == (3, 3, 3, 3) and not np.any(S.data)
 
 
 def test_soc_default_term_count():
@@ -443,10 +460,6 @@ def test_aoc_config_validation():
         AocConfig(spec=spec, scheme="qr")
     with pytest.raises(ValueError):
         AocConfig(spec=spec, ordering="interleaved")
-    with pytest.raises(ValueError):
-        AocConfig(spec=spec, beta=0.75)
-    with pytest.raises(ValueError):
-        AocConfig(spec=spec, iters=0)
     with pytest.raises(ValueError):
         AocConfig(spec=spec, seed=-1)
     # numpy splits larger seeds into 32-bit words: 2**32 draws what (0, 1) draws
@@ -465,7 +478,7 @@ def aoc_configs(draw):
                     k_w=draw(st.integers(1, 4)), stride=draw(st.integers(1, 3)), groups=g,
                     dilation=draw(st.integers(1, 3)))
     return AocConfig(spec=spec, scheme=draw(st.sampled_from(SCHEMES)),
-                     iters=draw(st.sampled_from([1, 12, 25])), seed=draw(st.integers(0, 2 ** 32 - 1)),
+                     seed=draw(st.integers(0, 2 ** 32 - 1)),
                      ordering=draw(st.sampled_from(ORDERINGS)))
 
 

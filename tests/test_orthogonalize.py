@@ -69,6 +69,8 @@ def test_qr_rank_deficiency_error():
     W = np.ones((4, 3))
     with pytest.raises(ValueError, match="rank"):
         qr_mgs(W)
+    with pytest.raises(ValueError, match="square or tall"):
+        qr_mgs(np.ones((3, 4)))
 
 
 # --- Cayley ------------------------------------------------------------------
@@ -135,6 +137,8 @@ def test_exp_2x2_rotation_closed_form():
 def test_exp_rejects_rectangular():
     with pytest.raises(ValueError):
         exp_map(np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        exp_map(np.zeros((3, 3)), p=0)
 
 
 # --- Cholesky -----------------------------------------------------------------
@@ -179,6 +183,8 @@ def test_projector_invariants_random():
 def test_projector_rejects_non_orthogonal_base():
     with pytest.raises(ValueError, match="column orthogonal"):
         projector_pair(rng(10).standard_normal((6, 3)))
+    with pytest.raises(ValueError, match="at least 2 channels"):
+        projector_pair(np.ones((1, 1)))
 
 
 # --- parameter sampling --------------------------------------------------------
@@ -258,8 +264,6 @@ def test_orthogonalize_stack_gives_each_matrix_its_own_schedule(shape):
     for Ws in ([fast, slow], [slow, fast], [fast, slow, fast, slow, fast]):
         want = np.stack([bjorck_ref(W)[0] for W in Ws])
         assert np.array_equal(orthogonalize_stack(np.stack(Ws)), want)
-    assert np.array_equal(orthogonalize_stack(np.stack([slow, fast]), iters=3),
-                          np.stack([bjorck_ref(slow, iters=3)[0], bjorck_ref(fast, iters=3)[0]]))
 
 
 def test_unconverged_factor_is_logged(caplog):

@@ -196,6 +196,14 @@ def test_shape_mismatch_errors():
     bad_spec = ConvSpec(c_in=3, c_out=2, k_h=5, k_w=5)
     with pytest.raises(ValueError):
         conv2d_ref(K, np.zeros((3, 8, 8)), bad_spec)  # kernel/spec mismatch
+    with pytest.raises(ValueError, match="x extents"):
+        conv2d_ref(K, np.zeros((3, 0, 8)), spec)
+    with pytest.raises(TypeError, match="KernelTensor"):
+        conv2d_ref(K.data, np.zeros((3, 8, 8)), spec)  # a bare array
+    with pytest.raises(ValueError, match="kernel extents"):
+        KernelTensor(np.zeros((2, 3, 0, 3)))
+    with pytest.raises(ValueError, match="groups must be >= 1"):
+        KernelTensor(np.zeros((2, 3, 3, 3)), groups=0)
     for shape in ((3, 8), (1, 1, 3, 8, 8)):  # one image or one batch only
         with pytest.raises(ValueError, match="axes"):
             conv2d_ref(K, np.zeros(shape), spec)

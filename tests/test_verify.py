@@ -19,6 +19,7 @@ from orthokernel import (
     product_bound,
     robustness_certificate,
     roundtrip_check,
+    sequential_compose,
     singular_values,
     spec_for_kernel,
     toeplitz_from_kernel,
@@ -81,6 +82,8 @@ def test_toeplitz_budget_guard():
         toeplitz_from_kernel(K, spec_for_kernel(K), 64, 64)
     with pytest.raises(ValueError, match="budget"):  # c_out*c_in*h*w impulse stack
         polyphase_spectrum(K, spec_for_kernel(K), 1024, 512)
+    with pytest.raises(ValueError, match="2048 spectrum budget"):  # a view: no 33 MB array
+        singular_values(np.broadcast_to(0.0, (2049, 2049)))
 
 
 def test_impulse_batches_match_per_impulse_calls(monkeypatch):
@@ -428,6 +431,8 @@ def test_roundtrip_is_worst_of_sequential_trials(direction, stride):
     assert roundtrip_check(K, spec, n_trials=3, direction=direction, seed=4) == worst
     with pytest.raises(ValueError, match="n_trials"):
         roundtrip_check(K, spec, n_trials=0, direction=direction)
+    with pytest.raises(ValueError, match="unknown direction 'diagonal'"):
+        roundtrip_check(K, spec, direction="diagonal")
 
 
 # --- product bound ---------------------------------------------------------------
@@ -485,6 +490,8 @@ def test_product_bound_upper_bounds_fused_norm():
 def test_product_bound_empty_chain():
     with pytest.raises(ValueError):
         product_bound([])
+    with pytest.raises(ValueError, match="cannot compose an empty chain"):
+        sequential_compose([])
 
 
 # --- robustness certificate --------------------------------------------------------
