@@ -17,13 +17,7 @@ from .tensor_core import (
     spec_for_kernel,
 )
 from .kernel_io import read_kernel, write_kernel, kernel_to_json, kernel_from_json
-from .blockconv import (
-    block_conv_fast,
-    block_conv_naive,
-    product_bound,
-    scan_compose,
-    sequential_compose,
-)
+from .blockconv import block_conv_fast, product_bound, scan_compose
 from .orthogonalize import (
     bjorck_orthogonalize,
     cayley_rect,
@@ -32,7 +26,6 @@ from .orthogonalize import (
     orthogonalize_stack,
     projector_pair,
     qr_mgs,
-    qr_mgs_full,
     sample_params,
 )
 from .construct import (
@@ -41,7 +34,6 @@ from .construct import (
     aoc_kernel,
     bcop_kernel,
     rko_kernel,
-    scfac_kernel,
     skew_symmetrize_kernel,
     soc_explicit_kernel,
     soc_normalized_skew,

@@ -6,12 +6,14 @@ applying A first and B second.  Entrywise,
     (B . A)[m, n, i, j] = sum_{c, i', j'} B[m, c, i', j'] * A[c, n, i-i', j-j']
 
 with A treated as zero outside its support; the result has spatial size
-(k1A + k1B - 1, k2A + k2B - 1).  `block_conv_naive` is the literal loop and
-serves as the oracle.  `block_conv_fast` splits the sum by the tap (u, v)
-of B: one matrix product (a BLAS GEMM) per tap multiplies that tap's
-channel matrix with all of A, and adds the product in place into the
+(k1A + k1B - 1, k2A + k2B - 1).  `block_conv_fast` splits the sum by the
+tap (u, v) of B: one matrix product (a BLAS GEMM) per tap multiplies that
+tap's channel matrix with all of A, and adds the product in place into the
 output at spatial offset (u, v).  It sums in a different order than the
-loop, so the two agree to rounding (1e-12 in the tests), not bit for bit.
+literal loop over output entries, so the two agree to rounding (1e-12 in
+the tests), not bit for bit.  That loop, and the sequential fold of a
+chain with it, are the oracles of this module's fusions; they live in the
+test suite (`tests/oracles.py`), not in the library.
 The call holds the output, one tap's channel matrix and its product, then
 the output and its KernelTensor's copy.
 
@@ -45,26 +47,6 @@ def _require_compat(A: KernelTensor, B: KernelTensor):
         )
 
 
-def block_conv_naive(B: KernelTensor, A: KernelTensor) -> KernelTensor:
-    """Literal quadruple loop over output entries; the fast path's oracle."""
-    _require_compat(A, B)
-    Ad, Bd = A.data, B.data
-    cm, ci, k1, k2 = Ad.shape
-    co, _, l1, l2 = Bd.shape
-    K1, K2 = k1 + l1 - 1, k2 + l2 - 1
-    out = np.zeros((co, ci, K1, K2))
-    for m in range(co):
-        for n in range(ci):
-            for i in range(K1):
-                for j in range(K2):
-                    acc = 0.0
-                    for ip in range(max(0, i - k1 + 1), min(l1, i + 1)):
-                        for jp in range(max(0, j - k2 + 1), min(l2, j + 1)):
-                            acc += Bd[m, :, ip, jp] @ Ad[:, n, i - ip, j - jp]
-                    out[m, n, i, j] = acc
-    return KernelTensor(out)
-
-
 def block_conv_fast(B: KernelTensor, A: KernelTensor) -> KernelTensor:
     """Fused-kernel computation as one GEMM per tap of B and a shifted sum.
 
@@ -85,18 +67,6 @@ def block_conv_fast(B: KernelTensor, A: KernelTensor) -> KernelTensor:
             out[..., u:u + k1, v:v + k2] += (
                 np.ascontiguousarray(Bd[:, :, u, v]) @ flat).reshape(co, ci, k1, k2)
     return KernelTensor(out)
-
-
-def sequential_compose(chain: Sequence[KernelTensor]) -> KernelTensor:
-    """Left fold chain[n-1] . ... . chain[0] using the naive operator.
-    Oracle for `scan_compose`."""
-    if len(chain) == 0:
-        raise ValueError("cannot compose an empty chain")
-    K = chain[0]
-    for F in chain[1:]:
-        _require_compat(K, F)
-        K = block_conv_naive(F, K)
-    return K
 
 
 def scan_compose(chain: Iterable[KernelTensor]) -> KernelTensor:

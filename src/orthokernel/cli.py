@@ -15,6 +15,11 @@ and "version" (`SIDECAR_VERSION`, raised whenever a config and seed stop
 giving the kernel bytes they gave before, and whenever the sidecar gains
 or loses a key).
 
+okt-v1 stores no stride or dilation, so `verify` and `spectrum` take them
+from the sidecar next to the kernel when there is one; `--stride` and
+`--dilation` may only repeat its values.  Without a sidecar the flags
+give them, 1 by default.
+
 Exit codes: 0 success / verification pass, 1 verification failure,
 2 invalid input (including a malformed config or kernel file and an
 unwritable output path), 3 unsupported configuration (including one whose
@@ -36,7 +41,7 @@ import numpy as np
 from . import kernel_io
 from .construct import AocConfig, aoc_kernel
 from .orthogonalize import DEFAULT_SCHEME, SCHEMES
-from .tensor_core import ConvSpec, spec_for_kernel
+from .tensor_core import ConvSpec, KernelTensor, _check_kernel_spec, spec_for_kernel
 from .verify import DEFAULT_TOLERANCE, check_orthogonality, grid_entries, polyphase_spectrum, run_grid
 
 EXIT_OK = 0
@@ -48,14 +53,16 @@ EXIT_UNSUPPORTED = 3
 #: and one GEMM per fused tap (sidecars written before had no version);
 #: 3: rectangular factors of the exponential scheme get Björck's residual
 #: stop, so those that had not converged after 25 sweeps change;
-#: 4: "config" loses iters and beta, "branch" loses ordering (bytes unchanged)
-SIDECAR_VERSION = 4
+#: 4: "config" loses iters and beta, "branch" loses the key of the projector
+#: composition order (bytes unchanged);
+#: 5: "config" loses that key too, as the order is now fixed (bytes unchanged)
+SIDECAR_VERSION = 5
 
 # every build config key with its default; None marks a required key
 _CONFIG_DEFAULTS = {
     "c_in": None, "c_out": None, "kernel": None,
     "stride": 1, "groups": 1, "dilation": 1,
-    "scheme": DEFAULT_SCHEME, "seed": 0, "ordering": "bcop",
+    "scheme": DEFAULT_SCHEME, "seed": 0,
 }
 _INT_KEYS = ("c_in", "c_out", "stride", "groups", "dilation", "seed")
 
@@ -87,7 +94,7 @@ def _load_build_config(path) -> tuple[AocConfig, dict]:
         raise ValueError("config key 'kernel' must be an integer or a [k1, k2] pair of integers")
     spec = ConvSpec(c_in=doc["c_in"], c_out=doc["c_out"], k_h=kernel[0], k_w=kernel[1],
                     stride=doc["stride"], groups=doc["groups"], dilation=doc["dilation"])
-    cfg = AocConfig(spec=spec, scheme=doc["scheme"], seed=doc["seed"], ordering=doc["ordering"])
+    cfg = AocConfig(spec=spec, scheme=doc["scheme"], seed=doc["seed"])
     return cfg, doc
 
 
@@ -118,10 +125,40 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _load_operator(args) -> tuple[KernelTensor, ConvSpec]:
+    """The kernel file `args.kernel` and the spec of its operator: stride
+    and dilation from its build sidecar when there is one, where a flag
+    that contradicts it is refused, else from the flags.  Raises
+    ValueError for a sidecar that cannot be read or describes another
+    kernel."""
+    K = kernel_io.read_kernel(args.kernel)
+    meta = str(args.kernel) + ".meta.json"
+    try:
+        with open(meta, "r", encoding="utf-8") as f:
+            config = json.load(f)["config"]
+        built = ConvSpec(c_in=config["c_in"], c_out=config["c_out"],
+                         k_h=config["kernel"][0], k_w=config["kernel"][1],
+                         stride=config["stride"], groups=config["groups"],
+                         dilation=config["dilation"])
+    except FileNotFoundError:
+        return K, spec_for_kernel(K, 1 if args.stride is None else args.stride,
+                                  1 if args.dilation is None else args.dilation)
+    except (ValueError, TypeError, KeyError, IndexError, RecursionError) as exc:
+        raise ValueError(f"unreadable build sidecar {meta}: {exc!r}") from None
+    for key in ("stride", "dilation"):
+        flag, value = getattr(args, key), getattr(built, key)
+        if flag is not None and flag != value:
+            raise ValueError(f"--{key} {flag} contradicts {key} {value} in {meta}")
+    try:
+        _check_kernel_spec(K, built)
+    except ValueError as exc:
+        raise ValueError(f"build sidecar {meta} describes another kernel: {exc}") from None
+    return K, built
+
+
 def cmd_verify(args) -> int:
     try:
-        K = kernel_io.read_kernel(args.kernel)
-        spec = spec_for_kernel(K, args.stride, args.dilation)
+        K, spec = _load_operator(args)
         h, w = args.size
         report = check_orthogonality(K, spec, h, w, tolerance=args.tol)
     except (OSError, ValueError) as exc:
@@ -137,8 +174,7 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     try:
-        K = kernel_io.read_kernel(args.kernel)
-        spec = spec_for_kernel(K, args.stride, args.dilation)
+        K, spec = _load_operator(args)
         h, w = args.size
         sv = np.sort(polyphase_spectrum(K, spec, h, w), axis=None)[::-1]
     except (OSError, ValueError) as exc:
@@ -203,8 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=cmd_build)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--stride", type=int, default=1)
-    common.add_argument("--dilation", type=int, default=1)
+    common.add_argument("--stride", type=int,
+                        help="default: the build sidecar's, else 1")
+    common.add_argument("--dilation", type=int,
+                        help="default: the build sidecar's, else 1")
     common.add_argument("--size", type=int, nargs=2, default=[8, 8],
                         metavar=("H", "W"))
 

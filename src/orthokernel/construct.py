@@ -2,9 +2,9 @@
 
 Three building blocks and one adaptive front end:
 
-* `bcop_kernel` / `scfac_kernel` - compose 1x2 and 2x1 projector kernels
+* `bcop_kernel` - compose alternating 2x1 and 1x2 projector kernels
   with a 1x1 orthogonal channel map into a k1 x k2 kernel that is
-  orthogonal as an unstrided convolution (two composition orders).
+  orthogonal as an unstrided convolution.
 * `rko_kernel` - orthogonalize the (c_out) x (c_in*k1*k2) flattening and
   reshape; orthogonal as a strided convolution exactly when k == s.
 * `aoc_kernel` - pick the cheapest construction that is orthogonal for
@@ -41,9 +41,6 @@ from .tensor_core import (
     kernel_transpose,
 )
 
-ORDERINGS = ("bcop", "scfac")
-
-
 @dataclass(frozen=True)
 class AocConfig:
     """Full recipe for an adaptive orthogonal convolution kernel."""
@@ -51,13 +48,10 @@ class AocConfig:
     spec: ConvSpec
     scheme: str = DEFAULT_SCHEME
     seed: int = 0
-    ordering: str = "bcop"
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.ordering not in ORDERINGS:
-            raise ValueError(f"unknown ordering {self.ordering!r}")
         # numpy splits an integer seed into 32-bit words, so a seed of 2**32
         # or more would draw the stream of a tuple of smaller seed words
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2 ** 32:
@@ -131,24 +125,21 @@ def _projector_factor(pair: tuple[np.ndarray, np.ndarray], axis: int) -> KernelT
     return KernelTensor(np.concatenate([P.reshape(c, c, 1, 1) for P in pair], axis=axis))
 
 
-def _factor_axes(k1: int, k2: int, interleave: bool) -> list[int]:
+def _factor_axes(k1: int, k2: int) -> list[int]:
     """Spatial axes of the projector factors needed for a k1 x k2 kernel:
-    (k1-1) vertical (axis 2) and (k2-1) horizontal (axis 3) ones, either
-    alternating pairwise or grouped by direction."""
-    if interleave:
-        axes = []
-        for t in range(max(k1 - 1, k2 - 1)):
-            if t < k1 - 1:
-                axes.append(2)
-            if t < k2 - 1:
-                axes.append(3)
-        return axes
-    return [3] * (k2 - 1) + [2] * (k1 - 1)
+    (k1-1) vertical (axis 2) and (k2-1) horizontal (axis 3) ones,
+    alternating pairwise."""
+    axes = []
+    for t in range(max(k1 - 1, k2 - 1)):
+        if t < k1 - 1:
+            axes.append(2)
+        if t < k2 - 1:
+            axes.append(3)
+    return axes
 
 
-def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme,
-                       interleave: bool) -> list[KernelTensor]:
-    """Shared body of the two unstrided constructions: one kernel per seed.
+def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme) -> list[KernelTensor]:
+    """The unstrided projector construction, one kernel per seed.
 
     All projector factors live at width c = max(c_in, c_out).  The 1x1
     channel map sits at the input end (applied first); when c_out < c the
@@ -161,7 +152,7 @@ def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme,
     if c_in < 1 or c_out < 1:
         raise ValueError("channel counts must be >= 1")
     c = max(c_in, c_out)
-    axes = _factor_axes(k1, k2, interleave)
+    axes = _factor_axes(k1, k2)
     if axes and c < 2:
         raise UnsupportedConfigError(
             f"channel width 1 is unsupported for a {k1}x{k2} projector kernel: "
@@ -195,14 +186,7 @@ def bcop_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTen
     The resulting convolution (stride 1, circular padding) is row
     orthogonal when c_out <= c_in and column orthogonal otherwise.
     """
-    return _projector_kernels(c_in, c_out, k1, k2, [seed], scheme, interleave=True)[0]
-
-
-def scfac_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTensor:
-    """Alternative composition order: all 1x2 factors, then all 2x1
-    factors (grouped by direction instead of alternating).  Same
-    orthogonality contract and parameter count as `bcop_kernel`."""
-    return _projector_kernels(c_in, c_out, k1, k2, [seed], scheme, interleave=False)[0]
+    return _projector_kernels(c_in, c_out, k1, k2, [seed], scheme)[0]
 
 
 def rko_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTensor:
@@ -248,19 +232,17 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
             f"be orthogonal in both directions"
         )
     ci, co = spec.c_in // g, spec.c_out // g
-    scheme, interleave = cfg.scheme, cfg.ordering == "bcop"
+    scheme = cfg.scheme
     group_seeds = ((cfg.seed,) if g == 1 else
                    tuple((cfg.seed, GROUP_SEED_BASE + q) for q in range(g)))
     width = None
     if k1 == s and k2 == s:
         branch, kernels = "b", _rko_kernels(ci, co, s, s, group_seeds, scheme)
     elif s == 1:
-        branch, kernels = "a", _projector_kernels(ci, co, k1, k2, group_seeds, scheme,
-                                                  interleave)
+        branch, kernels = "a", _projector_kernels(ci, co, k1, k2, group_seeds, scheme)
     else:
         branch, width = "d", max(ci, co // (s * s))
-        inner = _projector_kernels(ci, width, k1 - s + 1, k2 - s + 1, group_seeds, scheme,
-                                   interleave)
+        inner = _projector_kernels(ci, width, k1 - s + 1, k2 - s + 1, group_seeds, scheme)
         # disjoint sub-seed namespace from the projector factors (seed, 1..t+1);
         # an s x s factor never has a projector factor's shape, so this is
         # still one orthogonalization pass per shape

@@ -81,26 +81,19 @@ def qr_mgs(W: np.ndarray) -> np.ndarray:
     modified from the classical procedure numerically.  Requires full
     column rank (square or tall input).
     """
-    return qr_mgs_full(W)[0]
-
-
-def qr_mgs_full(W: np.ndarray):
-    """Full (Q, R) of the MGS factorization described in `qr_mgs`."""
     W = np.asarray(W, dtype=np.float64)
     rows, cols = W.shape
     if rows < cols:
         raise ValueError("qr_mgs expects a square or tall matrix")
     Q = W.copy()
-    R = np.zeros((cols, cols))
     for j in range(cols):
-        R[j, j] = np.linalg.norm(Q[:, j])
-        if R[j, j] < 1e-12:
-            raise ValueError(f"rank deficiency detected at column {j} (r_jj={R[j, j]:.3e})")
-        Q[:, j] /= R[j, j]
+        r_jj = np.linalg.norm(Q[:, j])
+        if r_jj < 1e-12:
+            raise ValueError(f"rank deficiency detected at column {j} (r_jj={r_jj:.3e})")
+        Q[:, j] /= r_jj
         for k in range(j + 1, cols):
-            R[j, k] = Q[:, j] @ Q[:, k]
-            Q[:, k] -= R[j, k] * Q[:, j]
-    return Q, R
+            Q[:, k] -= (Q[:, j] @ Q[:, k]) * Q[:, j]
+    return Q
 
 
 def cayley_rect(W: np.ndarray) -> np.ndarray:

@@ -6,6 +6,11 @@ bytes.  `read_floats_ref` is the "data" of an okt-v1 document as
 `json.loads` and `np.asarray` read it; the reader parses most numbers in
 numpy and must give the same bits.
 
+`block_conv_naive` is block convolution as the literal loop over output
+entries, and `sequential_compose` the left fold of a chain with it;
+`block_conv_fast` and `scan_compose` sum in another order and must agree
+with them to rounding.
+
 `conv2d_scatter` and `conv2d_transpose_scatter` are the per-tap loops
 `tensor_core.conv2d_ref` and `conv2d_transpose_ref` used before they took a
 tap-major kernel copy and turned the adjoint's scatter into a gather: each
@@ -39,6 +44,7 @@ from orthokernel import (
     sample_params,
     scan_compose,
 )
+from orthokernel.blockconv import _require_compat
 from orthokernel.construct import GROUP_SEED_BASE, BranchTag, _factor_axes, _projector_factor
 from orthokernel.orthogonalize import SCHEMES
 
@@ -52,6 +58,36 @@ def format_floats_ref(values) -> str:
 def read_floats_ref(text) -> np.ndarray:
     """The "data" of an okt-v1 document, read by `json.loads` as float64."""
     return np.asarray(json.loads(text)["data"], dtype=np.float64)
+
+
+def block_conv_naive(B, A):
+    """B . A as a literal quadruple loop over output entries."""
+    _require_compat(A, B)
+    Ad, Bd = A.data, B.data
+    cm, ci, k1, k2 = Ad.shape
+    co, _, l1, l2 = Bd.shape
+    K1, K2 = k1 + l1 - 1, k2 + l2 - 1
+    out = np.zeros((co, ci, K1, K2))
+    for m in range(co):
+        for n in range(ci):
+            for i in range(K1):
+                for j in range(K2):
+                    acc = 0.0
+                    for ip in range(max(0, i - k1 + 1), min(l1, i + 1)):
+                        for jp in range(max(0, j - k2 + 1), min(l2, j + 1)):
+                            acc += Bd[m, :, ip, jp] @ Ad[:, n, i - ip, j - jp]
+                    out[m, n, i, j] = acc
+    return KernelTensor(out)
+
+
+def sequential_compose(chain):
+    """Left fold chain[n-1] . ... . chain[0] with `block_conv_naive`."""
+    if len(chain) == 0:
+        raise ValueError("cannot compose an empty chain")
+    K = chain[0]
+    for F in chain[1:]:
+        K = block_conv_naive(F, K)
+    return K
 
 
 def conv2d_scatter(K, x, spec):
@@ -166,7 +202,7 @@ def _orth(shape, seed, cfg):
 
 def _projector_kernel(c_in, c_out, k1, k2, seed, cfg):
     c = max(c_in, c_out)
-    axes = _factor_axes(k1, k2, cfg.ordering == "bcop")
+    axes = _factor_axes(k1, k2)
     if axes and c < 2:
         raise UnsupportedConfigError(
             f"channel width 1 is unsupported for a {k1}x{k2} projector kernel: "

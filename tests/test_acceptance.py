@@ -16,7 +16,6 @@ from orthokernel import (
     bcop_kernel,
     bjorck_orthogonalize,
     block_conv_fast,
-    block_conv_naive,
     check_orthogonality,
     conv2d_ref,
     conv2d_transpose_ref,
@@ -25,7 +24,6 @@ from orthokernel import (
     rko_kernel,
     roundtrip_check,
     scan_compose,
-    sequential_compose,
     soc_explicit_kernel,
     soc_normalized_skew,
     spec_for_kernel,
@@ -36,6 +34,7 @@ from orthokernel import (
 from orthokernel.cli import main as cli_main
 from orthokernel.verify import grid_entries
 from conftest import gram_residual, random_kernel, rng
+from oracles import block_conv_naive, sequential_compose
 
 
 def report(num, name, ok, detail=""):

@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 from orthokernel import (
     KernelTensor,
     block_conv_fast,
-    block_conv_naive,
     conv2d_ref,
     identity_kernel,
     kernel_transpose,
     scan_compose,
-    sequential_compose,
     spec_for_kernel,
 )
 from conftest import random_kernel, rng, traced_peak
+from oracles import block_conv_naive, sequential_compose
 
 
 def test_identity_left_factor_is_neutral():

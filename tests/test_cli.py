@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import shutil
+import types
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ GROUPED_SPECTRUM_SHA256 = "b08f781e1ad26353f84a3c5449e5015e078be8e718059fcf26eec
 
 def write_config(path, **overrides):
     doc = {"c_in": 4, "c_out": 8, "kernel": [3, 3], "stride": 2, "groups": 1,
-           "dilation": 1, "scheme": "bjorck", "seed": 7, "ordering": "bcop"}
+           "dilation": 1, "scheme": "bjorck", "seed": 7}
     doc.update(overrides)
     path.write_text(json.dumps(doc))
     return path
@@ -78,6 +80,30 @@ def test_removed_surface_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
+# every public name of the package that is not a submodule; an export is
+# added or removed on purpose, as kernel bytes are changed with PINNED_SHA256
+PUBLIC_API = [
+    "AocConfig", "BranchTag", "ConvSpec", "KernelTensor", "SpectrumReport",
+    "UnsupportedConfigError", "aoc_kernel", "bcop_kernel", "bjorck_orthogonalize",
+    "block_conv_fast", "cayley_rect", "check_orthogonality", "cholesky_orth", "conv2d_ref",
+    "conv2d_transpose_ref", "exp_map", "grid_entries", "identity_kernel", "kernel_from_json",
+    "kernel_to_json", "kernel_transpose", "orthogonalize_stack", "polyphase_spectrum",
+    "product_bound", "projector_pair", "qr_mgs", "read_kernel", "rko_kernel",
+    "robustness_certificate", "roundtrip_check", "run_grid", "sample_params", "scan_compose",
+    "singular_values", "skew_symmetrize_kernel", "soc_explicit_kernel", "soc_normalized_skew",
+    "spec_for_kernel", "toeplitz_from_kernel", "toeplitz_of_transpose",
+    "transpose_kernel_for", "write_kernel",
+]
+
+
+def test_public_api_pinned():
+    import orthokernel
+
+    names = sorted(name for name, value in vars(orthokernel).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_API
+
+
 def test_build_invalid_config_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -111,6 +137,17 @@ def test_build_sweep_count_or_step_exit_2(tmp_path, capsys):
         out = tmp_path / "k.okt"
         assert main(["build", str(path), str(out)]) == 2
         assert capsys.readouterr().err == f"invalid config: unknown config keys: ['{key}']\n"
+        assert not out.exists()
+
+
+def test_build_ordering_exit_2(tmp_path, capsys):
+    # there is one composition order of the projector factors; the key that
+    # chose between two is refused by name, whichever value it holds
+    for value in ("bcop", "scfac"):
+        cfg = write_config(tmp_path / "cfg.json", ordering=value)
+        out = tmp_path / "k.okt"
+        assert main(["build", str(cfg), str(out)]) == 2
+        assert capsys.readouterr().err == "invalid config: unknown config keys: ['ordering']\n"
         assert not out.exists()
 
 
@@ -179,6 +216,76 @@ def test_verify_relaxed_tolerance_cholesky(tmp_path, capsys):
     assert main(["build", str(cfg), str(out)]) == 0
     capsys.readouterr()
     assert main(["verify", str(out), "--stride", "2", "--tol", "5e-2"]) == 0
+
+
+def _build_s2(tmp_path, **overrides):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"c_in": 4, "c_out": 8, "kernel": 3, "stride": 2, **overrides}))
+    out = tmp_path / "k.okt"
+    assert main(["build", str(path), str(out)]) == 0
+    return out
+
+
+def test_verify_and_spectrum_take_stride_from_sidecar(tmp_path, capsys):
+    # okt-v1 stores no stride; read at stride 1 this kernel's sigma spans
+    # 0.481 to 1.953
+    out = _build_s2(tmp_path, dilation=3)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["stride"], config["dilation"]) == (2, 3)
+    # flags that repeat the sidecar are accepted
+    assert main(["verify", str(out), "--stride", "2", "--dilation", "3"]) == 0
+    capsys.readouterr()
+    assert main(["spectrum", str(out)]) == 0
+    values = np.array([float(v) for v in capsys.readouterr().out.split()])
+    assert np.max(np.abs(values - 1.0)) <= 1e-4
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+@pytest.mark.parametrize("flag, value, built", [("--stride", "1", "2"),
+                                                ("--dilation", "2", "1")])
+def test_flag_contradicting_sidecar_exit_2(tmp_path, capsys, command, flag, value, built):
+    out = _build_s2(tmp_path)
+    capsys.readouterr()
+    assert main([command, str(out), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key = flag[2:]
+    assert captured.err == (f"invalid input: {flag} {value} contradicts {key} {built} "
+                            f"in {out}.meta.json\n")
+
+
+def test_kernel_without_sidecar_takes_stride_from_flags(tmp_path, capsys):
+    out = _build_s2(tmp_path)
+    copy = tmp_path / "copy.okt"
+    shutil.copyfile(out, copy)
+    capsys.readouterr()
+    assert main(["verify", str(copy)]) == 1
+    assert json.loads(capsys.readouterr().out)["config"]["stride"] == 1
+    assert main(["verify", str(copy), "--stride", "2"]) == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+@pytest.mark.parametrize("text, reason", [
+    ("{not json", "unreadable build sidecar"),
+    ("[1, 2]", "unreadable build sidecar"),
+    ('{"config": {"c_in": 4}}', "unreadable build sidecar"),
+    ("[" * 100000, "unreadable build sidecar"),
+    (json.dumps({"config": {"c_in": 4, "c_out": 8, "kernel": [3, 3], "stride": 2.0,
+                            "groups": 1, "dilation": 1}}), "unreadable build sidecar"),
+    (json.dumps({"config": {"c_in": 4, "c_out": 16, "kernel": [3, 3], "stride": 2,
+                            "groups": 1, "dilation": 1}}), "describes another kernel"),
+    (json.dumps({"config": {"c_in": 4, "c_out": 8, "kernel": [3, 3], "stride": 2,
+                            "groups": 2, "dilation": 1}}), "describes another kernel"),
+], ids=["malformed", "list", "missing-keys", "deep", "float-stride", "channels", "groups"])
+def test_bad_sidecar_exit_2(tmp_path, capsys, command, text, reason):
+    out = _build_s2(tmp_path)
+    Path(str(out) + ".meta.json").write_text(text)
+    capsys.readouterr()
+    assert main([command, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and reason in err and err.count("\n") == 1
 
 
 def test_verify_missing_file_exit_2(tmp_path, capsys):
@@ -359,6 +466,8 @@ def test_parser_built_once_parses_each_call_afresh(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "k.okt"
     assert main(["build", str(cfg), str(out)]) == 0
+    # without the sidecar, the stride comes from the flag of each call alone
+    (tmp_path / "k.okt.meta.json").unlink()
     capsys.readouterr()
     assert main(["verify", str(out), "--stride", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["stride"] == 2
@@ -487,12 +596,11 @@ SIDECAR_MINIMAL = """\
       3,
       3
     ],
-    "ordering": "bcop",
     "scheme": "bjorck",
     "seed": 0,
     "stride": 1
   },
-  "version": 4
+  "version": 5
 }
 """
 SIDECAR_GROUPED = """\
@@ -520,12 +628,11 @@ SIDECAR_GROUPED = """\
       3,
       2
     ],
-    "ordering": "scfac",
     "scheme": "cayley",
     "seed": 7,
     "stride": 2
   },
-  "version": 4
+  "version": 5
 }
 """
 
@@ -533,7 +640,7 @@ SIDECAR_GROUPED = """\
 @pytest.mark.parametrize("doc, text", [
     ({"c_in": 4, "c_out": 8, "kernel": 3}, SIDECAR_MINIMAL),
     ({"c_in": 8, "c_out": 16, "kernel": [3, 2], "stride": 2, "groups": 2, "dilation": 3,
-      "scheme": "cayley", "seed": 7, "ordering": "scfac"},
+      "scheme": "cayley", "seed": 7},
      SIDECAR_GROUPED),
 ], ids=["minimal", "grouped"])
 def test_build_sidecar_text_pinned(tmp_path, doc, text):

@@ -20,7 +20,6 @@ from orthokernel import (
     UnsupportedConfigError,
     aoc_kernel,
     bcop_kernel,
-    block_conv_naive,
     check_orthogonality,
     conv2d_ref,
     conv2d_transpose_ref,
@@ -30,7 +29,6 @@ from orthokernel import (
     rko_kernel,
     roundtrip_check,
     sample_params,
-    scfac_kernel,
     skew_symmetrize_kernel,
     soc_explicit_kernel,
     soc_normalized_skew,
@@ -38,10 +36,9 @@ from orthokernel import (
     toeplitz_from_kernel,
     transpose_kernel_for,
 )
-from orthokernel.construct import ORDERINGS
 from orthokernel.orthogonalize import SCHEMES
 from conftest import perfbench_module, random_kernel, rng, traced_peak
-from oracles import aoc_kernel_per_group
+from oracles import aoc_kernel_per_group, block_conv_naive
 
 
 def spectrum_ok(K, spec, h=8, w=8, tol=1e-4):
@@ -88,20 +85,6 @@ def test_bcop_rejects_width_one_spatial():
         bcop_kernel(2, 2, 0, 3)
     with pytest.raises(ValueError, match="channel counts must be >= 1"):
         bcop_kernel(0, 2, 3, 3)
-
-
-def test_scfac_k1_identical_to_bcop():
-    a = bcop_kernel(4, 6, 1, 1, seed=9)
-    b = scfac_kernel(4, 6, 1, 1, seed=9)
-    np.testing.assert_array_equal(a.data, b.data)
-
-
-def test_scfac_spectrum_and_difference():
-    K = scfac_kernel(4, 4, 3, 3, seed=2)
-    assert spectrum_ok(K, spec_for_kernel(K)).passed
-    # same seed, different composition order: different kernels
-    K2 = bcop_kernel(4, 4, 3, 3, seed=2)
-    assert np.max(np.abs(K.data - K2.data)) > 1e-6
 
 
 # --- reshaped-kernel orthogonalization -----------------------------------------
@@ -459,8 +442,6 @@ def test_aoc_config_validation():
     with pytest.raises(ValueError):
         AocConfig(spec=spec, scheme="qr")
     with pytest.raises(ValueError):
-        AocConfig(spec=spec, ordering="interleaved")
-    with pytest.raises(ValueError):
         AocConfig(spec=spec, seed=-1)
     # numpy splits larger seeds into 32-bit words: 2**32 draws what (0, 1) draws
     with pytest.raises(ValueError, match="seed"):
@@ -478,8 +459,7 @@ def aoc_configs(draw):
                     k_w=draw(st.integers(1, 4)), stride=draw(st.integers(1, 3)), groups=g,
                     dilation=draw(st.integers(1, 3)))
     return AocConfig(spec=spec, scheme=draw(st.sampled_from(SCHEMES)),
-                     seed=draw(st.integers(0, 2 ** 32 - 1)),
-                     ordering=draw(st.sampled_from(ORDERINGS)))
+                     seed=draw(st.integers(0, 2 ** 32 - 1)))
 
 
 def _outcome(build, cfg):
@@ -495,7 +475,7 @@ def _outcome(build, cfg):
 @given(aoc_configs())
 # cholesky cannot make a 2x1 projector base column orthogonal at this seed
 @example(AocConfig(spec=ConvSpec(2, 4, 3, 3, groups=2), scheme="cholesky", seed=1))
-@example(AocConfig(spec=ConvSpec(8, 8, 3, 3, stride=2, groups=4), ordering="scfac"))
+@example(AocConfig(spec=ConvSpec(8, 8, 3, 3, stride=2, groups=4)))
 @example(AocConfig(spec=ConvSpec(8, 8, 4, 2, groups=2), scheme="exponential", seed=3))
 def test_aoc_kernel_equals_per_group_oracle(cfg):
     assert _outcome(aoc_kernel, cfg) == _outcome(aoc_kernel_per_group, cfg)
@@ -508,18 +488,16 @@ def test_aoc_kernel_equals_per_group_oracle(cfg):
 # them updates these and says why.  They hash the array, not the okt-v1 text,
 # so a change to the file's float text leaves them in place
 PINNED_SHA256 = {
-    "a": (ConvSpec(4, 8, 3, 3), "bcop", "a",
+    "a": (ConvSpec(4, 8, 3, 3), "a",
           "7cef4b4e9729523aa05007236c4af930908b4ad7c69380e7d6e4b758601b6cb4"),
-    "b": (ConvSpec(3, 12, 2, 2, stride=2), "bcop", "b",
+    "b": (ConvSpec(3, 12, 2, 2, stride=2), "b",
           "4f509296015a473ca170c632e5e4a09542b22c3c4ac745c12975834a32d90281"),
-    "d": (ConvSpec(4, 8, 3, 3, stride=2), "bcop", "d",
+    "d": (ConvSpec(4, 8, 3, 3, stride=2), "d",
           "ca9c36ac0e8b517f457407d7ad85a97799338a902124b93db13ff0ebf1acff96"),
-    "grouped": (ConvSpec(8, 16, 3, 3, stride=2, groups=2), "bcop", "d",
+    "grouped": (ConvSpec(8, 16, 3, 3, stride=2, groups=2), "d",
                 "e12a5786eaa074d1b2e9f6107b8d78cde8ff075ad3aee31d92f2a80a49d922b0"),
-    "dilated": (ConvSpec(4, 2, 5, 5, stride=3, dilation=2), "bcop", "d",
+    "dilated": (ConvSpec(4, 2, 5, 5, stride=3, dilation=2), "d",
                 "ee213d36839d2a329da8d6d096e4020f8df7ed3f77569eaf7ae778f42d059733"),
-    "scfac": (ConvSpec(4, 8, 3, 3), "scfac", "a",
-              "8531d90b4d9154d45f50ec3324b283c45931e460a9ca8262adf537edee7d5596"),
 }
 SOC_SKEW_SHA256 = "d0cec0f679b70747a4e8e273bec595425cb646afe5dfe484f133bfb77115919b"
 
@@ -551,8 +529,8 @@ def test_aoc_kernel_peak_memory_on_a_wide_strided_layer():
 
 @pytest.mark.parametrize("case", sorted(PINNED_SHA256))
 def test_aoc_kernel_bytes_pinned(case):
-    spec, ordering, branch, digest = PINNED_SHA256[case]
-    K, tag = aoc_kernel(AocConfig(spec=spec, seed=3, ordering=ordering))
+    spec, branch, digest = PINNED_SHA256[case]
+    K, tag = aoc_kernel(AocConfig(spec=spec, seed=3))
     assert tag.branch == branch
     assert _sha256(K) == digest
 
@@ -565,8 +543,8 @@ def test_soc_normalized_skew_bytes_pinned():
 
 def _pinned_digests() -> dict:
     """Digests of the pinned kernels, computed in this process."""
-    digests = {case: _sha256(aoc_kernel(AocConfig(spec=spec, seed=3, ordering=ordering))[0])
-               for case, (spec, ordering, _, _) in PINNED_SHA256.items()}
+    digests = {case: _sha256(aoc_kernel(AocConfig(spec=spec, seed=3))[0])
+               for case, (spec, _, _) in PINNED_SHA256.items()}
     digests["soc_normalized_skew"] = _sha256(soc_normalized_skew(random_kernel(4, 4, 3, 3, seed=2)))
     return digests
 
@@ -602,7 +580,7 @@ def test_pinned_bytes_independent_of_blas_threads(threads, wide_digests):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     pinned, wide = json.loads(out)
-    expected = {case: pin[3] for case, pin in PINNED_SHA256.items()}
+    expected = {case: pin[2] for case, pin in PINNED_SHA256.items()}
     expected["soc_normalized_skew"] = SOC_SKEW_SHA256
     assert pinned == expected
     assert wide == wide_digests

@@ -19,7 +19,6 @@ from orthokernel import (
     product_bound,
     robustness_certificate,
     roundtrip_check,
-    sequential_compose,
     singular_values,
     spec_for_kernel,
     toeplitz_from_kernel,
@@ -27,6 +26,7 @@ from orthokernel import (
 )
 from orthokernel import verify
 from conftest import random_kernel, rng
+from oracles import sequential_compose
 
 
 # --- operator matrix -------------------------------------------------------------
