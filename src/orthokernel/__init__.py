@@ -19,7 +19,6 @@ from .tensor_core import (
 from .kernel_io import read_kernel, write_kernel, kernel_to_json, kernel_from_json
 from .blockconv import block_conv_fast, product_bound, scan_compose
 from .orthogonalize import (
-    bjorck_orthogonalize,
     cayley_rect,
     cholesky_orth,
     exp_map,

@@ -14,8 +14,8 @@ literal loop over output entries, so the two agree to rounding (1e-12 in
 the tests), not bit for bit.  That loop, and the sequential fold of a
 chain with it, are the oracles of this module's fusions; they live in the
 test suite (`tests/oracles.py`), not in the library.
-The call holds the output, one tap's channel matrix and its product, then
-the output and its KernelTensor's copy.
+The call holds the output, one tap's channel matrix and its product; the
+returned kernel is the output itself, not a copy.
 
 Under the centred tap convention, applying the fused kernel matches the
 two-step application exactly whenever at most one of the two sizes is even
@@ -66,7 +66,7 @@ def block_conv_fast(B: KernelTensor, A: KernelTensor) -> KernelTensor:
             # which rounds differently
             out[..., u:u + k1, v:v + k2] += (
                 np.ascontiguousarray(Bd[:, :, u, v]) @ flat).reshape(co, ci, k1, k2)
-    return KernelTensor(out)
+    return KernelTensor._adopt(out)
 
 
 def scan_compose(chain: Iterable[KernelTensor]) -> KernelTensor:

@@ -55,8 +55,11 @@ EXIT_UNSUPPORTED = 3
 #: stop, so those that had not converged after 25 sweeps change;
 #: 4: "config" loses iters and beta, "branch" loses the key of the projector
 #: composition order (bytes unchanged);
-#: 5: "config" loses that key too, as the order is now fixed (bytes unchanged)
-SIDECAR_VERSION = 5
+#: 5: "config" loses that key too, as the order is now fixed (bytes unchanged);
+#: 6: `bjorck` and rectangular `exponential` factors are the exact polar
+#: factor, `cholesky` whitens without a shift, and `qr_mgs` makes one rank-1
+#: update per column, so kernels of those schemes change by rounding
+SIDECAR_VERSION = 6
 
 # every build config key with its default; None marks a required key
 _CONFIG_DEFAULTS = {
@@ -108,7 +111,7 @@ def cmd_build(args) -> int:
         K, tag = aoc_kernel(cfg)
     except ValueError as exc:
         # UnsupportedConfigError, or a factor the chosen scheme could not
-        # make orthogonal (e.g. cholesky on a one-column projector matrix)
+        # make orthogonal (a rank-deficient draw)
         reason = str(exc).partition("\n")[0]
         print(f"unsupported configuration: {reason}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -122,7 +122,7 @@ def _projector_factor(pair: tuple[np.ndarray, np.ndarray], axis: int) -> KernelT
     """1x2 (axis=3) or 2x1 (axis=2) kernel stacking the `projector_pair`
     (N, I-N) spatially."""
     c = pair[0].shape[0]
-    return KernelTensor(np.concatenate([P.reshape(c, c, 1, 1) for P in pair], axis=axis))
+    return KernelTensor._adopt(np.concatenate([P.reshape(c, c, 1, 1) for P in pair], axis=axis))
 
 
 def _factor_axes(k1: int, k2: int) -> list[int]:
@@ -166,7 +166,7 @@ def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme) -> list[KernelTensor]
     kernels = []
     for _ in seeds:
         # an iterator, so that scan_compose alone holds each factor
-        chain = (KernelTensor(factors.pop().reshape(c, c_in, 1, 1)) if axis is None
+        chain = (KernelTensor._adopt(factors.pop().reshape(c, c_in, 1, 1)) if axis is None
                  else _projector_factor(projector_pair(factors.pop()), axis)
                  for axis in [None, *axes])
         K = scan_compose(chain)
@@ -176,7 +176,7 @@ def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme) -> list[KernelTensor]
 
 def _rko_kernels(c_in, c_out, k1, k2, seeds, scheme) -> list[KernelTensor]:
     Ws = _orthogonal_draws([((c_out, c_in * k1 * k2), seed) for seed in seeds], scheme)
-    return [KernelTensor(W.reshape(c_out, c_in, k1, k2)) for W in Ws]
+    return [KernelTensor._adopt(W.reshape(c_out, c_in, k1, k2)) for W in Ws]
 
 
 def bcop_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTensor:
@@ -250,7 +250,7 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
                              [_sub_seed(seed, 1 << 20) for seed in group_seeds], scheme)
         kernels = [block_conv_fast(B, A) for B, A in zip(outer, inner)]
     # one group's kernel is the layer's as built; groups are stacked once
-    K = kernels[0] if g == 1 else KernelTensor(
+    K = kernels[0] if g == 1 else KernelTensor._adopt(
         np.concatenate([K_q.data for K_q in kernels], axis=0), groups=g)
     return K, BranchTag(branch=branch, internal_width=width, group_seeds=group_seeds)
 
@@ -278,7 +278,7 @@ def skew_symmetrize_kernel(K: KernelTensor) -> KernelTensor:
         raise ValueError("skew symmetrization needs square channel counts and groups == 1")
     if K.k_h % 2 == 0 or K.k_w % 2 == 0:
         raise ValueError(f"skew symmetrization needs odd kernel sizes, got {K.k_h}x{K.k_w}")
-    return KernelTensor(K.data - kernel_transpose(K).data)
+    return KernelTensor._adopt(K.data - kernel_transpose(K).data)
 
 
 def _embed_centered(data: np.ndarray, L1: int, L2: int) -> np.ndarray:
@@ -317,7 +317,7 @@ def soc_explicit_kernel(K: KernelTensor, terms: int = 12) -> KernelTensor:
         E += _embed_centered(power.data, L1, L2) / factorial
         if t < terms:
             power = block_conv_fast(K, power)
-    return KernelTensor(E)
+    return KernelTensor._adopt(E)
 
 
 def soc_normalized_skew(K: KernelTensor) -> KernelTensor:
@@ -328,4 +328,4 @@ def soc_normalized_skew(K: KernelTensor) -> KernelTensor:
     bound = product_bound([S])
     if bound == 0.0:
         return S
-    return KernelTensor(S.data / bound)
+    return KernelTensor._adopt(S.data / bound)

@@ -3,9 +3,11 @@
 Five interchangeable schemes produce a row- or column-orthogonal matrix
 from an arbitrary dense one, all dispatched by `orthogonalize_stack` over
 a stack of same-shape matrices, plus the symmetric-projector construction
-used by the kernel factories.  All routines work in float64.  Orientation
-convention: the orthogonality residual is always measured on the smaller
-Gram side (W W^T for wide matrices, W^T W for tall ones).
+used by the kernel factories.  Every scheme finishes: `bjorck` is the
+limit of Björck's iteration, the polar factor, taken from an SVD, and
+the others take a fixed number of steps.  All routines work in float64.
+Orientation convention: the orthogonality residual is always measured on
+the smaller Gram side (W W^T for wide matrices, W^T W for tall ones).
 """
 
 from __future__ import annotations
@@ -15,12 +17,6 @@ import numpy as np
 SCHEMES = ("bjorck", "qr_mgs", "cayley", "exponential", "cholesky")
 
 DEFAULT_SCHEME = "bjorck"
-DEFAULT_BETA = 0.5
-DEFAULT_ITERS = 12
-#: Gram residual above which `orthogonalize_stack` adds Björck sweeps
-RESIDUAL_STOP = 1e-12
-#: first Björck sweeps of a rectangular factor of the exponential scheme
-EXP_RECT_SWEEPS = 25
 
 
 def sample_params(shape, seed) -> np.ndarray:
@@ -35,51 +31,13 @@ def sample_params(shape, seed) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
-def _bjorck_sweeps(W: np.ndarray, beta: float, iters: int) -> np.ndarray:
-    for _ in range(iters):
-        if W.shape[-2] <= W.shape[-1]:
-            W = (1.0 + beta) * W - beta * (W @ W.swapaxes(-1, -2)) @ W
-        else:
-            W = (1.0 + beta) * W - beta * W @ (W.swapaxes(-1, -2) @ W)
-    return W
-
-
-def bjorck_orthogonalize(W: np.ndarray, beta: float = DEFAULT_BETA,
-                         iters: int = DEFAULT_ITERS) -> np.ndarray:
-    """Iterative polar-style orthogonalization of a matrix, or of each
-    matrix of a stack `[..., m, n]`.
-
-    Each matrix is first divided by sqrt(||G||_inf), with G its smaller
-    Gram side and ||G||_inf the largest absolute row sum of G; that is at
-    least the largest eigenvalue of G, so every scaled singular value is at
-    most 1.  Then the stack is refined with W <- (1+beta) W - beta W W^T W,
-    which is gradient descent on ||W W^T - I|| with step beta; convergence
-    requires beta <= 1/2 after the scaling.  Works for wide, square and tall
-    inputs (the update is the same matrix either way; only the cheaper Gram
-    side is formed).  A stacked `matmul` makes numpy's 2-D BLAS call per
-    matrix, so a stack gives each matrix's bits.
-
-    `iters` is the fixed sweep count.  12 sweeps reach 1e-4 residuals on
-    well-conditioned inputs (aspect ratio away from 1); near-square
-    Gaussian draws can need more because their smallest singular value
-    starts arbitrarily close to zero and only grows by 3/2 per sweep.
-    """
-    W = np.asarray(W, dtype=np.float64)
-    norms = np.abs(_gram(W)).sum(axis=-1).max(axis=-1)
-    if not np.all(norms):
-        raise ValueError("cannot orthogonalize the zero matrix")
-    if not (0.0 < beta <= 0.5):
-        raise ValueError(f"beta must lie in (0, 0.5], got {beta}")
-    return _bjorck_sweeps(W / np.sqrt(norms)[..., None, None], beta, iters)
-
-
 def qr_mgs(W: np.ndarray) -> np.ndarray:
     """Q factor of the modified Gram-Schmidt QR factorization.
 
-    Columns are normalized one at a time and the remaining columns are
-    corrected in place immediately, which is what distinguishes the
-    modified from the classical procedure numerically.  Requires full
-    column rank (square or tall input).
+    Columns are normalized one at a time, and each is projected out of all
+    later columns at once (one rank-1 update) before the next is taken,
+    which is what distinguishes the modified from the classical procedure
+    numerically.  Requires full column rank (square or tall input).
     """
     W = np.asarray(W, dtype=np.float64)
     rows, cols = W.shape
@@ -91,8 +49,7 @@ def qr_mgs(W: np.ndarray) -> np.ndarray:
         if r_jj < 1e-12:
             raise ValueError(f"rank deficiency detected at column {j} (r_jj={r_jj:.3e})")
         Q[:, j] /= r_jj
-        for k in range(j + 1, cols):
-            Q[:, k] -= (Q[:, j] @ Q[:, k]) * Q[:, j]
+        Q[:, j + 1:] -= np.outer(Q[:, j], Q[:, j] @ Q[:, j + 1:])
     return Q
 
 
@@ -148,20 +105,17 @@ def exp_map(W: np.ndarray, p: int = 18) -> np.ndarray:
     return out
 
 
-def cholesky_orth(M: np.ndarray, eps: float = 1e-7) -> np.ndarray:
+def cholesky_orth(M: np.ndarray) -> np.ndarray:
     """Orthogonalization by whitening with a Cholesky factor.
 
-    C = M M^T + eps I is factored as L L^T and the triangular system
-    L W = M is solved; W W^T = I up to a residual that grows with eps
-    (roughly eps times a conditioning factor).  Requires rows <= cols.
+    M M^T is factored as L L^T and the triangular system L W = M is
+    solved, so W W^T = I to rounding.  Requires rows <= cols; a matrix
+    without full row rank raises `np.linalg.LinAlgError`, a ValueError.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.shape[0] > M.shape[1]:
         raise ValueError("cholesky_orth expects rows <= cols")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    C = M @ M.T + eps * np.eye(M.shape[0])
-    L = np.linalg.cholesky(C)
+    L = np.linalg.cholesky(M @ M.T)
     # forward substitution L W = M via solve on the triangular factor
     return np.linalg.solve(L, M)
 
@@ -181,19 +135,6 @@ def projector_pair(M0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return N, np.eye(c) - N
 
 
-def _gram(O: np.ndarray) -> np.ndarray:
-    """The smaller Gram side of each matrix of a stack: O O^T for wide
-    matrices, O^T O for tall ones."""
-    Ot = O.swapaxes(-1, -2)
-    return O @ Ot if O.shape[-2] <= O.shape[-1] else Ot @ O
-
-
-def _gram_residual(O: np.ndarray) -> np.ndarray:
-    """max |G - I| over the smaller Gram side G of each matrix of a stack."""
-    G = _gram(O)
-    return np.max(np.abs(G - np.eye(G.shape[-1])), axis=(-2, -1))
-
-
 def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME) -> np.ndarray:
     """The scheme dispatcher: each matrix of the stack `Ws[n, rows, cols]`
     orthogonalized by `scheme` (one matrix W is `W[None]`).
@@ -202,50 +143,35 @@ def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME) -> np.ndar
     row orthogonal, tall ones column orthogonal.  `qr_mgs`, `cayley` and
     `cholesky` run matrix by matrix, on the transpose where their natural
     orientation is the other one.  `exponential` is `exp_map` on square
-    matrices; rectangular ones (padding them would be wasteful) take the
-    iterative scheme with `EXP_RECT_SWEEPS` first sweeps.
+    matrices.
 
-    The iterative scheme refines the whole stack and gives each matrix the
-    bits it would get alone: 12 sweeps of `bjorck_orthogonalize` at step
-    1/2.  Kernel constructions assume factor-level orthogonality, and ill
-    conditioned square draws converge slower (the row-sum scaling starts
-    every singular value at or below 1, often well below), so each matrix
-    still above a `RESIDUAL_STOP` Gram residual gets rounds of 4 more
-    sweeps, at most 60 more, as it would alone.  One still above the stop
-    then is returned as it is, with a warning on the "orthokernel" logger.
-    Converged factors of real widths sit far below the stop (under 1e-15
-    for 512x512, 512x4608 and 1024x1024 draws), so it adds no rounds there.
+    `bjorck`, and `exponential` on rectangular matrices (padding them would
+    be wasteful), give the polar factor U V^T of each matrix W = U S V^T:
+    the limit of Björck's iteration W <- (3/2) W - (1/2) W W^T W, the
+    nearest matrix with orthonormal rows or columns.  One batched SVD of
+    the stack gives each matrix the bits it would get alone.  A matrix
+    whose smallest singular value is at most 1e-12 of its largest (the
+    zero matrix among them) has no well-defined polar factor and is
+    refused with ValueError.
     """
     Ws = np.asarray(Ws, dtype=np.float64)
     if Ws.ndim != 3:
         raise ValueError(f"expected a stack of matrices [n, rows, cols], got shape {Ws.shape}")
     rows, cols = Ws.shape[1:]
-    sweeps = DEFAULT_ITERS
-    if scheme == "exponential":
-        if rows == cols:
-            return np.stack([exp_map(W) for W in Ws])
-        scheme, sweeps = "bjorck", EXP_RECT_SWEEPS
+    if scheme == "exponential" and rows == cols:
+        return np.stack([exp_map(W) for W in Ws])
     one = {"qr_mgs": qr_mgs, "cayley": cayley_rect, "cholesky": cholesky_orth}.get(scheme)
     if one is not None:
         # qr_mgs and cayley_rect take tall matrices, cholesky_orth wide ones
         if rows > cols if scheme == "cholesky" else rows < cols:
             return np.stack([one(W.T).T for W in Ws])
         return np.stack([one(W) for W in Ws])
-    if scheme != "bjorck":
+    if scheme not in ("bjorck", "exponential"):
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    O = bjorck_orthogonalize(Ws, iters=sweeps)
-    residual = _gram_residual(O)
-    active, extra = np.flatnonzero(residual > RESIDUAL_STOP), 0
-    while active.size and extra < 60:
-        extra += 4
-        O[active] = _bjorck_sweeps(O[active], DEFAULT_BETA, 4)
-        residual[active] = _gram_residual(O[active])
-        active = active[residual[active] > RESIDUAL_STOP]
-    if active.size:
-        # imported only here: it would add ~5 ms to every process start
-        import logging
-        for i in active:
-            logging.getLogger("orthokernel").warning(
-                "Bjorck factor %d of a stack of %d %dx%d matrices did not converge: "
-                "residual %.3g after %d sweeps", i, len(O), *O.shape[1:], residual[i], sweeps + 60)
-    return O
+    U, S, Vt = np.linalg.svd(Ws, full_matrices=False)
+    deficient = np.flatnonzero(S[:, -1] <= 1e-12 * S[:, 0])
+    if deficient.size:
+        i = deficient[0]
+        raise ValueError(f"cannot orthogonalize a rank-deficient matrix: singular values "
+                         f"{S[i, 0]:.3g} to {S[i, -1]:.3g}")
+    return U @ Vt

@@ -60,7 +60,19 @@ class KernelTensor:
     groups: int = 1
 
     def __post_init__(self):
-        data = _as_f64(self.data, "kernel")
+        # the caller keeps its array, so the kernel freezes a copy of it
+        self._freeze(_as_f64(self.data, "kernel").copy())
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, groups: int = 1) -> KernelTensor:
+        """The kernel of an array that the calling builder made and drops:
+        frozen in place, where the constructor would freeze a copy."""
+        K = object.__new__(cls)
+        object.__setattr__(K, "groups", groups)
+        K._freeze(np.ascontiguousarray(_as_f64(data, "kernel")))
+        return K
+
+    def _freeze(self, data: np.ndarray):
         if data.ndim != 4:
             raise ValueError(f"kernel must have 4 axes, got {data.ndim}")
         if min(data.shape) < 1:
@@ -71,7 +83,6 @@ class KernelTensor:
             raise ValueError(
                 f"c_out={data.shape[0]} not divisible by groups={self.groups}"
             )
-        data = data.copy()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
@@ -143,7 +154,7 @@ def identity_kernel(c: int, k_h: int = 1, k_w: int = 1) -> KernelTensor:
     across channels.  Exact identity operator for odd extents."""
     data = np.zeros((c, c, k_h, k_w))
     data[np.arange(c), np.arange(c), (k_h - 1) // 2, (k_w - 1) // 2] = 1.0
-    return KernelTensor(data)
+    return KernelTensor._adopt(data)
 
 
 def _check_image(x, c_expected: int, name: str = "x") -> np.ndarray:

@@ -18,13 +18,16 @@ tap multiplies by the strided kernel slice `Kg[..., i', j']`, and the
 adjoint adds its tap into the output through fancy indices.  The operators
 must give the same bits.
 
-`bjorck_ref`, `orthogonalize_ref` and `aoc_kernel_per_group` are the
-builders before groups and same-shape factors became a batch axis: Björck
-sweeps on one 2-D matrix at a time with their row-sum scaling and extra
-rounds, and `aoc_kernel` as a loop that builds each group alone,
-orthogonalizing its factors one by one.  The stacked builders must
-give the same bytes and branch tags, and refuse with the same exception
-type and message.
+`polar_ref`, `orthogonalize_ref` and `aoc_kernel_per_group` are the
+builders before groups and same-shape factors became a batch axis: the
+polar factor from the SVD of one 2-D matrix at a time, and `aoc_kernel` as
+a loop that builds each group alone, orthogonalizing its factors one by
+one.  The stacked builders must give the same bytes and branch tags, and
+refuse with the same exception type and message.
+
+`bjorck_ref` is Björck's iteration itself, the independent route to the
+polar factor: run to convergence, it must agree with `polar_ref` to
+rounding.
 """
 
 import json
@@ -173,20 +176,28 @@ def bjorck_ref(W, beta=0.5, iters=12):
     return O, extra
 
 
+def polar_ref(W):
+    """The polar factor U V^T of one 2-D matrix W = U S V^T, refused when
+    its smallest singular value is at most 1e-12 of its largest."""
+    U, S, Vt = np.linalg.svd(np.asarray(W, dtype=np.float64), full_matrices=False)
+    if S[-1] <= 1e-12 * S[0]:
+        raise ValueError(f"cannot orthogonalize a rank-deficient matrix: singular values "
+                         f"{S[0]:.3g} to {S[-1]:.3g}")
+    return U @ Vt
+
+
 def orthogonalize_ref(W, scheme="bjorck"):
     """`orthogonalize_stack` on one matrix: rectangular exponential draws
-    take the Björck path, extra rounds included."""
+    take the polar factor, as `bjorck` does."""
     W = np.asarray(W, dtype=np.float64)
     if scheme == "bjorck":
-        return bjorck_ref(W)[0]
+        return polar_ref(W)
     if scheme == "qr_mgs":
         return qr_mgs(W) if W.shape[0] >= W.shape[1] else qr_mgs(W.T).T
     if scheme == "cayley":
         return cayley_rect(W) if W.shape[0] >= W.shape[1] else cayley_rect(W.T).T
     if scheme == "exponential":
-        if W.shape[0] != W.shape[1]:
-            return bjorck_ref(W, iters=25)[0]
-        return exp_map(W)
+        return exp_map(W) if W.shape[0] == W.shape[1] else polar_ref(W)
     if scheme == "cholesky":
         return cholesky_orth(W) if W.shape[0] <= W.shape[1] else cholesky_orth(W.T).T
     raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")

@@ -84,8 +84,8 @@ def test_removed_surface_is_gone(tmp_path):
 # added or removed on purpose, as kernel bytes are changed with PINNED_SHA256
 PUBLIC_API = [
     "AocConfig", "BranchTag", "ConvSpec", "KernelTensor", "SpectrumReport",
-    "UnsupportedConfigError", "aoc_kernel", "bcop_kernel", "bjorck_orthogonalize",
-    "block_conv_fast", "cayley_rect", "check_orthogonality", "cholesky_orth", "conv2d_ref",
+    "UnsupportedConfigError", "aoc_kernel", "bcop_kernel", "block_conv_fast",
+    "cayley_rect", "check_orthogonality", "cholesky_orth", "conv2d_ref",
     "conv2d_transpose_ref", "exp_map", "grid_entries", "identity_kernel", "kernel_from_json",
     "kernel_to_json", "kernel_transpose", "orthogonalize_stack", "polyphase_spectrum",
     "product_bound", "projector_pair", "qr_mgs", "read_kernel", "rko_kernel",
@@ -127,7 +127,7 @@ def test_build_invalid_config_exit_2(tmp_path):
 
 
 def test_build_sweep_count_or_step_exit_2(tmp_path, capsys):
-    # Björck's sweeps and step are the library's: either key is refused by
+    # Björck's sweep count and step are no build keys: either is refused by
     # name.  At step 0.05 this layer built and then failed verification
     # (sigma_min 0.995).
     for key, value in (("beta", 0.05), ("iters", 12)):
@@ -170,14 +170,20 @@ def test_build_unsupported_exit_3(tmp_path, capsys):
     assert main(["build", str(cfg), str(tmp_path / "k.okt")]) == 3
 
 
-def test_build_unorthogonalizable_factor_exit_3(tmp_path, capsys):
-    # at seed 1, cholesky cannot make the 2x1 projector matrix of a 1->2
-    # group column orthogonal; the ValueError must become exit 3, not escape
+def test_build_unorthogonalizable_factor_exit_3(tmp_path, capsys, monkeypatch):
+    # a factor no scheme can orthogonalize is a rank-deficient draw, which no
+    # config is known to give (the shifted cholesky whitening refused seeds
+    # of this one); the ValueError must become exit 3, not escape
+    def refuse(cfg):
+        raise np.linalg.LinAlgError("Matrix is not positive definite\nsecond line")
+
+    monkeypatch.setattr("orthokernel.cli.aoc_kernel", refuse)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"c_in": 2, "c_out": 4, "kernel": 3,
                                 "groups": 2, "scheme": "cholesky", "seed": 1}))
     assert main(["build", str(path), str(tmp_path / "k.okt")]) == 3
     err = capsys.readouterr().err
+    assert err == "unsupported configuration: Matrix is not positive definite\n"
     assert err.startswith("unsupported configuration: ")
     assert err.count("\n") == 1
 
@@ -522,9 +528,17 @@ def test_selftest_bad_tolerance_exit_2(capsys, tol, category):
     assert captured.err.startswith("invalid input: tolerance") and captured.err.count("\n") == 1
 
 
-def test_selftest_unbuildable_entry_exit_3(capsys):
-    # cholesky cannot make the one-column projector matrix of a grouped
-    # entry orthogonal
+def test_selftest_unbuildable_entry_exit_3(capsys, monkeypatch):
+    # the grouped entries with one-column projector matrices, which the
+    # shifted cholesky whitening could not make orthogonal, now pass; an
+    # entry that cannot be built still exits 3
+    assert main(["selftest", "--scheme", "cholesky", "--category", "grouped"]) == 0
+    capsys.readouterr()
+
+    def refuse(cfg):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr("orthokernel.verify.aoc_kernel", refuse)
     assert main(["selftest", "--scheme", "cholesky", "--category", "grouped"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("unsupported configuration: ")
@@ -563,8 +577,8 @@ def test_build_wide_channel_increasing_strided(tmp_path):
 
 
 def test_exponential_near_square_layer_verifies(tmp_path, capsys):
-    # its 256x255 channel map takes the Björck path with the residual stop;
-    # 25 sweeps alone leave it at 8.2e-3, and the layer at sigma_min 0.862
+    # its 256x255 channel map is a polar factor; 25 Björck sweeps alone left
+    # it at 8.2e-3, and the layer at sigma_min 0.862
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"c_in": 255, "c_out": 256, "kernel": 3,
                                 "scheme": "exponential", "seed": 4}))
@@ -600,7 +614,7 @@ SIDECAR_MINIMAL = """\
     "seed": 0,
     "stride": 1
   },
-  "version": 5
+  "version": 6
 }
 """
 SIDECAR_GROUPED = """\
@@ -632,7 +646,7 @@ SIDECAR_GROUPED = """\
     "seed": 7,
     "stride": 2
   },
-  "version": 5
+  "version": 6
 }
 """
 

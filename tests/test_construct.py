@@ -473,12 +473,25 @@ def _outcome(build, cfg):
 
 @settings(max_examples=300, deadline=None)
 @given(aoc_configs())
-# cholesky cannot make a 2x1 projector base column orthogonal at this seed
+# the shifted cholesky whitening could not make this layer's 2x1 projector
+# bases column orthogonal at this seed; unshifted, it builds
 @example(AocConfig(spec=ConvSpec(2, 4, 3, 3, groups=2), scheme="cholesky", seed=1))
 @example(AocConfig(spec=ConvSpec(8, 8, 3, 3, stride=2, groups=4)))
 @example(AocConfig(spec=ConvSpec(8, 8, 4, 2, groups=2), scheme="exponential", seed=3))
 def test_aoc_kernel_equals_per_group_oracle(cfg):
     assert _outcome(aoc_kernel, cfg) == _outcome(aoc_kernel_per_group, cfg)
+
+
+def test_cholesky_builds_and_verifies_at_every_seed():
+    # whether this layer built once depended on its seed: whitening with
+    # M M^T + 1e-7 I left each one-column projector base of squared norm
+    # below 0.1 too far from unit norm for `projector_pair`
+    spec = ConvSpec(2, 4, 3, 3, groups=2)
+    for seed in range(200):
+        K, _ = aoc_kernel(AocConfig(spec=spec, scheme="cholesky", seed=seed))
+        report = check_orthogonality(K, spec, 8, 8)
+        assert report.passed, seed
+        assert max(1.0 - report.sigma_min, report.sigma_max - 1.0) <= 1e-12, seed
 
 
 # --- byte determinism ---------------------------------------------------------
@@ -489,15 +502,15 @@ def test_aoc_kernel_equals_per_group_oracle(cfg):
 # so a change to the file's float text leaves them in place
 PINNED_SHA256 = {
     "a": (ConvSpec(4, 8, 3, 3), "a",
-          "7cef4b4e9729523aa05007236c4af930908b4ad7c69380e7d6e4b758601b6cb4"),
+          "c1067eb13707760934f2c62c4bf0a2fdc75488e0574bba32f1475aa09eaf1c4a"),
     "b": (ConvSpec(3, 12, 2, 2, stride=2), "b",
-          "4f509296015a473ca170c632e5e4a09542b22c3c4ac745c12975834a32d90281"),
+          "dc1e3ca08696bde2736b06c7ac7ee7f059ddc38794709b9733e8a96a74e2586d"),
     "d": (ConvSpec(4, 8, 3, 3, stride=2), "d",
-          "ca9c36ac0e8b517f457407d7ad85a97799338a902124b93db13ff0ebf1acff96"),
+          "17863735a309cfba49cdadef968254e281ddc90543ff3929fd294a4155bd3312"),
     "grouped": (ConvSpec(8, 16, 3, 3, stride=2, groups=2), "d",
-                "e12a5786eaa074d1b2e9f6107b8d78cde8ff075ad3aee31d92f2a80a49d922b0"),
+                "25a1ff2d7b5b51838c48c9d474a4de795365665f6bea097bf281494d604fa37a"),
     "dilated": (ConvSpec(4, 2, 5, 5, stride=3, dilation=2), "d",
-                "ee213d36839d2a329da8d6d096e4020f8df7ed3f77569eaf7ae778f42d059733"),
+                "39a3d0e50e5eef0f7457bc7f867a0b8843e88bb75fedb30dde354f89bb37f84e"),
 }
 SOC_SKEW_SHA256 = "d0cec0f679b70747a4e8e273bec595425cb646afe5dfe484f133bfb77115919b"
 
@@ -508,23 +521,24 @@ def _sha256(K: KernelTensor) -> str:
 
 
 def test_aoc_kernel_peak_memory_on_a_wide_unstrided_layer():
-    # 512->512 k3 s1 is branch "a": its peak is the last fusion's output and
-    # its KernelTensor's copy (18 MiB each) beside that fusion's two inputs
-    # (12 and 4 MiB); the chain's earlier factors and every other tap's
-    # product are gone by then
+    # 512->512 k3 s1 is branch "a": its peak (48 MiB once warm) is the last
+    # fusion's output (18 MiB), which becomes the kernel without a copy,
+    # beside that fusion's two inputs (12 and 4 MiB) and one tap's channel
+    # matrix and product (2 and 12 MiB); the chain's earlier factors are
+    # gone by then.  Copying the output on return would peak at 52 MiB
     (K, tag), peak = traced_peak(lambda: aoc_kernel(AocConfig(ConvSpec(512, 512, 3, 3))))
     assert tag.branch == "a"
-    assert peak <= 3 * K.data.nbytes
+    assert peak <= 2.8 * K.data.nbytes
 
 
 def test_aoc_kernel_peak_memory_on_a_wide_strided_layer():
-    # 128->256 k3 s2 is branch "d": its peak is the final fusion's output
-    # (the kernel, 2.25 MiB) and its KernelTensor's copy beside the two
-    # factors (1.5 MiB); the single group's kernel is returned as built, not
-    # stacked and copied
+    # 128->256 k3 s2 is branch "d": its peak (5.0 MiB once warm) comes
+    # during the final fusion, whose output becomes the kernel (2.25 MiB)
+    # without a copy; copying it on return would peak at 6.0 MiB.  The single
+    # group's kernel is returned as built, not stacked and copied
     (K, tag), peak = traced_peak(lambda: aoc_kernel(AocConfig(ConvSpec(128, 256, 3, 3, stride=2))))
     assert tag.branch == "d"
-    assert peak <= 4 * K.data.nbytes
+    assert peak <= 2.6 * K.data.nbytes
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_SHA256))

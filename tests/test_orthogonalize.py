@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthokernel import (
-    bjorck_orthogonalize,
     cayley_rect,
     cholesky_orth,
     exp_map,
@@ -14,39 +13,48 @@ from orthokernel import (
     sample_params,
 )
 from conftest import gram_residual, rng
-from oracles import bjorck_ref, orthogonalize_ref
+from oracles import bjorck_ref, orthogonalize_ref, polar_ref
 
 # shapes drawn by the kernel factories: aspect-2 projector bases, channel
 # maps, reshaped-kernel flattenings
 WELL_CONDITIONED_GRID = [(8, 4), (4, 8), (16, 8), (3, 27), (12, 6), (6, 12), (9, 18), (4, 12)]
 
 
-# --- Bjorck ------------------------------------------------------------------
+# --- Bjorck: the polar factor ------------------------------------------------
 
 def test_bjorck_orthogonal_input_is_fixed_point():
     Q = np.linalg.qr(rng(1).standard_normal((6, 6)))[0]
-    out = bjorck_orthogonalize(Q, beta=0.5, iters=10)
+    out = orthogonalize_stack(Q[None])[0]
     np.testing.assert_allclose(out, Q, atol=1e-12)
 
 
 def test_bjorck_25_iters_reaches_1e6():
     W = rng(2).standard_normal((8, 4))
-    out = bjorck_orthogonalize(W, beta=0.5, iters=25)
+    out = bjorck_ref(W, iters=25)[0]
     assert np.max(np.abs(out.T @ out - np.eye(4))) <= 1e-6
 
 
 @pytest.mark.parametrize("shape", WELL_CONDITIONED_GRID)
 def test_bjorck_12_iters_reaches_1e4(shape):
+    # Björck's iteration is the independent route to the polar factor: from
+    # 12 sweeps on, it must agree with the library's SVD to rounding
     for seed in range(5):
         W = rng((seed, *shape)).standard_normal(shape)
-        assert gram_residual(bjorck_orthogonalize(W, beta=0.5, iters=12)) <= 1e-4
+        O = bjorck_ref(W, iters=12)[0]
+        assert gram_residual(O) <= 1e-4
+        assert np.max(np.abs(O - orthogonalize_stack(W[None])[0])) <= 1e-12
 
 
-def test_bjorck_rejects_zero_and_bad_beta():
-    with pytest.raises(ValueError):
-        bjorck_orthogonalize(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        bjorck_orthogonalize(np.eye(3), beta=0.7)
+def test_bjorck_rejects_rank_deficient():
+    # the zero matrix, and a 4x4 of rank 3, alone or beside a full-rank
+    # matrix; rectangular exponential factors are polar factors too
+    W = rng(13).standard_normal((4, 4))
+    rank3 = W @ np.diag([1.0, 1.0, 1.0, 0.0]) @ W.T
+    for scheme, M in (("bjorck", np.zeros((4, 4))), ("bjorck", rank3),
+                      ("exponential", np.zeros((4, 3)))):
+        for Ws in (M[None], np.stack([W[:, :M.shape[1]], M])):
+            with pytest.raises(ValueError, match="rank-deficient"):
+                orthogonalize_stack(Ws, scheme)
 
 
 # --- QR via modified Gram-Schmidt --------------------------------------------
@@ -145,21 +153,22 @@ def test_exp_rejects_rectangular():
 
 def test_cholesky_near_identity_for_orthogonal_input():
     M = np.linalg.qr(rng(7).standard_normal((6, 6)))[0][:4]  # row orthogonal
-    W = cholesky_orth(M, eps=1e-10)
-    np.testing.assert_allclose(W, M, atol=1e-5)
+    W = cholesky_orth(M)
+    np.testing.assert_allclose(W, M, atol=1e-12)
 
 
 def test_cholesky_wide_residual():
     M = rng(8).standard_normal((4, 9))
-    W = cholesky_orth(M, eps=1e-7)
-    assert np.max(np.abs(W @ W.T - np.eye(4))) <= 1e-4
+    W = cholesky_orth(M)
+    assert np.max(np.abs(W @ W.T - np.eye(4))) <= 1e-13
 
 
-def test_cholesky_rejects_tall_and_bad_eps():
+def test_cholesky_rejects_tall_and_rank_deficient():
     with pytest.raises(ValueError):
         cholesky_orth(np.zeros((5, 3)))
+    # np.linalg.LinAlgError, which is a ValueError
     with pytest.raises(ValueError):
-        cholesky_orth(np.eye(3), eps=0.0)
+        cholesky_orth(np.ones((2, 3)))
 
 
 # --- projectors ---------------------------------------------------------------
@@ -215,8 +224,8 @@ def test_row_masking_closure(seed):
 
 
 def test_product_closure():
-    A = bjorck_orthogonalize(rng(11).standard_normal((4, 8)), iters=30)
-    B = bjorck_orthogonalize(rng(12).standard_normal((8, 16)), iters=30)
+    A = orthogonalize_stack(rng(11).standard_normal((1, 4, 8)))[0]
+    B = orthogonalize_stack(rng(12).standard_normal((1, 8, 16)))[0]
     P = A @ B
     assert np.max(np.abs(P @ P.T - np.eye(4))) <= 1e-10
 
@@ -233,7 +242,7 @@ def test_scheme_interchangeability(scheme, tol, shape):
     assert gram_residual(orthogonalize_stack(W[None], scheme=scheme)[0]) <= tol
 
 
-# --- stacked Björck -------------------------------------------------------------
+# --- stacked polar factor -------------------------------------------------------
 
 def _with_singular_values(n_rows, n_cols, sigmas, seed):
     """A matrix with the given singular values and random singular vectors."""
@@ -248,42 +257,22 @@ def test_orthogonalize_stack_equals_per_matrix_calls(shape, n):
     Ws = rng((n, *shape)).standard_normal((n, *shape))
     O = orthogonalize_stack(Ws)
     assert O.shape == Ws.shape
-    assert np.array_equal(O, np.stack([bjorck_ref(W)[0] for W in Ws]))
+    assert np.array_equal(O, np.stack([polar_ref(W) for W in Ws]))
     assert np.array_equal(O, np.stack([orthogonalize_stack(W[None])[0] for W in Ws]))
-    assert np.array_equal(bjorck_orthogonalize(Ws), np.stack([bjorck_orthogonalize(W) for W in Ws]))
 
 
 @pytest.mark.parametrize("shape", [(8, 5), (6, 6), (5, 8)])
 def test_orthogonalize_stack_gives_each_matrix_its_own_schedule(shape):
-    # a well-conditioned matrix is done after the 12 sweeps; one with
-    # sigma_min = 1e-4 needs extra rounds, which must not reach the other
+    # an ill-conditioned member (sigma_min = 1e-4, where Björck's iteration
+    # needed extra rounds) must not change the bits of the others
     k = min(shape)
     fast = _with_singular_values(*shape, np.linspace(1.0, 0.8, k), seed=5)
     slow = _with_singular_values(*shape, np.logspace(0, -4, k), seed=7)
-    assert bjorck_ref(fast)[1] == 0 and 0 < bjorck_ref(slow)[1] < 60
     for Ws in ([fast, slow], [slow, fast], [fast, slow, fast, slow, fast]):
-        want = np.stack([bjorck_ref(W)[0] for W in Ws])
-        assert np.array_equal(orthogonalize_stack(np.stack(Ws)), want)
-
-
-def test_unconverged_factor_is_logged(caplog):
-    # sigma_min = 1e-30 grows by 3/2 per sweep: 72 sweeps cannot reach 1
-    ill = _with_singular_values(8, 8, np.logspace(0, -30, 8), seed=3)
-    good = _with_singular_values(8, 8, np.linspace(1.0, 0.5, 8), seed=4)
-    with caplog.at_level("WARNING", logger="orthokernel"):
-        O = orthogonalize_stack(np.stack([good, ill, good]))
-    assert np.array_equal(O, np.stack([bjorck_ref(W)[0] for W in (good, ill, good)]))
-    [record] = caplog.records
-    assert record.name == "orthokernel" and record.levelname == "WARNING"
-    residual = gram_residual(O[1])
-    assert residual > 1e-10
-    assert record.getMessage() == (f"Bjorck factor 1 of a stack of 3 8x8 matrices did not "
-                                   f"converge: residual {residual:.3g} after 72 sweeps")
-    caplog.clear()
-    with caplog.at_level("WARNING", logger="orthokernel"):
-        assert np.array_equal(orthogonalize_stack(ill[None])[0], O[1])
-        orthogonalize_stack(np.stack([good, good]))
-    assert [r.getMessage()[:36] for r in caplog.records] == ["Bjorck factor 0 of a stack of 1 8x8 "]
+        O = orthogonalize_stack(np.stack(Ws))
+        assert np.array_equal(O, np.stack([polar_ref(W) for W in Ws]))
+        assert np.array_equal(O, np.stack([orthogonalize_stack(W[None])[0] for W in Ws]))
+        assert max(gram_residual(Q) for Q in O) <= 1e-13
 
 
 def test_orthogonalize_stack_refusals_match_per_matrix_calls():
@@ -298,25 +287,19 @@ def test_orthogonalize_stack_refusals_match_per_matrix_calls():
         assert str(refused.value) == str(want.value)
     with pytest.raises(ValueError, match="stack of matrices"):
         orthogonalize_stack(W)
-    with pytest.raises(ValueError, match="cannot orthogonalize the zero matrix"):
+    with pytest.raises(ValueError, match="cannot orthogonalize a rank-deficient matrix"):
         orthogonalize_stack(np.zeros((3, 4))[None])
 
 
 def test_exponential_rectangular_factor_converges_or_warns(caplog):
-    # rectangular factors take the Björck path, residual stop and warning
-    # included: 25 sweeps leave this near-square draw at 1.4e-5
+    # rectangular factors take the polar factor, which has no sweeps left
+    # to stop short: 25 Björck sweeps left this near-square draw at 1.4e-5
     W = sample_params((64, 63), 1)
     with caplog.at_level("WARNING", logger="orthokernel"):
         O = orthogonalize_stack(W[None], "exponential")
-    assert gram_residual(O[0]) <= 1e-12
-    assert np.array_equal(O[0], bjorck_ref(W, iters=25)[0])
+    assert gram_residual(O[0]) <= 1e-13
+    assert np.array_equal(O[0], polar_ref(W))
     assert not caplog.records
-    ill = _with_singular_values(8, 6, np.logspace(0, -30, 6), seed=3)
-    with caplog.at_level("WARNING", logger="orthokernel"):
-        O = orthogonalize_stack(ill[None], "exponential")
-    [record] = caplog.records
-    assert record.getMessage() == (f"Bjorck factor 0 of a stack of 1 8x6 matrices did not "
-                                   f"converge: residual {gram_residual(O[0]):.3g} after 85 sweeps")
 
 
 @pytest.mark.parametrize("scheme", ["qr_mgs", "cayley", "exponential", "cholesky"])

@@ -31,12 +31,13 @@ def test_check_kind_runs_ok(workloads, tmp_path, check):
 
 def test_tracer_sees_calls_inside_orthogonalize_module(workloads, tmp_path):
     # the package attribute is the module, so the tracer wraps its functions
-    # where the module itself looks them up
+    # where the module itself looks them up: `orthogonalize_stack` calls
+    # `qr_mgs` there (the default scheme's SVD calls no function of it)
     assert inspect.ismodule(orthokernel.orthogonalize)
     spans = perfbench_module("spans")
     layer = workloads.conv(4, 8, 3, 2, check="roundtrip")
     cfg = tmp_path / "layer.json"
-    cfg.write_text(json.dumps(layer.config(1)))
+    cfg.write_text(json.dumps({**layer.config(1), "scheme": "qr_mgs"}))
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -44,4 +45,4 @@ def test_tracer_sees_calls_inside_orthogonalize_module(workloads, tmp_path):
     finally:
         tracer.uninstall()
     assert rec["ok"]
-    assert "orthogonalize.bjorck_orthogonalize" in {sp.name for sp in tracer.spans}
+    assert "orthogonalize.qr_mgs" in {sp.name for sp in tracer.spans}

@@ -30,6 +30,22 @@ def test_kernel_tensor_validation():
         K.data[0, 0, 0, 0] = 2.0  # immutable
 
 
+def test_kernel_freezes_a_copy_of_a_callers_array_and_adopts_a_builders():
+    a = rng(2).standard_normal((2, 2, 3, 3))
+    K = KernelTensor(a)
+    a[0, 0, 0, 0] = 5.0
+    assert K.data[0, 0, 0, 0] != 5.0
+    assert a.flags.writeable and not K.data.flags.writeable
+    # a builder's fresh array becomes the kernel's, checked and frozen
+    b = rng(3).standard_normal((4, 2, 3, 3))
+    K = KernelTensor._adopt(b, groups=2)
+    assert K.data is b and not b.flags.writeable and K.c_in == 4
+    with pytest.raises(ValueError, match="not divisible"):
+        KernelTensor._adopt(np.zeros((3, 2, 1, 1)), groups=2)
+    with pytest.raises(ValueError, match="non-finite"):
+        KernelTensor._adopt(np.full((1, 1, 1, 1), np.inf))
+
+
 def test_conv_spec_validation():
     with pytest.raises(ValueError):
         ConvSpec(c_in=3, c_out=4, k_h=3, k_w=3, groups=2)
