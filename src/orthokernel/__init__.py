@@ -17,13 +17,12 @@ from .tensor_core import (
     spec_for_kernel,
 )
 from .kernel_io import read_kernel, write_kernel, kernel_to_json, kernel_from_json
-from .blockconv import block_conv_fast, product_bound, scan_compose
+from .blockconv import block_conv_fast, product_bound
 from .orthogonalize import (
     cayley_rect,
     cholesky_orth,
     exp_map,
     orthogonalize_stack,
-    projector_pair,
     qr_mgs,
     sample_params,
 )

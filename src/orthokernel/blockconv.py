@@ -11,9 +11,10 @@ tap (u, v) of B: one matrix product (a BLAS GEMM) per tap multiplies that
 tap's channel matrix with all of A, and adds the product in place into the
 output at spatial offset (u, v).  It sums in a different order than the
 literal loop over output entries, so the two agree to rounding (1e-12 in
-the tests), not bit for bit.  That loop, and the sequential fold of a
-chain with it, are the oracles of this module's fusions; they live in the
-test suite (`tests/oracles.py`), not in the library.
+the tests), not bit for bit.  That loop is the oracle of this module's
+fusion, and its sequential fold over a projector chain the oracle of
+`construct`'s closed-form projector fold; both live in the test suite
+(`tests/oracles.py`), not in the library.
 The call holds the output, one tap's channel matrix and its product; the
 returned kernel is the output itself, not a copy.
 
@@ -29,7 +30,7 @@ from each factor's Gram kernel, which it fuses here.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,29 +68,6 @@ def block_conv_fast(B: KernelTensor, A: KernelTensor) -> KernelTensor:
             out[..., u:u + k1, v:v + k2] += (
                 np.ascontiguousarray(Bd[:, :, u, v]) @ flat).reshape(co, ci, k1, k2)
     return KernelTensor._adopt(out)
-
-
-def scan_compose(chain: Iterable[KernelTensor]) -> KernelTensor:
-    """Tree-reduction composition of a kernel chain (first element applied
-    first).  Associativity makes any bracketing equivalent; adjacent pairs
-    are fused each round and an odd tail is carried forward unchanged, so
-    the result is reproducible and reached in ceil(log2 n) rounds.
-
-    Each pair is dropped as it is fused, so a factor that only the chain
-    holds (pass an iterator to give it up) does not outlive its fusion.
-    """
-    level = list(chain)
-    if len(level) == 0:
-        raise ValueError("cannot compose an empty chain")
-    for i in range(1, len(level)):
-        _require_compat(level[i - 1], level[i])
-    while len(level) > 1:
-        fused = []
-        while len(level) > 1:
-            A, B = level.pop(0), level.pop(0)
-            fused.append(block_conv_fast(B, A))
-        level = fused + level
-    return level[0]
 
 
 def product_bound(factors: Sequence[KernelTensor]) -> float:

@@ -58,8 +58,10 @@ EXIT_UNSUPPORTED = 3
 #: 5: "config" loses that key too, as the order is now fixed (bytes unchanged);
 #: 6: `bjorck` and rectangular `exponential` factors are the exact polar
 #: factor, `cholesky` whitens without a shift, and `qr_mgs` makes one rank-1
-#: update per column, so kernels of those schemes change by rounding
-SIDECAR_VERSION = 6
+#: update per column, so kernels of those schemes change by rounding;
+#: 7: projector factors are folded in closed form, so branch "a" and "d"
+#: kernels with a projector factor change by rounding
+SIDECAR_VERSION = 7
 
 # every build config key with its default; None marks a required key
 _CONFIG_DEFAULTS = {
@@ -70,10 +72,24 @@ _CONFIG_DEFAULTS = {
 _INT_KEYS = ("c_in", "c_out", "stride", "groups", "dilation", "seed")
 
 
-def _load_build_config(path) -> tuple[AocConfig, dict]:
-    """The build config at `path` and the resolved document: every key of
-    `_CONFIG_DEFAULTS`, defaults filled in and `kernel` as a [k1, k2]
-    pair."""
+def _spec_from_config(config: dict) -> ConvSpec:
+    """The `ConvSpec` of a config dict with the keys `_config_of_spec`
+    gives (a build config, a sidecar's "config"); other keys are ignored."""
+    return ConvSpec(c_in=config["c_in"], c_out=config["c_out"],
+                    k_h=config["kernel"][0], k_w=config["kernel"][1],
+                    stride=config["stride"], groups=config["groups"],
+                    dilation=config["dilation"])
+
+
+def _config_of_spec(spec: ConvSpec) -> dict:
+    """The config keys of a spec: c_in, c_out, kernel as [k1, k2], stride,
+    groups, dilation."""
+    return {"c_in": spec.c_in, "c_out": spec.c_out, "kernel": [spec.k_h, spec.k_w],
+            "stride": spec.stride, "groups": spec.groups, "dilation": spec.dilation}
+
+
+def _load_build_config(path) -> AocConfig:
+    """The build config at `path`, defaults filled in."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -95,15 +111,12 @@ def _load_build_config(path) -> tuple[AocConfig, dict]:
     if not (isinstance(kernel, list) and len(kernel) == 2
             and all(type(k) is int for k in kernel)):
         raise ValueError("config key 'kernel' must be an integer or a [k1, k2] pair of integers")
-    spec = ConvSpec(c_in=doc["c_in"], c_out=doc["c_out"], k_h=kernel[0], k_w=kernel[1],
-                    stride=doc["stride"], groups=doc["groups"], dilation=doc["dilation"])
-    cfg = AocConfig(spec=spec, scheme=doc["scheme"], seed=doc["seed"])
-    return cfg, doc
+    return AocConfig(spec=_spec_from_config(doc), scheme=doc["scheme"], seed=doc["seed"])
 
 
 def cmd_build(args) -> int:
     try:
-        cfg, config = _load_build_config(args.config)
+        cfg = _load_build_config(args.config)
     except (OSError, json.JSONDecodeError, ValueError, TypeError, RecursionError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -115,6 +128,7 @@ def cmd_build(args) -> int:
         reason = str(exc).partition("\n")[0]
         print(f"unsupported configuration: {reason}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    config = {**_config_of_spec(cfg.spec), "scheme": cfg.scheme, "seed": cfg.seed}
     sidecar = {"branch": tag.to_dict(), "config": config, "version": SIDECAR_VERSION}
     try:
         kernel_io.write_kernel(args.out, K)
@@ -138,11 +152,7 @@ def _load_operator(args) -> tuple[KernelTensor, ConvSpec]:
     meta = str(args.kernel) + ".meta.json"
     try:
         with open(meta, "r", encoding="utf-8") as f:
-            config = json.load(f)["config"]
-        built = ConvSpec(c_in=config["c_in"], c_out=config["c_out"],
-                         k_h=config["kernel"][0], k_w=config["kernel"][1],
-                         stride=config["stride"], groups=config["groups"],
-                         dilation=config["dilation"])
+            built = _spec_from_config(json.load(f)["config"])
     except FileNotFoundError:
         return K, spec_for_kernel(K, 1 if args.stride is None else args.stride,
                                   1 if args.dilation is None else args.dilation)
@@ -167,11 +177,7 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    config = {"c_in": spec.c_in, "c_out": spec.c_out,
-              "kernel": [spec.k_h, spec.k_w], "stride": spec.stride,
-              "groups": spec.groups, "dilation": spec.dilation,
-              "size": [h, w]}
-    print(report.to_json(config))
+    print(report.to_json({**_config_of_spec(spec), "size": [h, w]}))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 

@@ -2,9 +2,11 @@
 
 Three building blocks and one adaptive front end:
 
-* `bcop_kernel` - compose alternating 2x1 and 1x2 projector kernels
-  with a 1x1 orthogonal channel map into a k1 x k2 kernel that is
-  orthogonal as an unstrided convolution.
+* `bcop_kernel` - compose alternating 2x1 and 1x2 projector factors
+  [N, I-N] with a 1x1 orthogonal channel map into a k1 x k2 kernel that
+  is orthogonal as an unstrided convolution.  Each factor's block
+  convolution is evaluated in closed form, as a rank-floor(c/2) update
+  of the kernel so far (`_fold_projector`).
 * `rko_kernel` - orthogonalize the (c_out) x (c_in*k1*k2) flattening and
   reshape; orthogonal as a strided convolution exactly when k == s.
 * `aoc_kernel` - pick the cheapest construction that is orthogonal for
@@ -24,14 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blockconv import block_conv_fast, product_bound, scan_compose
-from .orthogonalize import (
-    DEFAULT_SCHEME,
-    SCHEMES,
-    orthogonalize_stack,
-    projector_pair,
-    sample_params,
-)
+from .blockconv import block_conv_fast, product_bound
+from .orthogonalize import DEFAULT_SCHEME, SCHEMES, orthogonalize_stack, sample_params
 from .tensor_core import (
     ConvSpec,
     KernelTensor,
@@ -118,13 +114,6 @@ def _orthogonal_draws(draws, scheme) -> list[np.ndarray]:
     return out
 
 
-def _projector_factor(pair: tuple[np.ndarray, np.ndarray], axis: int) -> KernelTensor:
-    """1x2 (axis=3) or 2x1 (axis=2) kernel stacking the `projector_pair`
-    (N, I-N) spatially."""
-    c = pair[0].shape[0]
-    return KernelTensor._adopt(np.concatenate([P.reshape(c, c, 1, 1) for P in pair], axis=axis))
-
-
 def _factor_axes(k1: int, k2: int) -> list[int]:
     """Spatial axes of the projector factors needed for a k1 x k2 kernel:
     (k1-1) vertical (axis 2) and (k2-1) horizontal (axis 3) ones,
@@ -138,14 +127,38 @@ def _factor_axes(k1: int, k2: int) -> list[int]:
     return axes
 
 
+def _fold_projector(K: np.ndarray, M: np.ndarray, axis: int) -> np.ndarray:
+    """The block convolution [N, I-N] . K, N = M M^T, of a kernel array K
+    by the 2x1 (axis=2) or 1x2 (axis=3) projector factor of a
+    column-orthogonal c x floor(c/2) base M, in closed form:
+    K1 + M (M^T (K0 - K1)), where K0 and K1 are K padded by one tap after
+    and before along `axis`.  The result is built in one array.  Raises
+    ValueError if M^T M is more than 1e-6 from I."""
+    if np.max(np.abs(M.T @ M - np.eye(M.shape[1]))) > 1e-6:
+        raise ValueError("M0 is not column orthogonal (orthogonalize it first)")
+    at = (slice(None),) * axis
+    shape = list(K.shape)
+    shape[axis] += 1
+    out = np.empty(shape)
+    # out holds K0 - K1, then N (K0 - K1), then that plus K1
+    out[at + (slice(-1),)] = K
+    out[at + (-1,)] = 0.0
+    out[at + (slice(1, None),)] -= K
+    D = out.reshape(K.shape[0], -1)
+    np.matmul(M, M.T @ D, out=D)
+    out[at + (slice(1, None),)] += K
+    return out
+
+
 def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme) -> list[KernelTensor]:
     """The unstrided projector construction, one kernel per seed.
 
     All projector factors live at width c = max(c_in, c_out).  The 1x1
-    channel map sits at the input end (applied first); when c_out < c the
-    composed kernel is truncated to its first c_out output channels, which
-    preserves row orthogonality (deleting rows of a row-orthogonal matrix
-    keeps it row orthogonal).
+    channel map sits at the input end (applied first), and each projector
+    factor, in `_factor_axes` order, is folded onto it by
+    `_fold_projector`.  When c_out < c the composed kernel is truncated to
+    its first c_out output channels, which preserves row orthogonality
+    (deleting rows of a row-orthogonal matrix keeps it row orthogonal).
     """
     if k1 < 1 or k2 < 1:
         raise ValueError(f"kernel size must be >= 1, got {k1}x{k2}")
@@ -165,12 +178,10 @@ def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme) -> list[KernelTensor]
     factors = _orthogonal_draws(draws, scheme)[::-1]
     kernels = []
     for _ in seeds:
-        # an iterator, so that scan_compose alone holds each factor
-        chain = (KernelTensor._adopt(factors.pop().reshape(c, c_in, 1, 1)) if axis is None
-                 else _projector_factor(projector_pair(factors.pop()), axis)
-                 for axis in [None, *axes])
-        K = scan_compose(chain)
-        kernels.append(KernelTensor(K.data[:c_out]) if c_out < c else K)
+        K = factors.pop().reshape(c, c_in, 1, 1)
+        for axis in axes:
+            K = _fold_projector(K, factors.pop(), axis)
+        kernels.append(KernelTensor(K[:c_out]) if c_out < c else KernelTensor._adopt(K))
     return kernels
 
 

@@ -2,8 +2,7 @@
 
 Five interchangeable schemes produce a row- or column-orthogonal matrix
 from an arbitrary dense one, all dispatched by `orthogonalize_stack` over
-a stack of same-shape matrices, plus the symmetric-projector construction
-used by the kernel factories.  Every scheme finishes: `bjorck` is the
+a stack of same-shape matrices.  Every scheme finishes: `bjorck` is the
 limit of Björck's iteration, the polar factor, taken from an SVD, and
 the others take a fixed number of steps.  All routines work in float64.
 Orientation convention: the orthogonality residual is always measured on
@@ -118,21 +117,6 @@ def cholesky_orth(M: np.ndarray) -> np.ndarray:
     L = np.linalg.cholesky(M @ M.T)
     # forward substitution L W = M via solve on the triangular factor
     return np.linalg.solve(L, M)
-
-
-def projector_pair(M0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetric projector N = M0 M0^T and its complement I - N of a
-    column-orthogonal c x floor(c/2) matrix; both satisfy P = P^2 = P^T to
-    1e-10."""
-    M0 = np.asarray(M0, dtype=np.float64)
-    c = M0.shape[0]
-    if c < 2:
-        raise ValueError("projector construction needs at least 2 channels")
-    gram = M0.T @ M0
-    if np.max(np.abs(gram - np.eye(M0.shape[1]))) > 1e-6:
-        raise ValueError("M0 is not column orthogonal (orthogonalize it first)")
-    N = M0 @ M0.T
-    return N, np.eye(c) - N
 
 
 def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME) -> np.ndarray:

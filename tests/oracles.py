@@ -8,8 +8,11 @@ numpy and must give the same bits.
 
 `block_conv_naive` is block convolution as the literal loop over output
 entries, and `sequential_compose` the left fold of a chain with it;
-`block_conv_fast` and `scan_compose` sum in another order and must agree
-with them to rounding.
+`block_conv_fast` sums in another order and must agree with them to
+rounding.  `projector_kernel_ref` is the unstrided projector kernel as
+that literal chain: the 1x1 channel map, then each dense 2x1 or 1x2
+factor [N, I-N], N = M M^T, composed with `sequential_compose`; the
+library folds each factor in closed form and must agree to rounding.
 
 `conv2d_scatter` and `conv2d_transpose_scatter` are the per-tap loops
 `tensor_core.conv2d_ref` and `conv2d_transpose_ref` used before they took a
@@ -22,8 +25,9 @@ must give the same bits.
 builders before groups and same-shape factors became a batch axis: the
 polar factor from the SVD of one 2-D matrix at a time, and `aoc_kernel` as
 a loop that builds each group alone, orthogonalizing its factors one by
-one.  The stacked builders must give the same bytes and branch tags, and
-refuse with the same exception type and message.
+one and folding the projector factors with the library's own
+`_fold_projector`.  The stacked builders must give the same bytes and
+branch tags, and refuse with the same exception type and message.
 
 `bjorck_ref` is Björck's iteration itself, the independent route to the
 polar factor: run to convergence, it must agree with `polar_ref` to
@@ -42,13 +46,11 @@ from orthokernel import (
     cayley_rect,
     cholesky_orth,
     exp_map,
-    projector_pair,
     qr_mgs,
     sample_params,
-    scan_compose,
 )
 from orthokernel.blockconv import _require_compat
-from orthokernel.construct import GROUP_SEED_BASE, BranchTag, _factor_axes, _projector_factor
+from orthokernel.construct import GROUP_SEED_BASE, BranchTag, _factor_axes, _fold_projector
 from orthokernel.orthogonalize import SCHEMES
 
 
@@ -207,11 +209,21 @@ def _sub_seed(seed, word):
     return (*seed, word) if isinstance(seed, tuple) else (seed, word)
 
 
-def _orth(shape, seed, cfg):
-    return orthogonalize_ref(sample_params(shape, seed), cfg.scheme)
+def _orth(shape, seed, scheme):
+    return orthogonalize_ref(sample_params(shape, seed), scheme)
 
 
-def _projector_kernel(c_in, c_out, k1, k2, seed, cfg):
+def projector_factor_ref(M, axis):
+    """The dense 2x1 (axis=2) or 1x2 (axis=3) factor [N, I-N], N = M M^T,
+    of a column-orthogonal base M."""
+    N = M @ M.T
+    return KernelTensor(np.stack([N, np.eye(M.shape[0]) - N], axis=-1).reshape(
+        (*N.shape, 2, 1) if axis == 2 else (*N.shape, 1, 2)))
+
+
+def _projector_draws(c_in, c_out, k1, k2, seed, scheme):
+    """Width c, factor axes, channel map and projector bases of one
+    projector kernel, each orthogonalized alone."""
     c = max(c_in, c_out)
     axes = _factor_axes(k1, k2)
     if axes and c < 2:
@@ -220,16 +232,31 @@ def _projector_kernel(c_in, c_out, k1, k2, seed, cfg):
             f"its half-rank factors need at least 2 channels, got c_in={c_in}, "
             f"c_out={c_out}"
         )
-    chain = [KernelTensor(_orth((c, c_in), _sub_seed(seed, 1), cfg).reshape(c, c_in, 1, 1))]
-    for t, axis in enumerate(axes):
-        M0 = _orth((c, c // 2), _sub_seed(seed, 2 + t), cfg)
-        chain.append(_projector_factor(projector_pair(M0), axis))
-    K = scan_compose(chain)
-    return KernelTensor(K.data[:c_out]) if c_out < c else K
+    C = _orth((c, c_in), _sub_seed(seed, 1), scheme)
+    Ms = [_orth((c, c // 2), _sub_seed(seed, 2 + t), scheme) for t in range(len(axes))]
+    return c, axes, C, Ms
+
+
+def projector_kernel_ref(c_in, c_out, k1, k2, seed, scheme="bjorck"):
+    """`bcop_kernel` as the literal chain of dense factors composed by
+    `sequential_compose`."""
+    c, axes, C, Ms = _projector_draws(c_in, c_out, k1, k2, seed, scheme)
+    chain = [KernelTensor(C.reshape(c, c_in, 1, 1))]
+    chain += [projector_factor_ref(M, axis) for M, axis in zip(Ms, axes)]
+    K = sequential_compose(chain)
+    return KernelTensor(K.data[:c_out])
+
+
+def _projector_kernel(c_in, c_out, k1, k2, seed, cfg):
+    c, axes, C, Ms = _projector_draws(c_in, c_out, k1, k2, seed, cfg.scheme)
+    K = C.reshape(c, c_in, 1, 1)
+    for M, axis in zip(Ms, axes):
+        K = _fold_projector(K, M, axis)
+    return KernelTensor(K[:c_out])
 
 
 def _rko_kernel(c_in, c_out, s, seed, cfg):
-    return KernelTensor(_orth((c_out, c_in * s * s), seed, cfg).reshape(c_out, c_in, s, s))
+    return KernelTensor(_orth((c_out, c_in * s * s), seed, cfg.scheme).reshape(c_out, c_in, s, s))
 
 
 def _group_kernel(ci, co, k1, k2, s, cfg, seed):

@@ -9,11 +9,10 @@ from orthokernel import (
     conv2d_ref,
     identity_kernel,
     kernel_transpose,
-    scan_compose,
     spec_for_kernel,
 )
 from conftest import random_kernel, rng, traced_peak
-from oracles import block_conv_naive, sequential_compose
+from oracles import block_conv_naive
 
 
 def test_identity_left_factor_is_neutral():
@@ -103,29 +102,6 @@ def test_fast_equals_naive(seed):
     B = KernelTensor(g.standard_normal((co, cm, l1, l2)))
     np.testing.assert_allclose(
         block_conv_fast(B, A).data, block_conv_naive(B, A).data, atol=1e-12
-    )
-
-
-def test_scan_compose_single_and_identities():
-    A = random_kernel(3, 2, 2, 2, seed=1)
-    np.testing.assert_array_equal(scan_compose([A]).data, A.data)
-    chain = [identity_kernel(3) for _ in range(6)]
-    np.testing.assert_allclose(scan_compose(chain).data, identity_kernel(3).data, atol=1e-15)
-    with pytest.raises(ValueError):
-        scan_compose([])
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 9])
-def test_scan_compose_equals_sequential_fold(n):
-    # oracle: sequential left fold with the naive operator
-    g = rng(60 + n)
-    widths = list(g.integers(1, 4, n + 1))
-    chain = []
-    for i in range(n):
-        k1, k2 = g.integers(1, 3, 2)
-        chain.append(KernelTensor(g.standard_normal((widths[i + 1], widths[i], k1, k2))))
-    np.testing.assert_allclose(
-        scan_compose(chain).data, sequential_compose(chain).data, atol=1e-11
     )
 
 

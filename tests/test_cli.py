@@ -88,8 +88,8 @@ PUBLIC_API = [
     "cayley_rect", "check_orthogonality", "cholesky_orth", "conv2d_ref",
     "conv2d_transpose_ref", "exp_map", "grid_entries", "identity_kernel", "kernel_from_json",
     "kernel_to_json", "kernel_transpose", "orthogonalize_stack", "polyphase_spectrum",
-    "product_bound", "projector_pair", "qr_mgs", "read_kernel", "rko_kernel",
-    "robustness_certificate", "roundtrip_check", "run_grid", "sample_params", "scan_compose",
+    "product_bound", "qr_mgs", "read_kernel", "rko_kernel",
+    "robustness_certificate", "roundtrip_check", "run_grid", "sample_params",
     "singular_values", "skew_symmetrize_kernel", "soc_explicit_kernel", "soc_normalized_skew",
     "spec_for_kernel", "toeplitz_from_kernel", "toeplitz_of_transpose",
     "transpose_kernel_for", "write_kernel",
@@ -614,7 +614,7 @@ SIDECAR_MINIMAL = """\
     "seed": 0,
     "stride": 1
   },
-  "version": 6
+  "version": 7
 }
 """
 SIDECAR_GROUPED = """\
@@ -646,7 +646,7 @@ SIDECAR_GROUPED = """\
     "seed": 7,
     "stride": 2
   },
-  "version": 6
+  "version": 7
 }
 """
 

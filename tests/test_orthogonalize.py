@@ -7,13 +7,15 @@ from orthokernel import (
     cayley_rect,
     cholesky_orth,
     exp_map,
+    UnsupportedConfigError,
+    bcop_kernel,
     orthogonalize_stack,
-    projector_pair,
     qr_mgs,
     sample_params,
 )
+from orthokernel.construct import _fold_projector
 from conftest import gram_residual, rng
-from oracles import bjorck_ref, orthogonalize_ref, polar_ref
+from oracles import bjorck_ref, orthogonalize_ref, polar_ref, projector_factor_ref
 
 # shapes drawn by the kernel factories: aspect-2 projector bases, channel
 # maps, reshaped-kernel flattenings
@@ -172,17 +174,22 @@ def test_cholesky_rejects_tall_and_rank_deficient():
 
 
 # --- projectors ---------------------------------------------------------------
+# the factor [N, I-N], N = M M^T, that `construct._fold_projector` applies in
+# closed form, and its dense form in the oracles
 
 def test_projector_pair_basic_2x1():
-    M0 = np.array([[1.0], [0.0]])
-    N, complement = projector_pair(M0)
-    np.testing.assert_allclose(N, np.diag([1.0, 0.0]), atol=0)
-    np.testing.assert_allclose(complement, np.diag([0.0, 1.0]), atol=0)
+    # folding the 2x1 (or 1x2) factor of M = e1 onto the 1x1 identity gives
+    # the factor itself: taps N = diag(1, 0) and I - N = diag(0, 1)
+    for axis in (2, 3):
+        F = _fold_projector(np.eye(2).reshape(2, 2, 1, 1), np.array([[1.0], [0.0]]), axis)
+        np.testing.assert_array_equal(np.moveaxis(F, axis, 0).reshape(2, 2, 2),
+                                      [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
 
 def test_projector_invariants_random():
     M0 = qr_mgs(rng(9).standard_normal((6, 3)))
-    N, complement = projector_pair(M0)
+    F = projector_factor_ref(M0, 2).data
+    N, complement = F[..., 0, 0], F[..., 1, 0]
     for P in (N, complement):
         assert np.max(np.abs(P @ P - P)) <= 1e-10
         assert np.max(np.abs(P - P.T)) <= 1e-10
@@ -190,10 +197,12 @@ def test_projector_invariants_random():
 
 
 def test_projector_rejects_non_orthogonal_base():
+    K = rng(11).standard_normal((6, 4, 2, 1))
     with pytest.raises(ValueError, match="column orthogonal"):
-        projector_pair(rng(10).standard_normal((6, 3)))
-    with pytest.raises(ValueError, match="at least 2 channels"):
-        projector_pair(np.ones((1, 1)))
+        _fold_projector(K, rng(10).standard_normal((6, 3)), 3)
+    # a width-1 projector kernel is refused before any factor is drawn
+    with pytest.raises(UnsupportedConfigError, match="at least 2 channels"):
+        bcop_kernel(1, 1, 2, 1)
 
 
 # --- parameter sampling --------------------------------------------------------
