@@ -12,8 +12,9 @@ Three building blocks and one adaptive front end:
 * `aoc_kernel` - pick the cheapest construction that is orthogonal for
   the requested stride/size (the same for every group) and fuse the
   factors into a single kernel via block convolution.  The groups are a
-  batch axis: the factors of all groups are orthogonalized in one
-  `orthogonalize_stack` pass per factor shape.
+  stack axis of the whole build: each factor is drawn for all groups and
+  orthogonalized as one stack, each projector fold and the branch-"d"
+  fusion runs once over all groups, and the result is one grouped kernel.
 
 Every builder is deterministic in its seed.  Orthogonality of the results
 is established independently by the `verify` module.
@@ -100,18 +101,14 @@ def _sub_seed(seed, word: int) -> tuple[int, ...]:
     return (*seed, word) if isinstance(seed, tuple) else (seed, word)
 
 
-def _orthogonal_draws(draws, scheme) -> list[np.ndarray]:
-    """The orthogonalized `sample_params(shape, seed)` of each (shape, seed)
-    draw, in one `orthogonalize_stack` call per distinct shape."""
-    batches: dict = {}
-    for i, (shape, _) in enumerate(draws):
-        batches.setdefault(shape, []).append(i)
-    out = [None] * len(draws)
-    for shape, at in batches.items():
-        stack = np.stack([sample_params(shape, draws[i][1]) for i in at])
-        for i, O in zip(at, orthogonalize_stack(stack, scheme)):
-            out[i] = O
-    return out
+def _orthogonal_stack(shape, seeds, scheme) -> np.ndarray:
+    """`sample_params(shape, seed)` for each seed, orthogonalized as one stack."""
+    return orthogonalize_stack(np.stack([sample_params(shape, seed) for seed in seeds]), scheme)
+
+
+def _grouped(stack: np.ndarray) -> KernelTensor:
+    """The grouped kernel of a stack of per-group kernels [g][c_out/g]..."""
+    return KernelTensor._adopt(stack.reshape(-1, *stack.shape[2:]), groups=len(stack))
 
 
 def _factor_axes(k1: int, k2: int) -> list[int]:
@@ -128,13 +125,14 @@ def _factor_axes(k1: int, k2: int) -> list[int]:
 
 
 def _fold_projector(K: np.ndarray, M: np.ndarray, axis: int) -> np.ndarray:
-    """The block convolution [N, I-N] . K, N = M M^T, of a kernel array K
-    by the 2x1 (axis=2) or 1x2 (axis=3) projector factor of a
-    column-orthogonal c x floor(c/2) base M, in closed form:
-    K1 + M (M^T (K0 - K1)), where K0 and K1 are K padded by one tap after
-    and before along `axis`.  The result is built in one array.  Raises
-    ValueError if M^T M is more than 1e-6 from I."""
-    if np.max(np.abs(M.T @ M - np.eye(M.shape[1]))) > 1e-6:
+    """The block convolution [N, I-N] . K[n], N = M[n] M[n]^T, of each
+    kernel of a stack K[n][c][c_in][k1][k2] by the 2x1 (axis=3) or 1x2
+    (axis=4) projector factor of its column-orthogonal c x floor(c/2) base
+    M[n], in closed form: K1 + M (M^T (K0 - K1)), where K0 and K1 are K
+    padded by one tap after and before along `axis`.  The result is built
+    in one array.  Raises ValueError if any M^T M is more than 1e-6 from I."""
+    Mt = M.swapaxes(-1, -2)
+    if np.max(np.abs(Mt @ M - np.eye(M.shape[-1]))) > 1e-6:
         raise ValueError("M0 is not column orthogonal (orthogonalize it first)")
     at = (slice(None),) * axis
     shape = list(K.shape)
@@ -144,21 +142,23 @@ def _fold_projector(K: np.ndarray, M: np.ndarray, axis: int) -> np.ndarray:
     out[at + (slice(-1),)] = K
     out[at + (-1,)] = 0.0
     out[at + (slice(1, None),)] -= K
-    D = out.reshape(K.shape[0], -1)
-    np.matmul(M, M.T @ D, out=D)
+    D = out.reshape(*K.shape[:2], -1)
+    np.matmul(M, Mt @ D, out=D)
     out[at + (slice(1, None),)] += K
     return out
 
 
-def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme) -> list[KernelTensor]:
-    """The unstrided projector construction, one kernel per seed.
+def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme) -> KernelTensor:
+    """The unstrided projector construction, one group per seed.
 
     All projector factors live at width c = max(c_in, c_out).  The 1x1
     channel map sits at the input end (applied first), and each projector
     factor, in `_factor_axes` order, is folded onto it by
-    `_fold_projector`.  When c_out < c the composed kernel is truncated to
-    its first c_out output channels, which preserves row orthogonality
-    (deleting rows of a row-orthogonal matrix keeps it row orthogonal).
+    `_fold_projector`, for all groups at once.  Each factor is drawn and
+    orthogonalized right before its fold, so a fold holds only its own
+    base.  When c_out < c the composed kernel is truncated to its first
+    c_out output channels, which preserves row orthogonality (deleting
+    rows of a row-orthogonal matrix keeps it row orthogonal).
     """
     if k1 < 1 or k2 < 1:
         raise ValueError(f"kernel size must be >= 1, got {k1}x{k2}")
@@ -172,22 +172,18 @@ def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme) -> list[KernelTensor]
             f"its half-rank factors need at least 2 channels, got c_in={c_in}, "
             f"c_out={c_out}"
         )
-    draws = [draw for seed in seeds for draw in [((c, c_in), _sub_seed(seed, 1))] + [
-        ((c, c // 2), _sub_seed(seed, 2 + t)) for t in range(len(axes))]]
-    # popped group by group, so no group's matrices outlive its chain
-    factors = _orthogonal_draws(draws, scheme)[::-1]
-    kernels = []
-    for _ in seeds:
-        K = factors.pop().reshape(c, c_in, 1, 1)
-        for axis in axes:
-            K = _fold_projector(K, factors.pop(), axis)
-        kernels.append(KernelTensor(K[:c_out]) if c_out < c else KernelTensor._adopt(K))
-    return kernels
+    K = _orthogonal_stack((c, c_in), [_sub_seed(seed, 1) for seed in seeds], scheme)
+    K = K.reshape(len(seeds), c, c_in, 1, 1)
+    for t, axis in enumerate(axes):
+        M = _orthogonal_stack((c, c // 2), [_sub_seed(seed, 2 + t) for seed in seeds], scheme)
+        K = _fold_projector(K, M, axis + 1)
+    # a truncated kernel is copied, so it does not hold the dropped rows
+    return _grouped(K[:, :c_out].copy() if c_out < c else K)
 
 
-def _rko_kernels(c_in, c_out, k1, k2, seeds, scheme) -> list[KernelTensor]:
-    Ws = _orthogonal_draws([((c_out, c_in * k1 * k2), seed) for seed in seeds], scheme)
-    return [KernelTensor._adopt(W.reshape(c_out, c_in, k1, k2)) for W in Ws]
+def _rko_kernels(c_in, c_out, k1, k2, seeds, scheme) -> KernelTensor:
+    Ws = _orthogonal_stack((c_out, c_in * k1 * k2), seeds, scheme)
+    return _grouped(Ws.reshape(len(seeds), c_out, c_in, k1, k2))
 
 
 def bcop_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTensor:
@@ -197,7 +193,7 @@ def bcop_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTen
     The resulting convolution (stride 1, circular padding) is row
     orthogonal when c_out <= c_in and column orthogonal otherwise.
     """
-    return _projector_kernels(c_in, c_out, k1, k2, [seed], scheme)[0]
+    return _projector_kernels(c_in, c_out, k1, k2, [seed], scheme)
 
 
 def rko_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTensor:
@@ -207,17 +203,17 @@ def rko_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTens
     k1 == k2 == s (non-overlapping receptive fields); for other strides it
     is 1-Lipschitz material but carries no orthogonality claim.
     """
-    return _rko_kernels(c_in, c_out, k1, k2, [seed], scheme)[0]
+    return _rko_kernels(c_in, c_out, k1, k2, [seed], scheme)
 
 
 def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
     """Build an orthogonal convolution kernel for an arbitrary valid
     (c_in, c_out, k, s, g, d) configuration.
 
-    Groups are a batch axis: every group takes the same branch, the
+    Groups are a stack axis: every group takes the same branch, the
     factors of all groups are orthogonalized in one `orthogonalize_stack`
-    pass per factor shape, and each group is composed from its own factors,
-    so its bytes are those of building it alone.  An ungrouped layer is
+    pass per factor, and each group is composed from its own factors, so
+    its bytes are those of building it alone.  An ungrouped layer is
     built from `seed` itself; group q of a grouped layer from the seed
     words (seed, GROUP_SEED_BASE + q), so layers with different seeds
     share no group.
@@ -248,21 +244,16 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
                    tuple((cfg.seed, GROUP_SEED_BASE + q) for q in range(g)))
     width = None
     if k1 == s and k2 == s:
-        branch, kernels = "b", _rko_kernels(ci, co, s, s, group_seeds, scheme)
+        branch, K = "b", _rko_kernels(ci, co, s, s, group_seeds, scheme)
     elif s == 1:
-        branch, kernels = "a", _projector_kernels(ci, co, k1, k2, group_seeds, scheme)
+        branch, K = "a", _projector_kernels(ci, co, k1, k2, group_seeds, scheme)
     else:
         branch, width = "d", max(ci, co // (s * s))
         inner = _projector_kernels(ci, width, k1 - s + 1, k2 - s + 1, group_seeds, scheme)
-        # disjoint sub-seed namespace from the projector factors (seed, 1..t+1);
-        # an s x s factor never has a projector factor's shape, so this is
-        # still one orthogonalization pass per shape
+        # disjoint sub-seed namespace from the projector factors (seed, 1..t+1)
         outer = _rko_kernels(width, co, s, s,
                              [_sub_seed(seed, 1 << 20) for seed in group_seeds], scheme)
-        kernels = [block_conv_fast(B, A) for B, A in zip(outer, inner)]
-    # one group's kernel is the layer's as built; groups are stacked once
-    K = kernels[0] if g == 1 else KernelTensor._adopt(
-        np.concatenate([K_q.data for K_q in kernels], axis=0), groups=g)
+        K = block_conv_fast(outer, inner)
     return K, BranchTag(branch=branch, internal_width=width, group_seeds=group_seeds)
 
 

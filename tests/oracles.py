@@ -7,9 +7,10 @@ bytes.  `read_floats_ref` is the "data" of an okt-v1 document as
 numpy and must give the same bits.
 
 `block_conv_naive` is block convolution as the literal loop over output
-entries, and `sequential_compose` the left fold of a chain with it;
-`block_conv_fast` sums in another order and must agree with them to
-rounding.  `projector_kernel_ref` is the unstrided projector kernel as
+entries, each summing over its own group's middle channels, and
+`sequential_compose` the left fold of a chain with it; `block_conv_fast`
+sums in another order, batched over the groups, and must agree with them
+to rounding.  `projector_kernel_ref` is the unstrided projector kernel as
 that literal chain: the 1x1 channel map, then each dense 2x1 or 1x2
 factor [N, I-N], N = M M^T, composed with `sequential_compose`; the
 library folds each factor in closed form and must agree to rounding.
@@ -22,12 +23,14 @@ adjoint adds its tap into the output through fancy indices.  The operators
 must give the same bits.
 
 `polar_ref`, `orthogonalize_ref` and `aoc_kernel_per_group` are the
-builders before groups and same-shape factors became a batch axis: the
-polar factor from the SVD of one 2-D matrix at a time, and `aoc_kernel` as
-a loop that builds each group alone, orthogonalizing its factors one by
-one and folding the projector factors with the library's own
-`_fold_projector`.  The stacked builders must give the same bytes and
-branch tags, and refuse with the same exception type and message.
+builders before groups became a stack axis of the whole build: the polar
+factor from the SVD of one 2-D matrix at a time, and `aoc_kernel` as a
+loop that builds each group alone, orthogonalizing its factors one by
+one, folding the projector factors with the library's own
+`_fold_projector` on a stack of one kernel, fusing an ungrouped branch-"d"
+pair with `block_conv_fast`, and concatenating the groups.  The stacked
+builders must give the same bytes and branch tags, and refuse with the
+same exception type and message.
 
 `bjorck_ref` is Björck's iteration itself, the independent route to the
 polar factor: run to convergence, it must agree with `polar_ref` to
@@ -66,23 +69,26 @@ def read_floats_ref(text) -> np.ndarray:
 
 
 def block_conv_naive(B, A):
-    """B . A as a literal quadruple loop over output entries."""
+    """B . A as a literal quadruple loop over output entries; output
+    channel m of group q sums over group q's middle channels."""
     _require_compat(A, B)
     Ad, Bd = A.data, B.data
     cm, ci, k1, k2 = Ad.shape
-    co, _, l1, l2 = Bd.shape
+    co, cm_g, l1, l2 = Bd.shape
+    co_g = co // A.groups
     K1, K2 = k1 + l1 - 1, k2 + l2 - 1
     out = np.zeros((co, ci, K1, K2))
     for m in range(co):
+        mid = slice(m // co_g * cm_g, (m // co_g + 1) * cm_g)
         for n in range(ci):
             for i in range(K1):
                 for j in range(K2):
                     acc = 0.0
                     for ip in range(max(0, i - k1 + 1), min(l1, i + 1)):
                         for jp in range(max(0, j - k2 + 1), min(l2, j + 1)):
-                            acc += Bd[m, :, ip, jp] @ Ad[:, n, i - ip, j - jp]
+                            acc += Bd[m, :, ip, jp] @ Ad[mid, n, i - ip, j - jp]
                     out[m, n, i, j] = acc
-    return KernelTensor(out)
+    return KernelTensor(out, groups=A.groups)
 
 
 def sequential_compose(chain):
@@ -251,7 +257,7 @@ def _projector_kernel(c_in, c_out, k1, k2, seed, cfg):
     c, axes, C, Ms = _projector_draws(c_in, c_out, k1, k2, seed, cfg.scheme)
     K = C.reshape(c, c_in, 1, 1)
     for M, axis in zip(Ms, axes):
-        K = _fold_projector(K, M, axis)
+        K = _fold_projector(K[None], M[None], axis + 1)[0]
     return KernelTensor(K[:c_out])
 
 

@@ -39,15 +39,36 @@ def test_incompatible_channels_rejected():
         block_conv_fast(B, A)
 
 
-def test_grouped_kernels_rejected():
-    # fusion works on ungrouped kernels; a grouped factor must be split
-    # per group by the caller rather than be read as an ungrouped one
+def test_unequal_groups_rejected():
+    # grouped kernels fuse group by group, so both factors need the same
+    # groups; a grouped factor is never read as an ungrouped one
     G = KernelTensor(rng(8).standard_normal((4, 1, 3, 3)), groups=2)  # 2 -> 4
     for fuse in (block_conv_naive, block_conv_fast):
-        with pytest.raises(ValueError, match="ungrouped"):
+        with pytest.raises(ValueError, match=r"equal groups, got 1 \(B\) and 2 \(A\)"):
             fuse(random_kernel(3, 4, 1, 1, seed=9), G)
-        with pytest.raises(ValueError, match="ungrouped"):
+        with pytest.raises(ValueError, match=r"equal groups, got 2 \(B\) and 1 \(A\)"):
             fuse(G, random_kernel(2, 3, 1, 1, seed=10))
+
+
+@given(st.integers(0, 1000))
+@settings(max_examples=40, deadline=None)
+def test_grouped_fusion_is_per_group_fusion(seed):
+    # group q of the grouped fusion is the ungrouped fusion of group q's
+    # factors, bit for bit, and the literal loop to rounding
+    r = rng(seed)
+    g = int(r.integers(1, 5))
+    cm, ci, co = r.integers(1, 9, 3)
+    k1, k2, l1, l2 = r.integers(1, 5, 4)
+    Ad = r.standard_normal((g * cm, ci, k1, k2))
+    Bd = r.standard_normal((g * co, cm, l1, l2))
+    fused = block_conv_fast(KernelTensor(Bd, groups=g), KernelTensor(Ad, groups=g))
+    assert fused.groups == g
+    per_group = [block_conv_fast(KernelTensor(Bd[q * co:(q + 1) * co]),
+                                 KernelTensor(Ad[q * cm:(q + 1) * cm])).data for q in range(g)]
+    np.testing.assert_array_equal(fused.data, np.concatenate(per_group))
+    naive = block_conv_naive(KernelTensor(Bd, groups=g), KernelTensor(Ad, groups=g))
+    assert naive.groups == g
+    np.testing.assert_allclose(fused.data, naive.data, atol=1e-12, rtol=0)
 
 
 def test_fused_kernel_equals_sequential_convs():

@@ -124,12 +124,12 @@ def test_cayley_rejects_wide():
 
 def test_exp_symmetric_gives_identity():
     S = rng(5).standard_normal((4, 4))
-    np.testing.assert_allclose(exp_map(S + S.T, p=10), np.eye(4), atol=0)
+    np.testing.assert_allclose(exp_map(S + S.T), np.eye(4), atol=0)
 
 
 def test_exp_residual_and_det():
     W = rng(6).standard_normal((5, 5))
-    Q = exp_map(W, p=18)
+    Q = exp_map(W)
     assert np.max(np.abs(Q @ Q.T - np.eye(5))) <= 1e-10
     assert abs(np.linalg.det(Q) - 1.0) <= 1e-8
 
@@ -138,7 +138,7 @@ def test_exp_2x2_rotation_closed_form():
     W = np.array([[0.0, 2.0], [0.0, 0.0]])
     # A = W - W^T = [[0,2],[-2,0]], normalized generator [[0,1],[-1,0]],
     # whose exponential is the rotation by 1 radian
-    Q = exp_map(W, p=25)
+    Q = exp_map(W)
     expected = np.array([[np.cos(1.0), np.sin(1.0)], [-np.sin(1.0), np.cos(1.0)]])
     np.testing.assert_allclose(Q, expected, atol=1e-12)
     assert abs(np.linalg.det(Q) - 1.0) <= 1e-12
@@ -147,8 +147,6 @@ def test_exp_2x2_rotation_closed_form():
 def test_exp_rejects_rectangular():
     with pytest.raises(ValueError):
         exp_map(np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="p must be >= 1"):
-        exp_map(np.zeros((3, 3)), p=0)
 
 
 # --- Cholesky -----------------------------------------------------------------
@@ -181,7 +179,8 @@ def test_projector_pair_basic_2x1():
     # folding the 2x1 (or 1x2) factor of M = e1 onto the 1x1 identity gives
     # the factor itself: taps N = diag(1, 0) and I - N = diag(0, 1)
     for axis in (2, 3):
-        F = _fold_projector(np.eye(2).reshape(2, 2, 1, 1), np.array([[1.0], [0.0]]), axis)
+        F = _fold_projector(np.eye(2).reshape(1, 2, 2, 1, 1), np.array([[[1.0], [0.0]]]),
+                            axis + 1)[0]
         np.testing.assert_array_equal(np.moveaxis(F, axis, 0).reshape(2, 2, 2),
                                       [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
@@ -199,7 +198,7 @@ def test_projector_invariants_random():
 def test_projector_rejects_non_orthogonal_base():
     K = rng(11).standard_normal((6, 4, 2, 1))
     with pytest.raises(ValueError, match="column orthogonal"):
-        _fold_projector(K, rng(10).standard_normal((6, 3)), 3)
+        _fold_projector(K[None], rng(10).standard_normal((6, 3))[None], 4)
     # a width-1 projector kernel is refused before any factor is drawn
     with pytest.raises(UnsupportedConfigError, match="at least 2 channels"):
         bcop_kernel(1, 1, 2, 1)

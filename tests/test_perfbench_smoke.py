@@ -1,6 +1,6 @@
 """Smoke test of the benchmark's check path: one small layer of each check
 kind through `perfbench/workloads.py`'s `run_layer`, which reads
-`SpectrumReport` fields and the `orthokernel verify` JSON, and one under
+`SpectrumReport` fields and the `orthokernel verify` JSON, and two under
 `perfbench/spans.py`'s tracer.  The modules are imported by path; nothing
 under `perfbench/` is written."""
 
@@ -46,3 +46,23 @@ def test_tracer_sees_calls_inside_orthogonalize_module(workloads, tmp_path):
         tracer.uninstall()
     assert rec["ok"]
     assert "orthogonalize.qr_mgs" in {sp.name for sp in tracer.spans}
+
+
+def test_tracer_sees_one_fusion_per_grouped_layer(workloads, tmp_path):
+    # a grouped branch-"d" layer fuses all its groups in one
+    # `block_conv_fast` call, so the per-layer `blockconv.fuse_*` metrics
+    # count the layer's one fusion, at the MACs of all groups
+    spans = perfbench_module("spans")
+    layer = workloads.conv(8, 16, 3, 2, groups=2)
+    cfg = tmp_path / "layer.json"
+    cfg.write_text(json.dumps(layer.config(1)))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rec = workloads.run_layer(layer, 1, cfg, tmp_path / "layer.okt")
+    finally:
+        tracer.uninstall()
+    assert rec["ok"]
+    fusions = [sp for sp in tracer.spans if sp.name == "construct.block_conv_fast"]
+    assert len(fusions) == 1
+    assert fusions[0].info["macs"] == 9216

@@ -465,6 +465,15 @@ def test_product_bound_is_one_for_orthogonal_kernels(spec):
     assert abs(product_bound([K]) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("c_in, c_out, g", [(8, 4, 2), (6, 12, 3), (4, 4, 4), (3, 6, 1)])
+def test_product_bound_of_grouped_kernel_is_largest_group_bound(c_in, c_out, g):
+    # one grouped Gram fusion gives each group's bound bit for bit
+    data = rng(c_in + c_out + g).standard_normal((c_out, c_in // g, 3, 2))
+    data *= np.repeat(1.0 + np.arange(g), c_out // g)[:, None, None, None]
+    per_group = [product_bound([KernelTensor(part)]) for part in np.split(data, g)]
+    assert product_bound([KernelTensor(data, groups=g)]) == max(per_group)
+
+
 def test_product_bound_orthogonal_chain_tight():
     factors = [bcop_kernel(4, 4, 2, 2, seed=s) for s in (1, 2, 3)]
     bound = product_bound(factors)
