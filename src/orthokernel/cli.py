@@ -60,8 +60,9 @@ EXIT_UNSUPPORTED = 3
 #: factor, `cholesky` whitens without a shift, and `qr_mgs` makes one rank-1
 #: update per column, so kernels of those schemes change by rounding;
 #: 7: projector factors are folded in closed form, so branch "a" and "d"
-#: kernels with a projector factor change by rounding
-SIDECAR_VERSION = 7
+#: kernels with a projector factor change by rounding;
+#: 8: `qr_mgs` is LAPACK's Householder QR, so `qr_mgs` kernels change
+SIDECAR_VERSION = 8
 
 # every build config key with its default; None marks a required key
 _CONFIG_DEFAULTS = {

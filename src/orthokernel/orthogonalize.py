@@ -1,10 +1,12 @@
 """Orthogonalization of unconstrained matrices.
 
 Five interchangeable schemes produce a row- or column-orthogonal matrix
-from an arbitrary dense one, all dispatched by `orthogonalize_stack` over
-a stack of same-shape matrices.  Every scheme finishes: `bjorck` is the
-limit of Björck's iteration, the polar factor, taken from an SVD, and
-the others take a fixed number of steps.  All routines work in float64.
+from an arbitrary dense one.  Each takes one matrix or a stack [..., rows,
+cols], giving each matrix the bits of its own call, and
+`orthogonalize_stack` dispatches a whole stack to one call.  Every scheme
+finishes: `bjorck` is Björck's limit, the polar factor from an SVD,
+`qr_mgs` LAPACK's Householder QR, and the others take a fixed number of
+steps.  All routines work in float64.
 Orientation convention: the orthogonality residual is always measured on
 the smaller Gram side (W W^T for wide matrices, W^T W for tall ones).
 """
@@ -34,25 +36,23 @@ def sample_params(shape, seed) -> np.ndarray:
 
 
 def qr_mgs(W: np.ndarray) -> np.ndarray:
-    """Q factor of the modified Gram-Schmidt QR factorization.
+    """Q factor of LAPACK's Householder QR, signed so that R's diagonal is
+    positive.
 
-    Columns are normalized one at a time, and each is projected out of all
-    later columns at once (one rank-1 update) before the next is taken,
-    which is what distinguishes the modified from the classical procedure
-    numerically.  Requires full column rank (square or tall input).
+    Unlike the Gram-Schmidt procedure the scheme is named after, it keeps
+    Q orthogonal to rounding at any conditioning.  Requires full column
+    rank (square or tall input): |r_jj| < 1e-12 is refused.
     """
     W = np.asarray(W, dtype=np.float64)
-    rows, cols = W.shape
-    if rows < cols:
+    if W.ndim < 2 or W.shape[-2] < W.shape[-1]:
         raise ValueError("qr_mgs expects a square or tall matrix")
-    Q = W.copy()
-    for j in range(cols):
-        r_jj = np.linalg.norm(Q[:, j])
-        if r_jj < 1e-12:
-            raise ValueError(f"rank deficiency detected at column {j} (r_jj={r_jj:.3e})")
-        Q[:, j] /= r_jj
-        Q[:, j + 1:] -= np.outer(Q[:, j], Q[:, j] @ Q[:, j + 1:])
-    return Q
+    Q, R = np.linalg.qr(W)
+    r = np.diagonal(R, axis1=-2, axis2=-1)
+    small = np.argwhere(np.abs(r) < 1e-12)
+    if small.size:
+        raise ValueError(f"rank deficiency detected at column {small[0][-1]} "
+                         f"(r_jj={abs(r[tuple(small[0])]):.3e})")
+    return Q * np.sign(r)[..., None, :]
 
 
 def cayley_rect(W: np.ndarray) -> np.ndarray:
@@ -64,20 +64,17 @@ def cayley_rect(W: np.ndarray) -> np.ndarray:
     special orthogonal matrix (determinant +1).
     """
     W = np.asarray(W, dtype=np.float64)
-    rows, cols = W.shape
-    if rows < cols:
+    if W.ndim < 2 or W.shape[-2] < W.shape[-1]:
         raise ValueError("cayley_rect expects a square or tall matrix")
-    U, V = W[:cols, :], W[cols:, :]
-    A = U - U.T + V.T @ V
+    cols = W.shape[-1]
+    U, V = W[..., :cols, :], W[..., cols:, :]
+    A = U - U.swapaxes(-1, -2) + V.swapaxes(-1, -2) @ V
     I = np.eye(cols)
     try:
         B = np.linalg.inv(I + A)
     except np.linalg.LinAlgError as exc:
         raise ValueError("I + A is singular; perturb the input and retry") from exc
-    top = B @ (I - A)
-    if rows == cols:
-        return top
-    return np.vstack([top, -2.0 * V @ B])
+    return np.concatenate([B @ (I - A), -2.0 * V @ B], axis=-2)
 
 
 def exp_map(W: np.ndarray) -> np.ndarray:
@@ -86,19 +83,15 @@ def exp_map(W: np.ndarray) -> np.ndarray:
     A = W - W^T is scaled to unit spectral norm and exp(A) is approximated
     by the truncated series sum_{k=0}^{EXP_TERMS} A^k / k!.  Square inputs
     only; the output has determinant +1.  A symmetric W (zero skew part)
-    maps to the identity.
+    has A = 0, and maps to the identity exactly.
     """
     W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+    if W.ndim < 2 or W.shape[-2] != W.shape[-1]:
         raise ValueError("exp_map expects a square matrix")
-    A = W - W.T
-    norm = np.linalg.norm(A, 2)
-    n = W.shape[0]
-    if norm == 0.0:
-        return np.eye(n)
-    A = A / norm
-    out = np.eye(n)
-    term = np.eye(n)
+    A = W - W.swapaxes(-1, -2)
+    norm = np.linalg.norm(A, 2, axis=(-2, -1))[..., None, None]
+    A = A / np.where(norm == 0.0, 1.0, norm)
+    out = term = np.eye(W.shape[-1])
     for k in range(1, EXP_TERMS + 1):
         term = term @ A / k
         out = out + term
@@ -113,9 +106,9 @@ def cholesky_orth(M: np.ndarray) -> np.ndarray:
     without full row rank raises `np.linalg.LinAlgError`, a ValueError.
     """
     M = np.asarray(M, dtype=np.float64)
-    if M.shape[0] > M.shape[1]:
+    if M.ndim < 2 or M.shape[-2] > M.shape[-1]:
         raise ValueError("cholesky_orth expects rows <= cols")
-    L = np.linalg.cholesky(M @ M.T)
+    L = np.linalg.cholesky(M @ M.swapaxes(-1, -2))
     # forward substitution L W = M via solve on the triangular factor
     return np.linalg.solve(L, M)
 
@@ -126,7 +119,7 @@ def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME) -> np.ndar
 
     Output orientation follows the input shape: wide matrices come back
     row orthogonal, tall ones column orthogonal.  `qr_mgs`, `cayley` and
-    `cholesky` run matrix by matrix, on the transpose where their natural
+    `cholesky` take the whole stack, transposed where their natural
     orientation is the other one.  `exponential` is `exp_map` on square
     matrices.
 
@@ -144,13 +137,13 @@ def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME) -> np.ndar
         raise ValueError(f"expected a stack of matrices [n, rows, cols], got shape {Ws.shape}")
     rows, cols = Ws.shape[1:]
     if scheme == "exponential" and rows == cols:
-        return np.stack([exp_map(W) for W in Ws])
-    one = {"qr_mgs": qr_mgs, "cayley": cayley_rect, "cholesky": cholesky_orth}.get(scheme)
-    if one is not None:
+        return exp_map(Ws)
+    orth = {"qr_mgs": qr_mgs, "cayley": cayley_rect, "cholesky": cholesky_orth}.get(scheme)
+    if orth is not None:
         # qr_mgs and cayley_rect take tall matrices, cholesky_orth wide ones
         if rows > cols if scheme == "cholesky" else rows < cols:
-            return np.stack([one(W.T).T for W in Ws])
-        return np.stack([one(W) for W in Ws])
+            return orth(Ws.swapaxes(-1, -2)).swapaxes(-1, -2)
+        return orth(Ws)
     if scheme not in ("bjorck", "exponential"):
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     U, S, Vt = np.linalg.svd(Ws, full_matrices=False)

@@ -614,7 +614,7 @@ SIDECAR_MINIMAL = """\
     "seed": 0,
     "stride": 1
   },
-  "version": 7
+  "version": 8
 }
 """
 SIDECAR_GROUPED = """\
@@ -646,7 +646,7 @@ SIDECAR_GROUPED = """\
     "seed": 7,
     "stride": 2
   },
-  "version": 7
+  "version": 8
 }
 """
 

@@ -581,11 +581,13 @@ def _pinned_digests() -> dict:
 def _wide_digests() -> dict:
     """Digests of kernels too wide to pin by hand, computed in this process:
     `aoc_kernel` of the benchmark's `resnet_wide` and `verify_dense` layers
-    at seed 1, and a 12-term exponential with a 49x49 result."""
+    at seed 1, with the default scheme and with `qr_mgs` (LAPACK's QR), and
+    a 12-term exponential with a 49x49 result."""
     workloads = perfbench_module("workloads").WORKLOADS
-    digests = {name: [_sha256(aoc_kernel(AocConfig(spec=layer.spec(), seed=1))[0])
-                      for layer in workloads[name]()]
-               for name in ("resnet_wide", "verify_dense")}
+    digests = {f"{name}/{scheme}": [
+        _sha256(aoc_kernel(AocConfig(spec=layer.spec(), scheme=scheme, seed=1))[0])
+        for layer in workloads[name]()]
+        for name in ("resnet_wide", "verify_dense") for scheme in ("bjorck", "qr_mgs")}
     skew = skew_symmetrize_kernel(KernelTensor(0.1 * rng(0).standard_normal((6, 6, 5, 5))))
     digests["soc_explicit_kernel"] = _sha256(soc_explicit_kernel(skew, terms=12))
     return digests

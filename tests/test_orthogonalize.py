@@ -30,7 +30,7 @@ def test_bjorck_orthogonal_input_is_fixed_point():
     np.testing.assert_allclose(out, Q, atol=1e-12)
 
 
-def test_bjorck_25_iters_reaches_1e6():
+def test_bjorck_ref_25_sweeps_reaches_1e6():
     W = rng(2).standard_normal((8, 4))
     out = bjorck_ref(W, iters=25)[0]
     assert np.max(np.abs(out.T @ out - np.eye(4))) <= 1e-6
@@ -38,8 +38,9 @@ def test_bjorck_25_iters_reaches_1e6():
 
 @pytest.mark.parametrize("shape", WELL_CONDITIONED_GRID)
 def test_bjorck_12_iters_reaches_1e4(shape):
-    # Björck's iteration is the independent route to the polar factor: from
-    # 12 sweeps on, it must agree with the library's SVD to rounding
+    # the oracle `bjorck_ref`, Björck's iteration, is the independent route
+    # to the polar factor: from 12 sweeps on, it must agree with the
+    # library's SVD to rounding
     for seed in range(5):
         W = rng((seed, *shape)).standard_normal(shape)
         O = bjorck_ref(W, iters=12)[0]
@@ -59,7 +60,7 @@ def test_bjorck_rejects_rank_deficient():
                 orthogonalize_stack(Ws, scheme)
 
 
-# --- QR via modified Gram-Schmidt --------------------------------------------
+# --- QR -----------------------------------------------------------------------
 
 def test_qr_identity_and_diagonal():
     np.testing.assert_allclose(qr_mgs(np.eye(4)), np.eye(4), atol=0)
@@ -75,12 +76,35 @@ def test_qr_reconstruction():
     assert np.allclose(R, np.triu(R))
 
 
+def test_qr_stays_orthogonal_when_ill_conditioned():
+    # Householder QR keeps Q orthogonal to rounding at any conditioning;
+    # modified Gram-Schmidt lost it in proportion to kappa (5.3e-9 here)
+    W = _with_singular_values(64, 32, np.logspace(0, -8, 32), seed=3)
+    Q = qr_mgs(W)
+    assert np.max(np.abs(Q.T @ Q - np.eye(32))) <= 1e-13
+
+
+def test_qr_of_stack_has_positive_triangular_r():
+    Ws = rng(14).standard_normal((4, 7, 5))
+    Qs = qr_mgs(Ws)
+    R = Qs.swapaxes(-1, -2) @ Ws
+    np.testing.assert_allclose(R, np.triu(R), atol=1e-12)
+    assert np.all(np.diagonal(R, axis1=-2, axis2=-1) > 0)
+    np.testing.assert_allclose(Qs @ R, Ws, atol=1e-12)
+
+
 def test_qr_rank_deficiency_error():
     W = np.ones((4, 3))
     with pytest.raises(ValueError, match="rank"):
         qr_mgs(W)
     with pytest.raises(ValueError, match="square or tall"):
         qr_mgs(np.ones((3, 4)))
+    with pytest.raises(ValueError, match="square or tall"):
+        qr_mgs(np.ones((2, 3, 4)))
+    # the first deficient column of the first deficient matrix of a stack
+    with pytest.raises(ValueError, match="rank deficiency detected at column 1"):
+        W = rng(17).standard_normal((4, 2))
+        qr_mgs(np.stack([W, W, np.ones((4, 2)), np.ones((4, 2))]))
 
 
 # --- Cayley ------------------------------------------------------------------
@@ -116,8 +140,9 @@ def test_cayley_singular_error(monkeypatch):
 
 
 def test_cayley_rejects_wide():
-    with pytest.raises(ValueError):
-        cayley_rect(np.zeros((2, 4)))
+    for shape in ((2, 4), (3, 2, 4)):
+        with pytest.raises(ValueError):
+            cayley_rect(np.zeros(shape))
 
 
 # --- exponential map ----------------------------------------------------------
@@ -125,6 +150,10 @@ def test_cayley_rejects_wide():
 def test_exp_symmetric_gives_identity():
     S = rng(5).standard_normal((4, 4))
     np.testing.assert_allclose(exp_map(S + S.T), np.eye(4), atol=0)
+    # a symmetric member of a stack too, beside one with a skew part
+    W = rng(16).standard_normal((4, 4))
+    O = exp_map(np.stack([S + S.T, W]))
+    assert np.array_equal(O[0], np.eye(4)) and np.array_equal(O[1], exp_map(W))
 
 
 def test_exp_residual_and_det():
@@ -145,8 +174,9 @@ def test_exp_2x2_rotation_closed_form():
 
 
 def test_exp_rejects_rectangular():
-    with pytest.raises(ValueError):
-        exp_map(np.zeros((3, 2)))
+    for shape in ((3, 2), (2, 3, 2)):
+        with pytest.raises(ValueError):
+            exp_map(np.zeros(shape))
 
 
 # --- Cholesky -----------------------------------------------------------------
@@ -164,8 +194,9 @@ def test_cholesky_wide_residual():
 
 
 def test_cholesky_rejects_tall_and_rank_deficient():
-    with pytest.raises(ValueError):
-        cholesky_orth(np.zeros((5, 3)))
+    for shape in ((5, 3), (2, 5, 3)):
+        with pytest.raises(ValueError):
+            cholesky_orth(np.zeros(shape))
     # np.linalg.LinAlgError, which is a ValueError
     with pytest.raises(ValueError):
         cholesky_orth(np.ones((2, 3)))
@@ -299,7 +330,7 @@ def test_orthogonalize_stack_refusals_match_per_matrix_calls():
         orthogonalize_stack(np.zeros((3, 4))[None])
 
 
-def test_exponential_rectangular_factor_converges_or_warns(caplog):
+def test_exponential_rectangular_factor_is_polar_factor(caplog):
     # rectangular factors take the polar factor, which has no sweeps left
     # to stop short: 25 Björck sweeps left this near-square draw at 1.4e-5
     W = sample_params((64, 63), 1)
@@ -317,3 +348,14 @@ def test_other_schemes_stack_per_matrix(scheme, shape):
     want = np.stack([orthogonalize_ref(W, scheme=scheme) for W in Ws])
     assert np.array_equal(orthogonalize_stack(Ws, scheme=scheme), want)
     assert np.array_equal(orthogonalize_stack(Ws[0][None], scheme=scheme)[0], want[0])
+
+
+@pytest.mark.parametrize("fn,shape", [
+    (qr_mgs, (7, 4)), (qr_mgs, (5, 5)), (cayley_rect, (7, 4)), (cayley_rect, (5, 5)),
+    (exp_map, (5, 5)), (cholesky_orth, (4, 7)), (cholesky_orth, (5, 5)),
+])
+def test_scheme_function_of_stack_equals_its_matrix_calls(fn, shape):
+    Ws = rng((3, *shape)).standard_normal((2, 3, *shape))
+    O = fn(Ws)
+    assert O.shape == Ws.shape
+    assert np.array_equal(O, np.stack([[fn(W) for W in row] for row in Ws]))
