@@ -18,7 +18,8 @@ or loses a key).
 okt-v1 stores no stride or dilation, so `verify` and `spectrum` take them
 from the sidecar next to the kernel when there is one; `--stride` and
 `--dilation` may only repeat its values.  Without a sidecar the flags
-give them, 1 by default.
+give them, 1 by default.  `--size` defaults to s*ceil(8/s) per axis for
+stride s, the smallest image of at least 8x8 that the stride divides.
 
 Exit codes: 0 success / verification pass, 1 verification failure,
 2 invalid input (including a malformed config or kernel file and an
@@ -61,8 +62,10 @@ EXIT_UNSUPPORTED = 3
 #: update per column, so kernels of those schemes change by rounding;
 #: 7: projector factors are folded in closed form, so branch "a" and "d"
 #: kernels with a projector factor change by rounding;
-#: 8: `qr_mgs` is LAPACK's Householder QR, so `qr_mgs` kernels change
-SIDECAR_VERSION = 8
+#: 8: `qr_mgs` is LAPACK's Householder QR, so `qr_mgs` kernels change;
+#: 9: `cholesky` factors are the same QR of the transpose, so `cholesky`
+#: kernels change
+SIDECAR_VERSION = 9
 
 # every build config key with its default; None marks a required key
 _CONFIG_DEFAULTS = {
@@ -170,10 +173,18 @@ def _load_operator(args) -> tuple[KernelTensor, ConvSpec]:
     return K, built
 
 
+def _image_size(args, spec: ConvSpec) -> tuple[int, int]:
+    """`--size`, else s*ceil(8/s) per axis for the operator's stride s."""
+    if args.size is not None:
+        return tuple(args.size)
+    side = spec.stride * math.ceil(8 / spec.stride)
+    return side, side
+
+
 def cmd_verify(args) -> int:
     try:
         K, spec = _load_operator(args)
-        h, w = args.size
+        h, w = _image_size(args, spec)
         report = check_orthogonality(K, spec, h, w, tolerance=args.tol)
     except (OSError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
@@ -185,7 +196,7 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     try:
         K, spec = _load_operator(args)
-        h, w = args.size
+        h, w = _image_size(args, spec)
         sv = np.sort(polyphase_spectrum(K, spec, h, w), axis=None)[::-1]
     except (OSError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
@@ -253,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="default: the build sidecar's, else 1")
     common.add_argument("--dilation", type=int,
                         help="default: the build sidecar's, else 1")
-    common.add_argument("--size", type=int, nargs=2, default=[8, 8],
-                        metavar=("H", "W"))
+    common.add_argument("--size", type=int, nargs=2, metavar=("H", "W"),
+                        help="image size; default: s*ceil(8/s) per axis for "
+                             "stride s (8x8 at strides 1, 2, 4 and 8)")
 
     v = sub.add_parser("verify", parents=[common],
                        help="check orthogonality of a kernel file")

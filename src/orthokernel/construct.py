@@ -23,6 +23,7 @@ is established independently by the `verify` module.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,6 +87,11 @@ class BranchTag:
         }
 
 
+#: the most entries an `aoc_kernel` build may hold in its kernel or in its
+#: largest factor stack (512 MiB of float64); a 2048->2048 k3 layer needs
+#: 37.7 M
+MAX_ENTRIES = 1 << 26
+
 #: second seed word of group q's seed (seed, GROUP_SEED_BASE + q) in a
 #: grouped layer; it lies above every sub-seed word a builder appends
 #: (1 for the channel map, 2..t+1 for the projector factors, 1 << 20 for
@@ -111,17 +117,15 @@ def _grouped(stack: np.ndarray) -> KernelTensor:
     return KernelTensor._adopt(stack.reshape(-1, *stack.shape[2:]), groups=len(stack))
 
 
-def _factor_axes(k1: int, k2: int) -> list[int]:
-    """Spatial axes of the projector factors needed for a k1 x k2 kernel:
-    (k1-1) vertical (axis 2) and (k2-1) horizontal (axis 3) ones,
-    alternating pairwise."""
-    axes = []
+def _factor_axes(k1: int, k2: int) -> Iterator[int]:
+    """Spatial axes of the projector factors needed for a k1 x k2 kernel,
+    in order: (k1-1) vertical (axis 2) and (k2-1) horizontal (axis 3)
+    ones, alternating pairwise."""
     for t in range(max(k1 - 1, k2 - 1)):
         if t < k1 - 1:
-            axes.append(2)
+            yield 2
         if t < k2 - 1:
-            axes.append(3)
-    return axes
+            yield 3
 
 
 def _fold_projector(K: np.ndarray, M: np.ndarray, axis: int) -> np.ndarray:
@@ -148,6 +152,13 @@ def _fold_projector(K: np.ndarray, M: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def _projector_entries(c_in, c_out, k1, k2) -> int:
+    """Entries per group of the largest array `_projector_kernels` holds:
+    the kernel composed at width c, or a c x floor(c/2) projector base."""
+    c = max(c_in, c_out)
+    return c * max(c_in * k1 * k2, c // 2 if k1 > 1 or k2 > 1 else 0)
+
+
 def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme) -> KernelTensor:
     """The unstrided projector construction, one group per seed.
 
@@ -165,8 +176,7 @@ def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme) -> KernelTensor:
     if c_in < 1 or c_out < 1:
         raise ValueError("channel counts must be >= 1")
     c = max(c_in, c_out)
-    axes = _factor_axes(k1, k2)
-    if axes and c < 2:
+    if (k1 > 1 or k2 > 1) and c < 2:
         raise UnsupportedConfigError(
             f"channel width 1 is unsupported for a {k1}x{k2} projector kernel: "
             f"its half-rank factors need at least 2 channels, got c_in={c_in}, "
@@ -174,7 +184,7 @@ def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme) -> KernelTensor:
         )
     K = _orthogonal_stack((c, c_in), [_sub_seed(seed, 1) for seed in seeds], scheme)
     K = K.reshape(len(seeds), c, c_in, 1, 1)
-    for t, axis in enumerate(axes):
+    for t, axis in enumerate(_factor_axes(k1, k2)):
         M = _orthogonal_stack((c, c // 2), [_sub_seed(seed, 2 + t) for seed in seeds], scheme)
         K = _fold_projector(K, M, axis + 1)
     # a truncated kernel is copied, so it does not hold the dropped rows
@@ -206,6 +216,44 @@ def rko_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTens
     return _rko_kernels(c_in, c_out, k1, k2, [seed], scheme)
 
 
+def _choose_branch(spec: ConvSpec) -> tuple[str, int | None]:
+    """The branch `aoc_kernel` takes for `spec`, and its internal width
+    (branch "d" only).  Raises UnsupportedConfigError, before anything is
+    allocated, for s > k, a stride sharing a factor with the dilation, and
+    a layer whose kernel or largest factor stack over all groups (the
+    projector kernel composed at its full width, a projector base, or the
+    reshaped factor) would hold more than MAX_ENTRIES entries."""
+    g, s, d = spec.groups, spec.stride, spec.dilation
+    k1, k2 = spec.k_h, spec.k_w
+    if s > k1 or s > k2:
+        raise UnsupportedConfigError(
+            f"no orthogonal kernel exists for stride {s} > kernel size {k1}x{k2}"
+        )
+    if s > 1 and d > 1 and math.gcd(s, d) > 1:
+        raise UnsupportedConfigError(
+            f"stride {s} and dilation {d} share a common factor; the strided "
+            f"dilated convolution never reads part of its input and cannot "
+            f"be orthogonal in both directions"
+        )
+    ci, co = spec.c_in // g, spec.c_out // g
+    width = None
+    if k1 == s and k2 == s:
+        branch, factor = "b", co * ci * s * s
+    elif s == 1:
+        branch, factor = "a", _projector_entries(ci, co, k1, k2)
+    else:
+        branch, width = "d", max(ci, co // (s * s))
+        factor = max(_projector_entries(ci, width, k1 - s + 1, k2 - s + 1),
+                     co * width * s * s)
+    kernel, factor = spec.c_out * ci * k1 * k2, g * factor
+    if max(kernel, factor) > MAX_ENTRIES:
+        raise UnsupportedConfigError(
+            f"layer too large: its kernel has {kernel} entries and its largest "
+            f"factor {factor}, above the budget of {MAX_ENTRIES} entries"
+        )
+    return branch, width
+
+
 def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
     """Build an orthogonal convolution kernel for an arbitrary valid
     (c_in, c_out, k, s, g, d) configuration.
@@ -223,32 +271,21 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
     projector width < 2 with k > s (refused by the projector construction
     itself), and stride sharing a factor with the dilation (the read
     lattice then drops input sites, which no kernel of this shape can
-    compensate).
+    compensate); and, before anything is allocated, for a layer whose
+    kernel or largest factor stack exceeds MAX_ENTRIES entries.
     """
     spec = cfg.spec
-    s, g, d = spec.stride, spec.groups, spec.dilation
-    k1, k2 = spec.k_h, spec.k_w
-    if s > k1 or s > k2:
-        raise UnsupportedConfigError(
-            f"no orthogonal kernel exists for stride {s} > kernel size {k1}x{k2}"
-        )
-    if s > 1 and d > 1 and math.gcd(s, d) > 1:
-        raise UnsupportedConfigError(
-            f"stride {s} and dilation {d} share a common factor; the strided "
-            f"dilated convolution never reads part of its input and cannot "
-            f"be orthogonal in both directions"
-        )
+    branch, width = _choose_branch(spec)
+    g, s, k1, k2 = spec.groups, spec.stride, spec.k_h, spec.k_w
     ci, co = spec.c_in // g, spec.c_out // g
     scheme = cfg.scheme
     group_seeds = ((cfg.seed,) if g == 1 else
                    tuple((cfg.seed, GROUP_SEED_BASE + q) for q in range(g)))
-    width = None
-    if k1 == s and k2 == s:
-        branch, K = "b", _rko_kernels(ci, co, s, s, group_seeds, scheme)
-    elif s == 1:
-        branch, K = "a", _projector_kernels(ci, co, k1, k2, group_seeds, scheme)
+    if branch == "b":
+        K = _rko_kernels(ci, co, s, s, group_seeds, scheme)
+    elif branch == "a":
+        K = _projector_kernels(ci, co, k1, k2, group_seeds, scheme)
     else:
-        branch, width = "d", max(ci, co // (s * s))
         inner = _projector_kernels(ci, width, k1 - s + 1, k2 - s + 1, group_seeds, scheme)
         # disjoint sub-seed namespace from the projector factors (seed, 1..t+1)
         outer = _rko_kernels(width, co, s, s,

@@ -5,8 +5,9 @@ from an arbitrary dense one.  Each takes one matrix or a stack [..., rows,
 cols], giving each matrix the bits of its own call, and
 `orthogonalize_stack` dispatches a whole stack to one call.  Every scheme
 finishes: `bjorck` is Björck's limit, the polar factor from an SVD,
-`qr_mgs` LAPACK's Householder QR, and the others take a fixed number of
-steps.  All routines work in float64.
+`qr_mgs` LAPACK's Householder QR, `cholesky` the same QR of the
+transpose (the Cholesky factor of M M^T is R^T), and the others take a
+fixed number of steps.  All routines work in float64.
 Orientation convention: the orthogonality residual is always measured on
 the smaller Gram side (W W^T for wide matrices, W^T W for tall ones).
 """
@@ -99,18 +100,19 @@ def exp_map(W: np.ndarray) -> np.ndarray:
 
 
 def cholesky_orth(M: np.ndarray) -> np.ndarray:
-    """Orthogonalization by whitening with a Cholesky factor.
+    """Orthogonalization by whitening with a Cholesky factor: the W with
+    L W = M, where M M^T = L L^T.
 
-    M M^T is factored as L L^T and the triangular system L W = M is
-    solved, so W W^T = I to rounding.  Requires rows <= cols; a matrix
-    without full row rank raises `np.linalg.LinAlgError`, a ValueError.
+    For Q R = M^T with R's diagonal positive, M M^T = R^T R, so L = R^T
+    and W = Q^T: the factor is taken from `qr_mgs` of M^T, which keeps
+    W W^T = I to rounding where forming M M^T would square M's condition
+    number.  Requires rows <= cols; a matrix without full row rank is
+    refused by `qr_mgs` with ValueError.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim < 2 or M.shape[-2] > M.shape[-1]:
         raise ValueError("cholesky_orth expects rows <= cols")
-    L = np.linalg.cholesky(M @ M.swapaxes(-1, -2))
-    # forward substitution L W = M via solve on the triangular factor
-    return np.linalg.solve(L, M)
+    return qr_mgs(M.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME) -> np.ndarray:

@@ -231,7 +231,7 @@ def _projector_draws(c_in, c_out, k1, k2, seed, scheme):
     """Width c, factor axes, channel map and projector bases of one
     projector kernel, each orthogonalized alone."""
     c = max(c_in, c_out)
-    axes = _factor_axes(k1, k2)
+    axes = list(_factor_axes(k1, k2))
     if axes and c < 2:
         raise UnsupportedConfigError(
             f"channel width 1 is unsupported for a {k1}x{k2} projector kernel: "

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -172,8 +175,8 @@ def test_build_unsupported_exit_3(tmp_path, capsys):
 
 def test_build_unorthogonalizable_factor_exit_3(tmp_path, capsys, monkeypatch):
     # a factor no scheme can orthogonalize is a rank-deficient draw, which no
-    # config is known to give (the shifted cholesky whitening refused seeds
-    # of this one); the ValueError must become exit 3, not escape
+    # config is known to give; the ValueError (here numpy's LinAlgError, a
+    # subclass) must become exit 3, not escape
     def refuse(cfg):
         raise np.linalg.LinAlgError("Matrix is not positive definite\nsecond line")
 
@@ -246,6 +249,46 @@ def test_verify_and_spectrum_take_stride_from_sidecar(tmp_path, capsys):
     assert main(["spectrum", str(out)]) == 0
     values = np.array([float(v) for v in capsys.readouterr().out.split()])
     assert np.max(np.abs(values - 1.0)) <= 1e-4
+
+
+@pytest.mark.parametrize("sidecar", [True, False])
+def test_verify_and_spectrum_default_size_fits_stride(tmp_path, capsys, sidecar):
+    # 8x8 is not divisible by stride 3; the default is s*ceil(8/s) = 9 per
+    # axis, with s from the sidecar or, without one, from --stride
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"c_in": 2, "c_out": 9, "kernel": 5, "stride": 3}))
+    out = tmp_path / "k.okt"
+    assert main(["build", str(path), str(out)]) == 0
+    flags = []
+    if not sidecar:
+        (tmp_path / "k.okt.meta.json").unlink()
+        flags = ["--stride", "3"]
+    capsys.readouterr()
+    assert main(["verify", str(out), *flags]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["size"] == [9, 9]
+    assert main(["spectrum", str(out), *flags]) == 0
+    values = np.array([float(v) for v in capsys.readouterr().out.split()])
+    # 3x3 output frequencies, 9 singular values each
+    assert values.size == 81 and np.max(np.abs(values - 1.0)) <= 1e-4
+
+
+@pytest.mark.parametrize("config", [{"c_in": 65536, "c_out": 65536, "kernel": 3},
+                                    {"c_in": 4, "c_out": 8, "kernel": 1099511627776}])
+def test_build_oversized_config_exit_3(tmp_path, config):
+    # refused from the config alone; the build runs in a process capped at
+    # 3 GB of address space, so one that got past the budget would end in a
+    # MemoryError rather than take the machine's memory
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9,) * 2); "
+            "from orthokernel.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, "build", str(path), str(tmp_path / "k.okt")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("unsupported configuration: layer too large: its kernel has ")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "k.okt").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
@@ -529,9 +572,8 @@ def test_selftest_bad_tolerance_exit_2(capsys, tol, category):
 
 
 def test_selftest_unbuildable_entry_exit_3(capsys, monkeypatch):
-    # the grouped entries with one-column projector matrices, which the
-    # shifted cholesky whitening could not make orthogonal, now pass; an
-    # entry that cannot be built still exits 3
+    # the grouped entries, one-column projector bases among them, build and
+    # pass under cholesky; an entry that cannot be built exits 3
     assert main(["selftest", "--scheme", "cholesky", "--category", "grouped"]) == 0
     capsys.readouterr()
 
@@ -614,7 +656,7 @@ SIDECAR_MINIMAL = """\
     "seed": 0,
     "stride": 1
   },
-  "version": 8
+  "version": 9
 }
 """
 SIDECAR_GROUPED = """\
@@ -646,7 +688,7 @@ SIDECAR_GROUPED = """\
     "seed": 7,
     "stride": 2
   },
-  "version": 8
+  "version": 9
 }
 """
 

@@ -273,6 +273,30 @@ def test_aoc_rejects_stride_dilation_common_factor():
         aoc_kernel(make_cfg(4, 4, 3, s=2, d=2))
 
 
+def test_size_budget_admits_workload_layers_and_2048_wide_k3():
+    # the budget is checked from the spec alone: nothing is built here
+    workloads = perfbench_module("workloads").WORKLOADS
+    specs = [layer.spec() for layers in workloads.values() for layer in layers()]
+    for spec in specs + [ConvSpec(2048, 2048, 3, 3)]:
+        construct._choose_branch(spec)
+
+
+@pytest.mark.parametrize("spec, kernel, factor", [
+    (ConvSpec(65536, 65536, 3, 3), 65536 * 65536 * 9, 65536 * 65536 * 9),
+    (ConvSpec(4, 8, 2 ** 40, 2 ** 40), 8 * 4 * 2 ** 80, 8 * 4 * 2 ** 80),
+    # a small kernel with large projector bases (16384 x 8192)
+    (ConvSpec(1, 16384, 2, 2), 16384 * 4, 16384 * 8192),
+    # a small kernel composed at its input width before truncation
+    (ConvSpec(16384, 1, 3, 3), 16384 * 9, 16384 * 16384 * 9),
+    # branch "d": the 16384 x 4096*4 outer factor
+    (ConvSpec(1, 16384, 3, 3, stride=2), 16384 * 9, 16384 * 16384),
+])
+def test_size_budget_refuses_from_the_spec(spec, kernel, factor):
+    with pytest.raises(UnsupportedConfigError,
+                       match=f"kernel has {kernel} entries and its largest factor {factor},"):
+        construct._choose_branch(spec)
+
+
 def test_aoc_dilated_same_kernel():
     base = make_cfg(4, 4, 3, s=1, d=1, seed=4)
     dil = make_cfg(4, 4, 3, s=1, d=2, seed=4)
@@ -486,8 +510,7 @@ def _outcome(build, cfg):
 
 @settings(max_examples=300, deadline=None)
 @given(aoc_configs())
-# the shifted cholesky whitening could not make this layer's 2x1 projector
-# bases column orthogonal at this seed; unshifted, it builds
+# a layer whose 2x1 projector bases have one column, under cholesky
 @example(AocConfig(spec=ConvSpec(2, 4, 3, 3, groups=2), scheme="cholesky", seed=1))
 @example(AocConfig(spec=ConvSpec(8, 8, 3, 3, stride=2, groups=4)))
 @example(AocConfig(spec=ConvSpec(8, 8, 4, 2, groups=2), scheme="exponential", seed=3))
@@ -496,9 +519,8 @@ def test_aoc_kernel_equals_per_group_oracle(cfg):
 
 
 def test_cholesky_builds_and_verifies_at_every_seed():
-    # whether this layer built once depended on its seed: whitening with
-    # M M^T + 1e-7 I left each one-column projector base of squared norm
-    # below 0.1 too far from unit norm for the projector construction
+    # this layer's 2x1 projector bases have one column: every seed must
+    # build them, and the kernel must be orthogonal to rounding
     spec = ConvSpec(2, 4, 3, 3, groups=2)
     for seed in range(200):
         K, _ = aoc_kernel(AocConfig(spec=spec, scheme="cholesky", seed=seed))
@@ -581,13 +603,13 @@ def _pinned_digests() -> dict:
 def _wide_digests() -> dict:
     """Digests of kernels too wide to pin by hand, computed in this process:
     `aoc_kernel` of the benchmark's `resnet_wide` and `verify_dense` layers
-    at seed 1, with the default scheme and with `qr_mgs` (LAPACK's QR), and
-    a 12-term exponential with a 49x49 result."""
+    at seed 1, with the default scheme and with `qr_mgs` and `cholesky`
+    (LAPACK's QR), and a 12-term exponential with a 49x49 result."""
     workloads = perfbench_module("workloads").WORKLOADS
     digests = {f"{name}/{scheme}": [
         _sha256(aoc_kernel(AocConfig(spec=layer.spec(), scheme=scheme, seed=1))[0])
         for layer in workloads[name]()]
-        for name in ("resnet_wide", "verify_dense") for scheme in ("bjorck", "qr_mgs")}
+        for name in ("resnet_wide", "verify_dense") for scheme in ("bjorck", "qr_mgs", "cholesky")}
     skew = skew_symmetrize_kernel(KernelTensor(0.1 * rng(0).standard_normal((6, 6, 5, 5))))
     digests["soc_explicit_kernel"] = _sha256(soc_explicit_kernel(skew, terms=12))
     return digests
