@@ -10,10 +10,11 @@ Subcommands:
 The config file sets every build value, uncoerced: integer keys must be
 JSON integers, and a key outside `_CONFIG_DEFAULTS` is refused by name.
 The build sidecar `out.okt.meta.json` holds "branch" (`BranchTag.to_dict`:
-branch, internal_width, group_seeds), "config" (the resolved build config)
-and "version" (`SIDECAR_VERSION`, raised whenever a config and seed stop
-giving the kernel bytes they gave before, and whenever the sidecar gains
-or loses a key).
+branch and internal_width), "config" (the resolved build config; its seed
+is the only one: each factor is one draw for all groups from a sub-seed
+of it) and "version" (`SIDECAR_VERSION`, raised whenever a config and
+seed stop giving the kernel bytes they gave before, and whenever the
+sidecar gains or loses a key).
 
 okt-v1 stores no stride or dilation, so `verify` and `spectrum` take them
 from the sidecar next to the kernel when there is one; `--stride` and
@@ -43,7 +44,8 @@ from . import kernel_io
 from .construct import AocConfig, aoc_kernel
 from .orthogonalize import DEFAULT_SCHEME, SCHEMES
 from .tensor_core import ConvSpec, KernelTensor, _check_kernel_spec, spec_for_kernel
-from .verify import DEFAULT_TOLERANCE, check_orthogonality, grid_entries, polyphase_spectrum, run_grid
+from .verify import (DEFAULT_TOLERANCE, check_orthogonality, default_image_side, grid_entries,
+                     polyphase_spectrum, run_grid)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -64,8 +66,10 @@ EXIT_UNSUPPORTED = 3
 #: kernels with a projector factor change by rounding;
 #: 8: `qr_mgs` is LAPACK's Householder QR, so `qr_mgs` kernels change;
 #: 9: `cholesky` factors are the same QR of the transpose, so `cholesky`
-#: kernels change
-SIDECAR_VERSION = 9
+#: kernels change;
+#: 10: each factor is one draw for all groups, so grouped kernels change,
+#: and "branch" loses group_seeds
+SIDECAR_VERSION = 10
 
 # every build config key with its default; None marks a required key
 _CONFIG_DEFAULTS = {
@@ -174,10 +178,10 @@ def _load_operator(args) -> tuple[KernelTensor, ConvSpec]:
 
 
 def _image_size(args, spec: ConvSpec) -> tuple[int, int]:
-    """`--size`, else s*ceil(8/s) per axis for the operator's stride s."""
+    """`--size`, else `default_image_side` per axis for the operator's stride."""
     if args.size is not None:
         return tuple(args.size)
-    side = spec.stride * math.ceil(8 / spec.stride)
+    side = default_image_side(spec.stride)
     return side, side
 
 

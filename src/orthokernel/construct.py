@@ -12,7 +12,7 @@ Three building blocks and one adaptive front end:
 * `aoc_kernel` - pick the cheapest construction that is orthogonal for
   the requested stride/size (the same for every group) and fuse the
   factors into a single kernel via block convolution.  The groups are a
-  stack axis of the whole build: each factor is drawn for all groups and
+  stack axis of the whole build: each factor is one draw for all groups,
   orthogonalized as one stack, each projector fold and the branch-"d"
   fusion runs once over all groups, and the result is one grouped kernel.
 
@@ -72,19 +72,14 @@ class BranchTag:
     translation-equivariant map does.
 
     `to_dict` gives the "branch" object of the build sidecar, with keys
-    branch, internal_width and group_seeds.
+    branch and internal_width.
     """
 
     branch: str
     internal_width: int | None = None
-    group_seeds: tuple[int | tuple[int, ...], ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "internal_width": self.internal_width,
-            "group_seeds": list(self.group_seeds),
-        }
+        return {"branch": self.branch, "internal_width": self.internal_width}
 
 
 #: the most entries an `aoc_kernel` build may hold in its kernel or in its
@@ -92,24 +87,13 @@ class BranchTag:
 #: 37.7 M
 MAX_ENTRIES = 1 << 26
 
-#: second seed word of group q's seed (seed, GROUP_SEED_BASE + q) in a
-#: grouped layer; it lies above every sub-seed word a builder appends
-#: (1 for the channel map, 2..t+1 for the projector factors, 1 << 20 for
-#: the fused branch's outer factor), so no group draws another group's or
-#: a sub-seed's stream
-GROUP_SEED_BASE = 1 << 21
-
-
-def _sub_seed(seed, word: int) -> tuple[int, ...]:
-    """Seed words of a sub-stream of `seed` (an int or a tuple of ints).
-    `word` must be nonzero: numpy's SeedSequence ignores trailing zero
-    words, so (seed, 0) would draw the stream of `seed` itself."""
-    return (*seed, word) if isinstance(seed, tuple) else (seed, word)
-
-
-def _orthogonal_stack(shape, seeds, scheme) -> np.ndarray:
-    """`sample_params(shape, seed)` for each seed, orthogonalized as one stack."""
-    return orthogonalize_stack(np.stack([sample_params(shape, seed) for seed in seeds]), scheme)
+def _orthogonal_stack(g, shape, seed, scheme) -> np.ndarray:
+    """One draw `sample_params((g, *shape), seed)` for all g groups,
+    orthogonalized as one stack: group q's factor is slab q of the draw.
+    A sub-stream of an integer seed is (seed, word) with a nonzero word:
+    numpy's SeedSequence ignores trailing zero words, so (seed, 0) would
+    draw the stream of `seed` itself."""
+    return orthogonalize_stack(sample_params((g, *shape), seed), scheme)
 
 
 def _grouped(stack: np.ndarray) -> KernelTensor:
@@ -159,17 +143,18 @@ def _projector_entries(c_in, c_out, k1, k2) -> int:
     return c * max(c_in * k1 * k2, c // 2 if k1 > 1 or k2 > 1 else 0)
 
 
-def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme) -> KernelTensor:
-    """The unstrided projector construction, one group per seed.
+def _projector_kernels(c_in, c_out, k1, k2, g, seed, scheme) -> KernelTensor:
+    """The unstrided projector construction for g groups.
 
     All projector factors live at width c = max(c_in, c_out).  The 1x1
     channel map sits at the input end (applied first), and each projector
     factor, in `_factor_axes` order, is folded onto it by
-    `_fold_projector`, for all groups at once.  Each factor is drawn and
-    orthogonalized right before its fold, so a fold holds only its own
-    base.  When c_out < c the composed kernel is truncated to its first
-    c_out output channels, which preserves row orthogonality (deleting
-    rows of a row-orthogonal matrix keeps it row orthogonal).
+    `_fold_projector`, for all groups at once.  The channel map is drawn
+    from the sub-seed (seed, 1) and factor t from (seed, 2 + t), each
+    right before its fold, so a fold holds only its own base.  When
+    c_out < c the composed kernel is truncated to its first c_out output
+    channels, which preserves row orthogonality (deleting rows of a
+    row-orthogonal matrix keeps it row orthogonal).
     """
     if k1 < 1 or k2 < 1:
         raise ValueError(f"kernel size must be >= 1, got {k1}x{k2}")
@@ -182,18 +167,17 @@ def _projector_kernels(c_in, c_out, k1, k2, seeds, scheme) -> KernelTensor:
             f"its half-rank factors need at least 2 channels, got c_in={c_in}, "
             f"c_out={c_out}"
         )
-    K = _orthogonal_stack((c, c_in), [_sub_seed(seed, 1) for seed in seeds], scheme)
-    K = K.reshape(len(seeds), c, c_in, 1, 1)
+    K = _orthogonal_stack(g, (c, c_in), (seed, 1), scheme).reshape(g, c, c_in, 1, 1)
     for t, axis in enumerate(_factor_axes(k1, k2)):
-        M = _orthogonal_stack((c, c // 2), [_sub_seed(seed, 2 + t) for seed in seeds], scheme)
+        M = _orthogonal_stack(g, (c, c // 2), (seed, 2 + t), scheme)
         K = _fold_projector(K, M, axis + 1)
     # a truncated kernel is copied, so it does not hold the dropped rows
     return _grouped(K[:, :c_out].copy() if c_out < c else K)
 
 
-def _rko_kernels(c_in, c_out, k1, k2, seeds, scheme) -> KernelTensor:
-    Ws = _orthogonal_stack((c_out, c_in * k1 * k2), seeds, scheme)
-    return _grouped(Ws.reshape(len(seeds), c_out, c_in, k1, k2))
+def _rko_kernels(c_in, c_out, k1, k2, g, seed, scheme) -> KernelTensor:
+    Ws = _orthogonal_stack(g, (c_out, c_in * k1 * k2), seed, scheme)
+    return _grouped(Ws.reshape(g, c_out, c_in, k1, k2))
 
 
 def bcop_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTensor:
@@ -203,7 +187,7 @@ def bcop_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTen
     The resulting convolution (stride 1, circular padding) is row
     orthogonal when c_out <= c_in and column orthogonal otherwise.
     """
-    return _projector_kernels(c_in, c_out, k1, k2, [seed], scheme)
+    return _projector_kernels(c_in, c_out, k1, k2, 1, seed, scheme)
 
 
 def rko_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTensor:
@@ -213,7 +197,7 @@ def rko_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTens
     k1 == k2 == s (non-overlapping receptive fields); for other strides it
     is 1-Lipschitz material but carries no orthogonality claim.
     """
-    return _rko_kernels(c_in, c_out, k1, k2, [seed], scheme)
+    return _rko_kernels(c_in, c_out, k1, k2, 1, seed, scheme)
 
 
 def _choose_branch(spec: ConvSpec) -> tuple[str, int | None]:
@@ -258,13 +242,15 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
     """Build an orthogonal convolution kernel for an arbitrary valid
     (c_in, c_out, k, s, g, d) configuration.
 
-    Groups are a stack axis: every group takes the same branch, the
-    factors of all groups are orthogonalized in one `orthogonalize_stack`
-    pass per factor, and each group is composed from its own factors, so
-    its bytes are those of building it alone.  An ungrouped layer is
-    built from `seed` itself; group q of a grouped layer from the seed
-    words (seed, GROUP_SEED_BASE + q), so layers with different seeds
-    share no group.
+    Groups are a stack axis: every group takes the same branch, and each
+    factor is one draw `sample_params((g, *shape), sub_seed)` for all
+    groups, orthogonalized in one `orthogonalize_stack` pass.  Group q is
+    composed from slab q of each draw, so group 0 of a grouped layer is
+    the ungrouped layer of its per-group shape at the same seed, and
+    layers with different seeds share no group.  The sub-seeds are
+    (seed, 1) for the channel map, (seed, 2 + t) for projector factor t,
+    (seed, 1 << 20) for branch "d"'s outer factor, and `seed` itself for
+    branch "b".
     Dilation returns the same kernel (orthogonality transfers to the
     dilated operator); the spec carries d.  Raises UnsupportedConfigError
     for configurations with no orthogonal kernel: s > k, per-group
@@ -279,19 +265,17 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
     g, s, k1, k2 = spec.groups, spec.stride, spec.k_h, spec.k_w
     ci, co = spec.c_in // g, spec.c_out // g
     scheme = cfg.scheme
-    group_seeds = ((cfg.seed,) if g == 1 else
-                   tuple((cfg.seed, GROUP_SEED_BASE + q) for q in range(g)))
+    seed = cfg.seed
     if branch == "b":
-        K = _rko_kernels(ci, co, s, s, group_seeds, scheme)
+        K = _rko_kernels(ci, co, s, s, g, seed, scheme)
     elif branch == "a":
-        K = _projector_kernels(ci, co, k1, k2, group_seeds, scheme)
+        K = _projector_kernels(ci, co, k1, k2, g, seed, scheme)
     else:
-        inner = _projector_kernels(ci, width, k1 - s + 1, k2 - s + 1, group_seeds, scheme)
+        inner = _projector_kernels(ci, width, k1 - s + 1, k2 - s + 1, g, seed, scheme)
         # disjoint sub-seed namespace from the projector factors (seed, 1..t+1)
-        outer = _rko_kernels(width, co, s, s,
-                             [_sub_seed(seed, 1 << 20) for seed in group_seeds], scheme)
+        outer = _rko_kernels(width, co, s, s, g, (seed, 1 << 20), scheme)
         K = block_conv_fast(outer, inner)
-    return K, BranchTag(branch=branch, internal_width=width, group_seeds=group_seeds)
+    return K, BranchTag(branch=branch, internal_width=width)
 
 
 def transpose_kernel_for(K: KernelTensor, spec: ConvSpec) -> tuple[KernelTensor, ConvSpec]:

@@ -72,6 +72,12 @@ DEFAULT_TOLERANCE = 1e-4
 _IMPULSE_BATCH_ENTRIES = 1 << 18
 
 
+def default_image_side(stride: int) -> int:
+    """s*ceil(8/s): the side of the smallest square image of at least 8x8
+    that the stride s divides, the default size of a check."""
+    return stride * math.ceil(8 / stride)
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Singular-value extremes and verdict of one orthogonality check.
@@ -325,8 +331,7 @@ class GridEntry:
                 f"-s{self.stride}-g{self.groups}-d{self.dilation}-{self.check}")
 
     def image_size(self) -> int:
-        # images must be divisible by the stride; 12 covers stride 3
-        return 8 if 8 % self.stride == 0 else 12
+        return default_image_side(self.stride)
 
     def to_config(self, scheme: str = "bjorck", seed: int = 0) -> AocConfig:
         spec = ConvSpec(c_in=self.c_in, c_out=self.c_out, k_h=self.kernel,

@@ -25,12 +25,13 @@ must give the same bits.
 `polar_ref`, `orthogonalize_ref` and `aoc_kernel_per_group` are the
 builders before groups became a stack axis of the whole build: the polar
 factor from the SVD of one 2-D matrix at a time, and `aoc_kernel` as a
-loop that builds each group alone, orthogonalizing its factors one by
-one, folding the projector factors with the library's own
-`_fold_projector` on a stack of one kernel, fusing an ungrouped branch-"d"
-pair with `block_conv_fast`, and concatenating the groups.  The stacked
-builders must give the same bytes and branch tags, and refuse with the
-same exception type and message.
+loop that builds each group q alone from slab q of each factor's draw
+for all groups, orthogonalizing its factors one by one, folding the
+projector factors with the library's own `_fold_projector` on a stack of
+one kernel, fusing an ungrouped branch-"d" pair with `block_conv_fast`,
+and concatenating the groups.  The stacked builders must give the same
+bytes and branch tags, and refuse with the same exception type and
+message.
 
 `bjorck_ref` is Björck's iteration itself, the independent route to the
 polar factor: run to convergence, it must agree with `polar_ref` to
@@ -53,7 +54,7 @@ from orthokernel import (
     sample_params,
 )
 from orthokernel.blockconv import _require_compat
-from orthokernel.construct import GROUP_SEED_BASE, BranchTag, _factor_axes, _fold_projector
+from orthokernel.construct import BranchTag, _factor_axes, _fold_projector
 from orthokernel.orthogonalize import SCHEMES
 
 
@@ -211,12 +212,11 @@ def orthogonalize_ref(W, scheme="bjorck"):
     raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
 
 
-def _sub_seed(seed, word):
-    return (*seed, word) if isinstance(seed, tuple) else (seed, word)
-
-
-def _orth(shape, seed, scheme):
-    return orthogonalize_ref(sample_params(shape, seed), scheme)
+def _orth(shape, seed, scheme, slab=(1, 0)):
+    """Slab q of the draw `sample_params((g, *shape), seed)` for
+    slab = (g, q), orthogonalized alone."""
+    g, q = slab
+    return orthogonalize_ref(sample_params((g, *shape), seed)[q], scheme)
 
 
 def projector_factor_ref(M, axis):
@@ -227,9 +227,10 @@ def projector_factor_ref(M, axis):
         (*N.shape, 2, 1) if axis == 2 else (*N.shape, 1, 2)))
 
 
-def _projector_draws(c_in, c_out, k1, k2, seed, scheme):
+def _projector_draws(c_in, c_out, k1, k2, seed, scheme, slab=(1, 0)):
     """Width c, factor axes, channel map and projector bases of one
-    projector kernel, each orthogonalized alone."""
+    projector kernel (group q of g for slab = (g, q)), each orthogonalized
+    alone."""
     c = max(c_in, c_out)
     axes = list(_factor_axes(k1, k2))
     if axes and c < 2:
@@ -238,8 +239,8 @@ def _projector_draws(c_in, c_out, k1, k2, seed, scheme):
             f"its half-rank factors need at least 2 channels, got c_in={c_in}, "
             f"c_out={c_out}"
         )
-    C = _orth((c, c_in), _sub_seed(seed, 1), scheme)
-    Ms = [_orth((c, c // 2), _sub_seed(seed, 2 + t), scheme) for t in range(len(axes))]
+    C = _orth((c, c_in), (seed, 1), scheme, slab)
+    Ms = [_orth((c, c // 2), (seed, 2 + t), scheme, slab) for t in range(len(axes))]
     return c, axes, C, Ms
 
 
@@ -253,31 +254,33 @@ def projector_kernel_ref(c_in, c_out, k1, k2, seed, scheme="bjorck"):
     return KernelTensor(K.data[:c_out])
 
 
-def _projector_kernel(c_in, c_out, k1, k2, seed, cfg):
-    c, axes, C, Ms = _projector_draws(c_in, c_out, k1, k2, seed, cfg.scheme)
+def _projector_kernel(c_in, c_out, k1, k2, cfg, slab):
+    c, axes, C, Ms = _projector_draws(c_in, c_out, k1, k2, cfg.seed, cfg.scheme, slab)
     K = C.reshape(c, c_in, 1, 1)
     for M, axis in zip(Ms, axes):
         K = _fold_projector(K[None], M[None], axis + 1)[0]
     return KernelTensor(K[:c_out])
 
 
-def _rko_kernel(c_in, c_out, s, seed, cfg):
-    return KernelTensor(_orth((c_out, c_in * s * s), seed, cfg.scheme).reshape(c_out, c_in, s, s))
+def _rko_kernel(c_in, c_out, s, seed, cfg, slab):
+    W = _orth((c_out, c_in * s * s), seed, cfg.scheme, slab)
+    return KernelTensor(W.reshape(c_out, c_in, s, s))
 
 
-def _group_kernel(ci, co, k1, k2, s, cfg, seed):
+def _group_kernel(ci, co, k1, k2, s, cfg, slab):
     if k1 == s and k2 == s:
-        return _rko_kernel(ci, co, s, seed, cfg), "b", None
+        return _rko_kernel(ci, co, s, cfg.seed, cfg, slab), "b", None
     if s == 1:
-        return _projector_kernel(ci, co, k1, k2, seed, cfg), "a", None
+        return _projector_kernel(ci, co, k1, k2, cfg, slab), "a", None
     c = max(ci, co // (s * s))
-    inner = _projector_kernel(ci, c, k1 - s + 1, k2 - s + 1, seed, cfg)
-    outer = _rko_kernel(c, co, s, _sub_seed(seed, 1 << 20), cfg)
+    inner = _projector_kernel(ci, c, k1 - s + 1, k2 - s + 1, cfg, slab)
+    outer = _rko_kernel(c, co, s, (cfg.seed, 1 << 20), cfg, slab)
     return block_conv_fast(outer, inner), "d", c
 
 
 def aoc_kernel_per_group(cfg):
-    """`aoc_kernel` as a loop over groups, each built alone."""
+    """`aoc_kernel` as a loop over groups, each built alone from slab q
+    of each factor's draw for all g groups."""
     spec = cfg.spec
     s, g, d = spec.stride, spec.groups, spec.dilation
     k1, k2 = spec.k_h, spec.k_w
@@ -292,11 +295,9 @@ def aoc_kernel_per_group(cfg):
             f"be orthogonal in both directions"
         )
     ci, co = spec.c_in // g, spec.c_out // g
-    group_seeds = ((cfg.seed,) if g == 1 else
-                   tuple((cfg.seed, GROUP_SEED_BASE + q) for q in range(g)))
     kernels = []
-    for seed in group_seeds:
-        K_q, branch, width = _group_kernel(ci, co, k1, k2, s, cfg, seed)
+    for q in range(g):
+        K_q, branch, width = _group_kernel(ci, co, k1, k2, s, cfg, (g, q))
         kernels.append(K_q.data)
     K = KernelTensor(np.concatenate(kernels, axis=0), groups=g)
-    return K, BranchTag(branch=branch, internal_width=width, group_seeds=group_seeds)
+    return K, BranchTag(branch=branch, internal_width=width)

@@ -1,18 +1,24 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orthokernel import ConvSpec, KernelTensor, read_kernel, roundtrip_check, write_kernel
 from orthokernel.cli import main
+from orthokernel.orthogonalize import SCHEMES
 from conftest import deeply_nested_documents
 
 # `spectrum` output of a random 4->6 k3 groups=2 kernel at 4x6
@@ -289,6 +295,48 @@ def test_build_oversized_config_exit_3(tmp_path, config):
     assert proc.stderr.startswith("unsupported configuration: layer too large: its kernel has ")
     assert proc.stderr.count("\n") == 1
     assert not (tmp_path / "k.okt").exists()
+
+
+@st.composite
+def cli_configs(draw):
+    g = draw(st.sampled_from([1, 2, 4]))
+    kernel = draw(st.one_of(st.integers(1, 5), st.lists(st.integers(1, 5), min_size=2,
+                                                         max_size=2)))
+    return {"c_in": g * draw(st.integers(1, 6)), "c_out": g * draw(st.integers(1, 6)),
+            "kernel": kernel, "stride": draw(st.integers(1, 3)), "groups": g,
+            "dilation": draw(st.integers(1, 3)), "scheme": draw(st.sampled_from(SCHEMES)),
+            "seed": draw(st.integers(0, 2 ** 32 - 1))}
+
+
+def _run_cli(argv) -> tuple[int, str]:
+    """Exit code and stderr of `main(argv)`; an uncaught exception fails
+    the calling test, as a traceback would end the command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(cli_configs())
+# both are refused from the config alone, before anything is allocated
+@example({"c_in": 65536, "c_out": 65536, "kernel": 3})
+@example({"c_in": 4, "c_out": 8, "kernel": 1099511627776})
+def test_build_then_verify_at_default_flags(config):
+    # every config the build accepts verifies at the default size; every
+    # other one is refused with exit 3, and no command ends in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "k.okt"
+        path.write_text(json.dumps(config))
+        code, err = _run_cli(["build", str(path), str(out)])
+        assert code in (0, 3), err
+        assert "Traceback" not in err
+        if code == 3:
+            assert err.startswith("unsupported configuration: ") and not out.exists()
+            return
+        code, err = _run_cli(["verify", str(out)])
+        assert code == 0, err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
@@ -638,9 +686,6 @@ SIDECAR_MINIMAL = """\
 {
   "branch": {
     "branch": "a",
-    "group_seeds": [
-      0
-    ],
     "internal_width": null
   },
   "config": {
@@ -656,23 +701,13 @@ SIDECAR_MINIMAL = """\
     "seed": 0,
     "stride": 1
   },
-  "version": 9
+  "version": 10
 }
 """
 SIDECAR_GROUPED = """\
 {
   "branch": {
     "branch": "d",
-    "group_seeds": [
-      [
-        7,
-        2097152
-      ],
-      [
-        7,
-        2097153
-      ]
-    ],
     "internal_width": 4
   },
   "config": {
@@ -688,7 +723,7 @@ SIDECAR_GROUPED = """\
     "seed": 7,
     "stride": 2
   },
-  "version": 9
+  "version": 10
 }
 """
 

@@ -203,12 +203,32 @@ def test_aoc_internal_width_law():
 
 
 def test_aoc_group_seeds_distinct():
-    cfg = make_cfg(8, 8, 3, s=1, g=2, seed=10)
-    K, tag = aoc_kernel(cfg)
-    base = construct.GROUP_SEED_BASE
-    assert tag.group_seeds == ((10, base), (10, base + 1))
+    # the groups are slabs of one draw per factor, so they differ, and the
+    # tag names no per-group seed: the config's seed is the whole recipe
+    K, tag = aoc_kernel(make_cfg(8, 8, 3, s=1, g=2, seed=10))
+    assert tag.to_dict() == {"branch": "a", "internal_width": None}
     assert np.max(np.abs(K.data[:4] - K.data[4:])) > 1e-3
-    assert aoc_kernel(make_cfg(8, 8, 3, s=1, seed=10))[1].group_seeds == (10,)
+
+
+@pytest.mark.parametrize("spec, group", [
+    (ConvSpec(8, 8, 3, 3, groups=4), ConvSpec(2, 2, 3, 3)),
+    (ConvSpec(8, 8, 2, 2, stride=2, groups=4), ConvSpec(2, 2, 2, 2, stride=2)),
+    (ConvSpec(8, 16, 3, 3, stride=2, groups=2), ConvSpec(4, 8, 3, 3, stride=2)),
+], ids=["a", "b", "d"])
+def test_sample_params_calls_independent_of_groups(monkeypatch, spec, group):
+    # one draw per factor for all groups, the draws an ungrouped layer of
+    # the per-group shape makes; group 0 is slab 0 of each, so it is that
+    # layer's kernel
+    seeds = []
+    draw = construct.sample_params
+    monkeypatch.setattr(construct, "sample_params",
+                        lambda shape, seed: seeds.append(seed) or draw(shape, seed))
+    K, tag = aoc_kernel(AocConfig(spec=spec, scheme="qr_mgs", seed=5))
+    grouped, seeds[:] = list(seeds), []
+    K0, tag0 = aoc_kernel(AocConfig(spec=group, scheme="qr_mgs", seed=5))
+    assert grouped == seeds
+    assert tag == tag0
+    assert K.data[:group.c_out].tobytes() == K0.data.tobytes()
 
 
 def test_draw_streams_never_coincide(monkeypatch):
@@ -543,7 +563,7 @@ PINNED_SHA256 = {
     "d": (ConvSpec(4, 8, 3, 3, stride=2), "d",
           "1746c6b944309d76845816878fd782fad0b8e6c94e4726884d7c90cb28220a6e"),
     "grouped": (ConvSpec(8, 16, 3, 3, stride=2, groups=2), "d",
-                "ef33e5eac091937fe4b128cc73345c5d8633c5ef55c36d46d101e40251986b2a"),
+                "08690f73f34fe38ab54a9420e45046dd989c9bf6d08f72213323f243ff2ac4db"),
     "dilated": (ConvSpec(4, 2, 5, 5, stride=3, dilation=2), "d",
                 "891218bc68d03e75f68dea905ccf956cf1b4f72bf43ee89a003d74856e83fb0d"),
 }
