@@ -44,7 +44,7 @@ from . import kernel_io
 from .construct import AocConfig, aoc_kernel
 from .orthogonalize import DEFAULT_SCHEME, SCHEMES
 from .tensor_core import ConvSpec, KernelTensor, _check_kernel_spec, spec_for_kernel
-from .verify import (DEFAULT_TOLERANCE, check_orthogonality, default_image_side, grid_entries,
+from .verify import (DEFAULT_TOLERANCE, _image_size, check_orthogonality, grid_entries,
                      polyphase_spectrum, run_grid)
 
 EXIT_OK = 0
@@ -177,18 +177,10 @@ def _load_operator(args) -> tuple[KernelTensor, ConvSpec]:
     return K, built
 
 
-def _image_size(args, spec: ConvSpec) -> tuple[int, int]:
-    """`--size`, else `default_image_side` per axis for the operator's stride."""
-    if args.size is not None:
-        return tuple(args.size)
-    side = default_image_side(spec.stride)
-    return side, side
-
-
 def cmd_verify(args) -> int:
     try:
         K, spec = _load_operator(args)
-        h, w = _image_size(args, spec)
+        h, w = _image_size(spec, *(args.size or ()))
         report = check_orthogonality(K, spec, h, w, tolerance=args.tol)
     except (OSError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
@@ -200,7 +192,7 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     try:
         K, spec = _load_operator(args)
-        h, w = _image_size(args, spec)
+        h, w = _image_size(spec, *(args.size or ()))
         sv = np.sort(polyphase_spectrum(K, spec, h, w), axis=None)[::-1]
     except (OSError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -121,7 +121,7 @@ def _fold_projector(K: np.ndarray, M: np.ndarray, axis: int) -> np.ndarray:
     in one array.  Raises ValueError if any M^T M is more than 1e-6 from I."""
     Mt = M.swapaxes(-1, -2)
     if np.max(np.abs(Mt @ M - np.eye(M.shape[-1]))) > 1e-6:
-        raise ValueError("M0 is not column orthogonal (orthogonalize it first)")
+        raise ValueError("M is not column orthogonal (orthogonalize it first)")
     at = (slice(None),) * axis
     shape = list(K.shape)
     shape[axis] += 1

@@ -7,9 +7,9 @@ the transposed convolution is its exact adjoint, the same taps added back
 to the pixels they read.  Both walk the taps through one iterator,
 `_taps`, which yields each tap's kernel block, laid out tap-major
 (`_tap_major`, one contiguous copy per call) so a tap's GEMM reads a
-contiguous block, and the input rows and columns the tap reads; the
-adjoint adds a tap by gathering its product in target order into one
-stride phase of the output.
+contiguous block, with the tap's stride phase and lag: the convolution
+gathers the tap's input from one stride phase of the image, shifted by
+the lag, and the adjoint adds its product back there.
 
 Index convention, fixed once for the whole package
 --------------------------------------------------
@@ -22,12 +22,13 @@ stride s and dilation d the forward operator reads
                  * x[c, (i*s - (i'-oh)*d) mod h, (j*s - (j'-ow)*d) mod w]
 
 with oh = (k_h-1)//2, ow = (k_w-1)//2.  `_taps` is the one place this
-index map is computed: the reference operators and the tap stack of
-`verify` all take it from there.  The centred origin is what makes
-the kernel-level algebra self-consistent: for odd kernel sizes, flipping a
-kernel spatially and swapping its channel axes yields exactly the adjoint
-operator, and a kernel satisfying K = -transpose(K) induces a
-skew-symmetric operator.  Neither identity holds for any uncentred origin.
+map is computed, as each tap's stride phase and lag: the reference
+operators and the tap stack of `verify` all take it from there.  The
+centred origin is what makes the kernel-level algebra self-consistent:
+for odd kernel sizes, flipping a kernel spatially and swapping its
+channel axes yields exactly the adjoint operator, and a kernel satisfying
+K = -transpose(K) induces a skew-symmetric operator.  Neither identity
+holds for any uncentred origin.
 """
 
 from __future__ import annotations
@@ -213,20 +214,19 @@ def _strided_size(spec: ConvSpec, h: int, w: int) -> tuple[int, int]:
 def _taps(K: KernelTensor, spec: ConvSpec, h: int, w: int, adjoint: bool = False):
     """Walk the kernel taps of an h x w image in the order the reference
     operators sum them, (i', j') row-major.  Each tap yields its GEMM
-    operand (`_tap_major`) and the input rows and columns it reads for
-    output rows 0..h/s-1 and columns 0..w/s-1:
-
-        rows = (arange(h/s)*s - (i'-oh)*d) mod h,  likewise for columns."""
+    operand (`_tap_major`), its stride phase (p, q) and its lag (t1, t2):
+    with t1, p = divmod(-(i'-oh)*d, s), output row i reads input row
+    i*s - (i'-oh)*d = s*(i + t1) + p, so block row (i + t1) mod h/s of
+    phase p, and likewise t2, q for columns.  The lag does not depend on
+    the image size, which only wraps it modulo h/s and w/s."""
     s, d = spec.stride, spec.dilation
-    ho, wo = h // s, w // s
-    Kt = _tap_major(K, spec, adjoint, n_cols=ho * wo)
+    Kt = _tap_major(K, spec, adjoint, n_cols=(h // s) * (w // s))
     oh, ow = (spec.k_h - 1) // 2, (spec.k_w - 1) // 2
-    # rows[i', i] and cols[j', j], all taps at once
-    rows = (np.arange(ho) * s - (np.arange(spec.k_h)[:, None] - oh) * d) % h
-    cols = (np.arange(wo) * s - (np.arange(spec.k_w)[:, None] - ow) * d) % w
     for ip in range(spec.k_h):
+        t1, p = divmod(-(ip - oh) * d, s)
         for jp in range(spec.k_w):
-            yield Kt[ip, jp], rows[ip], cols[jp]
+            t2, q = divmod(-(jp - ow) * d, s)
+            yield Kt[ip, jp], (p, q), (t1, t2)
 
 
 def conv2d_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -243,11 +243,13 @@ def conv2d_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     lead = x.shape[:-3]
     c_in, h, w = x.shape[-3:]
     ho, wo = _strided_size(spec, h, w)
-    g = spec.groups
-    xg = x.reshape(*lead, g, c_in // g, h, w)
+    s, g = spec.stride, spec.groups
+    # the input as [..., block row, row phase, block column, column phase]
+    x_phases = x.reshape(*lead, g, c_in // g, ho, s, wo, s)
+    i, j = np.arange(ho)[:, None], np.arange(wo)
     y = np.zeros((*lead, g, spec.c_out // g, ho, wo))
-    for block, rows, cols in _taps(K, spec, h, w):
-        sub = xg[..., rows[:, None], cols[None, :]]
+    for block, (p, q), (t1, t2) in _taps(K, spec, h, w):
+        sub = x_phases[..., (i + t1) % ho, p, (j + t2) % wo, q]
         y += (block @ sub.reshape(*lead, g, c_in // g, ho * wo)).reshape(y.shape)
     return y.reshape(*lead, spec.c_out, ho, wo)
 
@@ -263,12 +265,11 @@ def conv2d_transpose_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.n
     bits as on its own.
 
     Per tap, the transposed kernel block times x gives one value per
-    output pixel (i, j) of the forward operator; the tap sends it back to
-    the input pixel (rows[i], cols[j]) it reads (`_taps`).  Those rows all
-    share the phase rows % s (and the columns cols % s), and within a tap
-    the map is a bijection onto the (h/s) x (w/s) pixels of that phase, so
-    the tap's values are gathered by the inverse map and added there by
-    basic slicing, in the same tap order as a scatter would add them.
+    output pixel (i, j) of the forward operator, which read the input
+    pixel at block (i + t1, j + t2) of the tap's phase (p, q) (`_taps`).
+    So the tap's values, rolled by its lag, are added into that phase of
+    the output by basic slicing, in the same tap order as a scatter would
+    add them.
     """
     _check_kernel_spec(K, spec)
     x = _check_image(x, spec.c_out)
@@ -279,13 +280,9 @@ def conv2d_transpose_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.n
     y = np.zeros((*lead, g, spec.c_in // g, ho * s, wo * s))
     # the output as [..., block row, row phase, block column, column phase]
     y_phases = y.reshape(*lead, g, spec.c_in // g, ho, s, wo, s)
-    inv_r, inv_c = np.empty(ho, dtype=np.intp), np.empty(wo, dtype=np.intp)
-    for block, rows, cols in _taps(K, spec, ho * s, wo * s, adjoint=True):
-        inv_r[rows // s] = np.arange(ho)
-        inv_c[cols // s] = np.arange(wo)
+    for block, (p, q), lag in _taps(K, spec, ho * s, wo * s, adjoint=True):
         contrib = (block @ xg).reshape(*lead, g, spec.c_in // g, ho, wo)
-        y_phases[..., rows[0] % s, :, cols[0] % s] += \
-            contrib[..., inv_r[:, None], inv_c[None, :]]
+        y_phases[..., p, :, q] += np.roll(contrib, lag, axis=(-2, -1))
     return y.reshape(*lead, spec.c_in, ho * s, wo * s)
 
 

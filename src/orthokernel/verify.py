@@ -78,6 +78,12 @@ def default_image_side(stride: int) -> int:
     return stride * math.ceil(8 / stride)
 
 
+def _image_size(spec: ConvSpec, h: int | None = None, w: int | None = None) -> tuple[int, int]:
+    """(h, w), with `default_image_side(spec.stride)` for a side left None."""
+    side = default_image_side(spec.stride)
+    return (side if h is None else h), (side if w is None else w)
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Singular-value extremes and verdict of one orthogonality check.
@@ -198,14 +204,12 @@ def _tap_stack(K: KernelTensor, spec: ConvSpec, h: int, w: int) -> np.ndarray:
     """Responses to the c_in*s^2 unit impulses at (c, p, q), p, q < s, per
     group as [g][h/s][w/s][c_out/g][(c, p, q)], straight from the taps.
 
-    A tap reads input row rows[i] for output row i (`_taps`), and every
-    one of those rows has the phase p = rows[0] mod s, so the tap sees the
-    impulse at phase p from output row t with s*t = -(rows[0] - p) mod h,
-    i.e. at lag t = -(rows[0] // s) mod h/s, and likewise for columns.
-    Each tap is added in the order in which `conv2d_ref` sums them, so
-    taps that wrap onto the same entry give the same bits as the impulse
-    responses.  Refused when the stack, c_out*c_in*h*w/g entries, exceeds
-    `ENTRY_BUDGET`."""
+    Output row i of a tap reads block row i + t1 of input phase p
+    (`_taps`), so the tap sees the impulse at phase p, block row 0, from
+    output row -t1 mod h/s, and likewise for columns.  Each tap is added
+    in the order in which `conv2d_ref` sums them, so taps that wrap onto
+    the same entry give the same bits as the impulse responses.  Refused
+    when the stack, c_out*c_in*h*w/g entries, exceeds `ENTRY_BUDGET`."""
     _check_kernel_spec(K, spec)
     ho, wo = _strided_size(spec, h, w)
     s, g = spec.stride, spec.groups
@@ -214,14 +218,13 @@ def _tap_stack(K: KernelTensor, spec: ConvSpec, h: int, w: int) -> np.ndarray:
             f"per-group block array {g}x{spec.c_out // g}x{spec.c_in // g * h * w} exceeds "
             f"the entry budget ({ENTRY_BUDGET}); use a smaller image or fewer channels")
     stack = np.zeros((g, ho, wo, spec.c_out // g, spec.c_in // g, s, s))
-    for block, rows, cols in _taps(K, spec, h, w):
-        stack[:, -(rows[0] // s) % ho, -(cols[0] // s) % wo, ..., rows[0] % s,
-              cols[0] % s] += block
+    for block, (p, q), (t1, t2) in _taps(K, spec, h, w):
+        stack[:, -t1 % ho, -t2 % wo, ..., p, q] += block
     return stack.reshape(g, ho, wo, spec.c_out // g, -1)
 
 
-def polyphase_spectrum(K: KernelTensor, spec: ConvSpec, h: int = 8,
-                       w: int = 8) -> np.ndarray:
+def polyphase_spectrum(K: KernelTensor, spec: ConvSpec, h: int | None = None,
+                       w: int | None = None) -> np.ndarray:
     """Exact singular spectrum of the strided circular operator, by
     frequency: entry [f1, f2] holds the singular values (descending) of
     the c_out x c_in*s^2 block at `fft2` frequency (f1, f2) of the
@@ -234,8 +237,10 @@ def polyphase_spectrum(K: KernelTensor, spec: ConvSpec, h: int = 8,
     f2 <= (w/s)//2 only; the kernel is real, so the block at (-f1, -f2) is
     the conjugate of the block at (f1, f2) and has the same singular
     values, which fill the other columns.  Refused when the stack,
-    c_out*c_in*h*w/g entries, exceeds `ENTRY_BUDGET`.
+    c_out*c_in*h*w/g entries, exceeds `ENTRY_BUDGET`.  A side left None
+    is `default_image_side(spec.stride)`.
     """
+    h, w = _image_size(spec, h, w)
     ho, wo = _strided_size(spec, h, w)
     blocks = np.fft.fft2(_tap_stack(K, spec, h, w), axes=(1, 2))
     _require_block_circulant(K, spec, blocks, h, w)
@@ -245,10 +250,12 @@ def polyphase_spectrum(K: KernelTensor, spec: ConvSpec, h: int = 8,
     return np.concatenate([half, mirror], axis=1)
 
 
-def check_orthogonality(K: KernelTensor, spec: ConvSpec, h: int = 8, w: int = 8,
+def check_orthogonality(K: KernelTensor, spec: ConvSpec, h: int | None = None,
+                        w: int | None = None,
                         tolerance: float = DEFAULT_TOLERANCE) -> SpectrumReport:
     """Take the operator's exact spectrum by the polyphase route
-    (`polyphase_spectrum`) and report its extremes and where they occur.
+    (`polyphase_spectrum`, at `default_image_side(spec.stride)` on a side
+    left None) and report its extremes and where they occur.
 
     Passes iff every singular value lies within `tolerance` of 1; a
     tolerance that is negative or not finite raises ValueError.  The
@@ -268,22 +275,28 @@ def check_orthogonality(K: KernelTensor, spec: ConvSpec, h: int = 8, w: int = 8,
     return SpectrumReport(
         sigma_max=smax, sigma_min=smin,
         freq_max=tuple(map(int, f_max)), freq_min=tuple(map(int, f_min)),
-        n_rows=spec.c_out * top.size, n_cols=spec.c_in * h * w,
+        n_rows=spec.c_out * top.size, n_cols=spec.c_in * spec.stride ** 2 * top.size,
         passed=passed, tolerance=tolerance,
     )
 
 
-def roundtrip_check(K: KernelTensor, spec: ConvSpec, h: int = 8, w: int = 8,
-                    n_trials: int = 5, direction: str = "row", seed: int = 0) -> float:
+def roundtrip_check(K: KernelTensor, spec: ConvSpec, h: int | None = None,
+                    w: int | None = None, n_trials: int = 5,
+                    direction: str | None = None, seed: int = 0) -> float:
     """Max over trials of the identity-composition error.
 
     direction "row": conv(K, convT(K, x)) vs x for x in output space
     (valid when the strided operator is row orthogonal).
     direction "column": convT(K, conv(K, x)) vs x for x in input space.
+    None takes the side an orthogonal operator is orthogonal on: "row"
+    iff c_out <= c_in*s^2.  A side left None is `default_image_side`.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    h, w = _image_size(spec, h, w)
     ho, wo = _strided_size(spec, h, w)
+    if direction is None:
+        direction = "row" if spec.c_out <= spec.c_in * spec.stride ** 2 else "column"
     rng = np.random.Generator(np.random.PCG64(seed))
     if direction == "row":
         x = rng.standard_normal((n_trials, spec.c_out, ho, wo))
@@ -404,10 +417,7 @@ def run_grid_entry(entry: GridEntry, scheme: str = "bjorck", seed: int = 0,
         result["sigma_min"] = report.sigma_min
         result["sigma_max"] = report.sigma_max
     else:
-        s = cfg.spec.stride
-        row_orth = cfg.spec.c_out <= cfg.spec.c_in * s * s
-        direction = "row" if row_orth else "column"
-        err = roundtrip_check(K, cfg.spec, hw, hw, n_trials=3, direction=direction)
+        err = roundtrip_check(K, cfg.spec, hw, hw, n_trials=3)
         # independent construction of the transpose operator matrix
         T = toeplitz_from_kernel(K, cfg.spec, hw, hw)
         Tt = toeplitz_of_transpose(K, cfg.spec, hw, hw)

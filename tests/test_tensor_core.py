@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from orthokernel import (
     spec_for_kernel,
     toeplitz_from_kernel,
 )
+from orthokernel.tensor_core import _taps
 from conftest import gram_residual, random_kernel, rng
 from oracles import conv2d_scatter, conv2d_transpose_scatter
 
@@ -239,6 +242,9 @@ def batched_configs(draw):
 
 
 @given(batched_configs())
+# k5 d3 on a 2x2 output grid, at s = 1 and s = 2: lags that wrap more than once
+@example((3, 2, 4, 5, 1, 2, 3, 2, 2, 4))
+@example((2, 3, 2, 5, 2, 1, 3, 4, 4, 5))
 @settings(max_examples=60, deadline=None)
 def test_batch_axis_matches_per_image_calls(config):
     n, c_in, c_out, k, s, g, d, h, w, seed = config
@@ -261,6 +267,9 @@ def test_batch_axis_matches_per_image_calls(config):
 @example((3, 3, 6, 3, 2, 3, 2, 2, 2, 1))
 @example((2, 6, 5, 2, 3, 1, 1, 3, 3, 2))
 @example((1, 2, 2, 2, 1, 2, 1, 1, 1, 3))
+# k5 d3 on a 2x2 output grid, at s = 1 and s = 2: lags that wrap more than once
+@example((3, 2, 4, 5, 1, 2, 3, 2, 2, 4))
+@example((2, 3, 2, 5, 2, 1, 3, 4, 4, 5))
 @settings(max_examples=80, deadline=None)
 def test_operators_equal_scatter_oracles(config):
     n, c_in, c_out, k, s, g, d, h, w, seed = config
@@ -273,6 +282,26 @@ def test_operators_equal_scatter_oracles(config):
         np.testing.assert_array_equal(conv2d_ref(K, xb, spec), conv2d_scatter(K, xb, spec))
         np.testing.assert_array_equal(conv2d_transpose_ref(K, zb, spec),
                                       conv2d_transpose_scatter(K, zb, spec))
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_taps_yield_the_phase_and_lag_of_each_offset(adjoint):
+    # tap (i', j') reads input row i*s + off at output row i, with
+    # off = -(i' - (k_h-1)//2)*d, so off = p + s*t with 0 <= p < s
+    r = rng(60)
+    for k_h, k_w, s, d in itertools.product((1, 2, 5), (1, 4), (1, 2, 3), (1, 3)):
+        K = KernelTensor(r.standard_normal((2, 3, k_h, k_w)))
+        spec = spec_for_kernel(K, stride=s, dilation=d)
+        taps = list(_taps(K, spec, 2 * s, 3 * s, adjoint))
+        assert len(taps) == k_h * k_w
+        for (ip, jp), (block, (p, q), (t1, t2)) in zip(np.ndindex(k_h, k_w), taps):
+            for phase, lag, off in ((p, t1, -(ip - (k_h - 1) // 2) * d),
+                                    (q, t2, -(jp - (k_w - 1) // 2) * d)):
+                assert 0 <= phase < s and phase + s * lag == off
+            tap = K.data[:, :, ip, jp]
+            np.testing.assert_array_equal(block[0], tap.T if adjoint else tap)
+        # the image size only wraps the lags, it does not change them
+        assert [t[1:] for t in _taps(K, spec, 5 * s, s, adjoint)] == [t[1:] for t in taps]
 
 
 def test_grouped_channel_blocks_are_contiguous():

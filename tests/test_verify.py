@@ -436,6 +436,17 @@ def test_roundtrip_is_worst_of_sequential_trials(direction, stride):
         roundtrip_check(K, spec, direction="diagonal")
 
 
+def test_grid_kernels_pass_both_checks_at_their_defaults():
+    # no size and no direction: the size comes from the stride (9x9 at
+    # stride 3) and the roundtrip runs on the side the operator is
+    # orthogonal on (the column side of a layer with c_out > c_in*s^2)
+    for entry in verify.grid_entries():
+        cfg = entry.to_config(seed=0)
+        K, _ = aoc_kernel(cfg)
+        assert check_orthogonality(K, cfg.spec).passed, entry.key()
+        assert roundtrip_check(K, cfg.spec) <= 1e-8, entry.key()
+
+
 # --- product bound ---------------------------------------------------------------
 
 def test_product_bound_single_factor_is_norm():
