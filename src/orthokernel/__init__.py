@@ -20,7 +20,6 @@ from .kernel_io import read_kernel, write_kernel, kernel_to_json, kernel_from_js
 from .blockconv import block_conv_fast, product_bound
 from .orthogonalize import (
     cayley_rect,
-    cholesky_orth,
     exp_map,
     orthogonalize_stack,
     qr_mgs,

@@ -206,9 +206,8 @@ def cmd_selftest(args) -> int:
     if not 0 <= args.seed < 2 ** 32:
         print(f"invalid input: seed must lie in [0, 2**32), got {args.seed}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    # checked here, not left to run_grid: a ValueError from run_grid means an
-    # unbuildable entry (exit 3), and the transposed entries compare their
-    # spectrum against the tolerance without checking it
+    # checked here, not left to check_orthogonality: a ValueError from
+    # run_grid means an unbuildable entry (exit 3)
     if not 0.0 <= args.tol < math.inf:
         print(f"invalid input: tolerance must be finite and >= 0, got {args.tol}",
               file=sys.stderr)

@@ -1,13 +1,14 @@
 """Orthogonalization of unconstrained matrices.
 
 Five interchangeable schemes produce a row- or column-orthogonal matrix
-from an arbitrary dense one.  Each takes one matrix or a stack [..., rows,
-cols], giving each matrix the bits of its own call, and
-`orthogonalize_stack` dispatches a whole stack to one call.  Every scheme
-finishes: `bjorck` is Björck's limit, the polar factor from an SVD,
-`qr_mgs` LAPACK's Householder QR, `cholesky` the same QR of the
-transpose (the Cholesky factor of M M^T is R^T), and the others take a
-fixed number of steps.  All routines work in float64.
+from an arbitrary dense one.  `orthogonalize_stack` dispatches a whole
+stack to one call; the scheme functions it calls take one matrix or a
+stack [..., rows, cols], giving each matrix the bits of its own call.
+Every scheme finishes: `bjorck` is Björck's limit, the polar factor from
+an SVD, `qr_mgs` LAPACK's Householder QR, `cholesky` the same QR taken on
+the wide side (for M^T = Q R, the Cholesky factor of M M^T is R^T and
+the whitened M is Q^T), and the others take a fixed number of steps.
+All routines work in float64.
 Orientation convention: the orthogonality residual is always measured on
 the smaller Gram side (W W^T for wide matrices, W^T W for tall ones).
 """
@@ -99,31 +100,15 @@ def exp_map(W: np.ndarray) -> np.ndarray:
     return out
 
 
-def cholesky_orth(M: np.ndarray) -> np.ndarray:
-    """Orthogonalization by whitening with a Cholesky factor: the W with
-    L W = M, where M M^T = L L^T.
-
-    For Q R = M^T with R's diagonal positive, M M^T = R^T R, so L = R^T
-    and W = Q^T: the factor is taken from `qr_mgs` of M^T, which keeps
-    W W^T = I to rounding where forming M M^T would square M's condition
-    number.  Requires rows <= cols; a matrix without full row rank is
-    refused by `qr_mgs` with ValueError.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim < 2 or M.shape[-2] > M.shape[-1]:
-        raise ValueError("cholesky_orth expects rows <= cols")
-    return qr_mgs(M.swapaxes(-1, -2)).swapaxes(-1, -2)
-
-
 def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME) -> np.ndarray:
     """The scheme dispatcher: each matrix of the stack `Ws[n, rows, cols]`
     orthogonalized by `scheme` (one matrix W is `W[None]`).
 
     Output orientation follows the input shape: wide matrices come back
     row orthogonal, tall ones column orthogonal.  `qr_mgs`, `cayley` and
-    `cholesky` take the whole stack, transposed where their natural
-    orientation is the other one.  `exponential` is `exp_map` on square
-    matrices.
+    `cholesky` take the whole stack, transposed where it is wide, and
+    `cholesky` where it is square too: it is `qr_mgs` of the wide side.
+    `exponential` is `exp_map` on square matrices.
 
     `bjorck`, and `exponential` on rectangular matrices (padding them would
     be wasteful), give the polar factor U V^T of each matrix W = U S V^T:
@@ -140,10 +125,10 @@ def orthogonalize_stack(Ws: np.ndarray, scheme: str = DEFAULT_SCHEME) -> np.ndar
     rows, cols = Ws.shape[1:]
     if scheme == "exponential" and rows == cols:
         return exp_map(Ws)
-    orth = {"qr_mgs": qr_mgs, "cayley": cayley_rect, "cholesky": cholesky_orth}.get(scheme)
+    orth = {"qr_mgs": qr_mgs, "cayley": cayley_rect, "cholesky": qr_mgs}.get(scheme)
     if orth is not None:
-        # qr_mgs and cayley_rect take tall matrices, cholesky_orth wide ones
-        if rows > cols if scheme == "cholesky" else rows < cols:
+        # qr_mgs and cayley_rect take tall matrices; cholesky transposes a square one too
+        if rows < cols or (scheme == "cholesky" and rows == cols):
             return orth(Ws.swapaxes(-1, -2)).swapaxes(-1, -2)
         return orth(Ws)
     if scheme not in ("bjorck", "exponential"):

@@ -48,7 +48,6 @@ from orthokernel import (
     UnsupportedConfigError,
     block_conv_fast,
     cayley_rect,
-    cholesky_orth,
     exp_map,
     qr_mgs,
     sample_params,
@@ -208,7 +207,7 @@ def orthogonalize_ref(W, scheme="bjorck"):
     if scheme == "exponential":
         return exp_map(W) if W.shape[0] == W.shape[1] else polar_ref(W)
     if scheme == "cholesky":
-        return cholesky_orth(W) if W.shape[0] <= W.shape[1] else cholesky_orth(W.T).T
+        return qr_mgs(W.T).T if W.shape[0] <= W.shape[1] else qr_mgs(W)
     raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
 
 

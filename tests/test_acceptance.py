@@ -65,8 +65,7 @@ def test_criterion_1_spectrum_flatness(built_grid):
     for entry, cfg, K, _ in built:
         if entry.check != "spectrum":
             continue
-        hw = entry.image_size()
-        rep = check_orthogonality(K, cfg.spec, hw, hw, tolerance=1e-4)
+        rep = check_orthogonality(K, cfg.spec, tolerance=1e-4)
         worst = max(worst, abs(rep.sigma_max - 1.0), abs(rep.sigma_min - 1.0))
         assert rep.passed, f"{entry.key()}: sv=[{rep.sigma_min}, {rep.sigma_max}]"
         checked += 1
@@ -81,8 +80,7 @@ def test_criterion_2_rko_boundary(built_grid):
     keq = [(e, cfg, K) for e, cfg, K, _ in built if e.category == "k_equals_s"]
     assert len(keq) >= 5
     for e, cfg, K in keq:
-        hw = e.image_size()
-        assert check_orthogonality(K, cfg.spec, hw, hw, tolerance=1e-4).passed
+        assert check_orthogonality(K, cfg.spec, tolerance=1e-4).passed
     # pinned witness: the same construction with k=3, s=1 is NOT orthogonal
     W = rko_kernel(4, 4, 3, 3, seed=6)
     rep = check_orthogonality(W, spec_for_kernel(W), 8, 8, tolerance=1e-4)
@@ -177,13 +175,12 @@ def test_criterion_6_transpose_inverse_identities(built_grid):
     n_row = n_square = 0
     for entry, cfg, K, _ in built:
         s = cfg.spec.stride
-        hw = entry.image_size()
         if cfg.spec.c_out <= cfg.spec.c_in * s * s:
-            err = roundtrip_check(K, cfg.spec, hw, hw, n_trials=2, direction="row")
+            err = roundtrip_check(K, cfg.spec, n_trials=2, direction="row")
             worst_row = max(worst_row, err)
             n_row += 1
         if cfg.spec.c_out == cfg.spec.c_in * s * s:
-            err = roundtrip_check(K, cfg.spec, hw, hw, n_trials=2, direction="column")
+            err = roundtrip_check(K, cfg.spec, n_trials=2, direction="column")
             worst_both = max(worst_both, err)
             n_square += 1
     ok = worst_row <= 1e-8 and worst_both <= 1e-8 and n_row >= 30 and n_square >= 3

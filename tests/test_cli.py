@@ -94,7 +94,7 @@ def test_removed_surface_is_gone(tmp_path):
 PUBLIC_API = [
     "AocConfig", "BranchTag", "ConvSpec", "KernelTensor", "SpectrumReport",
     "UnsupportedConfigError", "aoc_kernel", "bcop_kernel", "block_conv_fast",
-    "cayley_rect", "check_orthogonality", "cholesky_orth", "conv2d_ref",
+    "cayley_rect", "check_orthogonality", "conv2d_ref",
     "conv2d_transpose_ref", "exp_map", "grid_entries", "identity_kernel", "kernel_from_json",
     "kernel_to_json", "kernel_transpose", "orthogonalize_stack", "polyphase_spectrum",
     "product_bound", "qr_mgs", "read_kernel", "rko_kernel",
@@ -612,7 +612,7 @@ def test_selftest_negative_seed_exit_2(capsys):
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("category", ["common", "transposed"])
 def test_selftest_bad_tolerance_exit_2(capsys, tol, category):
-    # the transposed entries never call check_orthogonality
+    # refused before any entry is built, transposed ones included
     assert main(["selftest", "--tol", tol, "--category", category]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

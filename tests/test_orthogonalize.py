@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from orthokernel import (
     cayley_rect,
-    cholesky_orth,
     exp_map,
     UnsupportedConfigError,
     bcop_kernel,
@@ -183,23 +182,20 @@ def test_exp_rejects_rectangular():
 
 def test_cholesky_near_identity_for_orthogonal_input():
     M = np.linalg.qr(rng(7).standard_normal((6, 6)))[0][:4]  # row orthogonal
-    W = cholesky_orth(M)
+    W = orthogonalize_stack(M[None], "cholesky")[0]
     np.testing.assert_allclose(W, M, atol=1e-12)
 
 
 def test_cholesky_wide_residual():
     M = rng(8).standard_normal((4, 9))
-    W = cholesky_orth(M)
+    W = orthogonalize_stack(M[None], "cholesky")[0]
     assert np.max(np.abs(W @ W.T - np.eye(4))) <= 1e-13
 
 
-def test_cholesky_rejects_tall_and_rank_deficient():
-    for shape in ((5, 3), (2, 5, 3)):
-        with pytest.raises(ValueError):
-            cholesky_orth(np.zeros(shape))
+def test_cholesky_rejects_rank_deficient():
     # refused by the QR of the transpose, at the dependent row
     with pytest.raises(ValueError, match="rank deficiency detected at column 1"):
-        cholesky_orth(np.ones((2, 3)))
+        orthogonalize_stack(np.ones((1, 2, 3)), "cholesky")
 
 
 @pytest.mark.parametrize("seed", [3, 5, 7])
@@ -207,7 +203,7 @@ def test_cholesky_stays_orthogonal_when_ill_conditioned(seed):
     # whitening through M M^T squared the condition number: 1.6e-6 to
     # 1.8e-5 here
     M = _with_singular_values(32, 64, np.logspace(0, -6, 32), seed=seed)
-    W = cholesky_orth(M)
+    W = orthogonalize_stack(M[None], "cholesky")[0]
     assert np.max(np.abs(W @ W.T - np.eye(32))) <= 1e-13
 
 
@@ -361,7 +357,7 @@ def test_other_schemes_stack_per_matrix(scheme, shape):
 
 @pytest.mark.parametrize("fn,shape", [
     (qr_mgs, (7, 4)), (qr_mgs, (5, 5)), (cayley_rect, (7, 4)), (cayley_rect, (5, 5)),
-    (exp_map, (5, 5)), (cholesky_orth, (4, 7)), (cholesky_orth, (5, 5)),
+    (exp_map, (5, 5)),
 ])
 def test_scheme_function_of_stack_equals_its_matrix_calls(fn, shape):
     Ws = rng((3, *shape)).standard_normal((2, 3, *shape))

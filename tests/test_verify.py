@@ -545,3 +545,54 @@ def test_grid_passes_under_other_schemes(scheme):
     results = verify.run_grid(scheme=scheme, seed=0)
     assert len(results) == len(verify.grid_entries())
     assert [r["key"] for r in results if not r["passed"]] == []
+
+
+def test_grid_builds_no_dense_operator(monkeypatch, capsys):
+    from orthokernel.cli import main
+
+    def dense(*args, **kwargs):
+        raise AssertionError("the grid built a dense operator")
+
+    for name in ("toeplitz_from_kernel", "toeplitz_of_transpose", "singular_values",
+                 "_impulse_matrix"):
+        monkeypatch.setattr(verify, name, dense)
+    results = verify.run_grid()
+    assert len(results) == 70 and all(r["passed"] for r in results)
+    assert main(["selftest"]) == 0
+    assert "total 70 configurations" in capsys.readouterr().out
+
+
+def test_grid_fails_an_adjoint_rolled_by_one_pixel(monkeypatch):
+    want = verify.run_grid(categories=["transposed"])
+    adjoint = verify.conv2d_transpose_ref
+    monkeypatch.setattr(verify, "conv2d_transpose_ref",
+                        lambda K, x, spec: np.roll(adjoint(K, x, spec), 1, axis=-1))
+    got = verify.run_grid(categories=["transposed"])
+    assert len(got) == 6
+    for r, w in zip(got, want):
+        # the spectrum does not see the adjoint; its identity does
+        assert (r["sigma_min"], r["sigma_max"]) == (w["sigma_min"], w["sigma_max"])
+        assert w["adjoint_err"] <= 1e-12 < 1e-3 < r["adjoint_err"]
+        assert not r["passed"]
+
+
+@pytest.mark.parametrize("scheme", ["bjorck", "cholesky"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_transposed_entries_match_the_dense_oracle(scheme, seed):
+    # the check the transposed entries took before: the forward and adjoint
+    # matrices from every impulse response, and a full SVD of the adjoint
+    for entry in verify.grid_entries():
+        if entry.category != "transposed":
+            continue
+        r = verify.run_grid_entry(entry, scheme=scheme, seed=seed)
+        cfg = entry.to_config(scheme=scheme, seed=seed)
+        K, _ = aoc_kernel(cfg)
+        hw = verify.default_image_side(entry.stride)
+        Tt = toeplitz_of_transpose(K, cfg.spec, hw, hw)
+        adjoint_err = np.max(np.abs(Tt - toeplitz_from_kernel(K, cfg.spec, hw, hw).T))
+        sv = singular_values(Tt)
+        passed = (r["roundtrip_err"] <= 1e-8 and adjoint_err <= 1e-12
+                  and max(abs(sv[0] - 1.0), abs(sv[-1] - 1.0)) <= verify.DEFAULT_TOLERANCE)
+        assert r["passed"] == passed
+        assert abs(r["sigma_max"] - sv[0]) <= 1e-12
+        assert abs(r["sigma_min"] - sv[-1]) <= 1e-12
