@@ -34,7 +34,6 @@ from .construct import (
     skew_symmetrize_kernel,
     soc_explicit_kernel,
     soc_normalized_skew,
-    transpose_kernel_for,
 )
 from .verify import (
     SpectrumReport,

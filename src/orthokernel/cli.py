@@ -25,8 +25,10 @@ stride s, the smallest image of at least 8x8 that the stride divides.
 Exit codes: 0 success / verification pass, 1 verification failure,
 2 invalid input (including a malformed config or kernel file and an
 unwritable output path), 3 unsupported configuration (including one whose
-scheme cannot build an orthogonal factor).  All commands are
-deterministic given their arguments and input files.
+scheme cannot build an orthogonal factor, and a build or a check beyond
+its size budget: `construct.MAX_ENTRIES`, `verify.ENTRY_BUDGET`), with a
+one-line reason.  All commands are deterministic given their arguments
+and input files.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ import numpy as np
 from . import kernel_io
 from .construct import AocConfig, aoc_kernel
 from .orthogonalize import DEFAULT_SCHEME, SCHEMES
-from .tensor_core import ConvSpec, KernelTensor, _check_kernel_spec, spec_for_kernel
+from .tensor_core import (ConvSpec, KernelTensor, UnsupportedConfigError, _check_kernel_spec,
+                          spec_for_kernel)
 from .verify import (DEFAULT_TOLERANCE, _image_size, check_orthogonality, grid_entries,
                      polyphase_spectrum, run_grid)
 
@@ -122,6 +125,13 @@ def _load_build_config(path) -> AocConfig:
     return AocConfig(spec=_spec_from_config(doc), scheme=doc["scheme"], seed=doc["seed"])
 
 
+def _unsupported(exc: ValueError) -> int:
+    """Report `exc`, first line only, as an unsupported configuration."""
+    reason = str(exc).partition("\n")[0]
+    print(f"unsupported configuration: {reason}", file=sys.stderr)
+    return EXIT_UNSUPPORTED
+
+
 def cmd_build(args) -> int:
     try:
         cfg = _load_build_config(args.config)
@@ -133,9 +143,7 @@ def cmd_build(args) -> int:
     except ValueError as exc:
         # UnsupportedConfigError, or a factor the chosen scheme could not
         # make orthogonal (a rank-deficient draw)
-        reason = str(exc).partition("\n")[0]
-        print(f"unsupported configuration: {reason}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        return _unsupported(exc)
     config = {**_config_of_spec(cfg.spec), "scheme": cfg.scheme, "seed": cfg.seed}
     sidecar = {"branch": tag.to_dict(), "config": config, "version": SIDECAR_VERSION}
     try:
@@ -182,6 +190,8 @@ def cmd_verify(args) -> int:
         K, spec = _load_operator(args)
         h, w = _image_size(spec, *(args.size or ()))
         report = check_orthogonality(K, spec, h, w, tolerance=args.tol)
+    except UnsupportedConfigError as exc:
+        return _unsupported(exc)
     except (OSError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -194,6 +204,8 @@ def cmd_spectrum(args) -> int:
         K, spec = _load_operator(args)
         h, w = _image_size(spec, *(args.size or ()))
         sv = np.sort(polyphase_spectrum(K, spec, h, w), axis=None)[::-1]
+    except UnsupportedConfigError as exc:
+        return _unsupported(exc)
     except (OSError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -219,9 +231,7 @@ def cmd_selftest(args) -> int:
                            tolerance=args.tol, categories=categories)
     except ValueError as exc:
         # a grid entry the chosen scheme cannot build, as in cmd_build
-        reason = str(exc).partition("\n")[0]
-        print(f"unsupported configuration: {reason}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        return _unsupported(exc)
     elapsed = time.perf_counter() - t0
     by_cat: dict[str, list[bool]] = {}
     for r in results:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .tensor_core import (
     ConvSpec,
     KernelTensor,
     UnsupportedConfigError,
-    _check_kernel_spec,
-    identity_kernel,
     kernel_transpose,
 )
 
@@ -278,21 +276,6 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
     return K, BranchTag(branch=branch, internal_width=width)
 
 
-def transpose_kernel_for(K: KernelTensor, spec: ConvSpec) -> tuple[KernelTensor, ConvSpec]:
-    """Kernel/spec pair describing the transposed operator.
-
-    The kernel is `kernel_transpose(K)` (channel axes swapped per group,
-    both spatial axes reversed); the returned spec swaps c_in and c_out.
-    `conv2d_transpose_ref` with the *original* pair applies this operator;
-    if the original convolution is row orthogonal the transposed one is
-    column orthogonal, and composing the two gives the identity on the
-    appropriate side.  Raises ValueError if `spec` does not describe `K`
-    (channel counts, kernel size or groups).
-    """
-    _check_kernel_spec(K, spec)
-    return kernel_transpose(K), replace(spec, c_in=spec.c_out, c_out=spec.c_in)
-
-
 def skew_symmetrize_kernel(K: KernelTensor) -> KernelTensor:
     """K - transpose(K), whose circular operator is exactly skew-symmetric.
     Even kernel sizes are refused: there `kernel_transpose` is the adjoint
@@ -302,14 +285,6 @@ def skew_symmetrize_kernel(K: KernelTensor) -> KernelTensor:
     if K.k_h % 2 == 0 or K.k_w % 2 == 0:
         raise ValueError(f"skew symmetrization needs odd kernel sizes, got {K.k_h}x{K.k_w}")
     return KernelTensor._adopt(K.data - kernel_transpose(K).data)
-
-
-def _embed_centered(data: np.ndarray, L1: int, L2: int) -> np.ndarray:
-    out = np.zeros((data.shape[0], data.shape[1], L1, L2))
-    a = (L1 - data.shape[2]) // 2
-    b = (L2 - data.shape[3]) // 2
-    out[:, :, a:a + data.shape[2], b:b + data.shape[3]] = data
-    return out
 
 
 def soc_explicit_kernel(K: KernelTensor, terms: int = 12) -> KernelTensor:
@@ -332,12 +307,15 @@ def soc_explicit_kernel(K: KernelTensor, terms: int = 12) -> KernelTensor:
     c, _, kh, kw = K.shape
     L1 = terms * (kh - 1) + 1
     L2 = terms * (kw - 1) + 1
-    E = _embed_centered(identity_kernel(c).data, L1, L2)
+    E = np.zeros((c, c, L1, L2))
+    E[:, :, (L1 - 1) // 2, (L2 - 1) // 2] = np.eye(c)
     power = K
     factorial = 1.0
     for t in range(1, terms + 1):
         factorial *= t
-        E += _embed_centered(power.data, L1, L2) / factorial
+        a = (L1 - power.k_h) // 2
+        b = (L2 - power.k_w) // 2
+        E[:, :, a:a + power.k_h, b:b + power.k_w] += power.data / factorial
         if t < terms:
             power = block_conv_fast(K, power)
     return KernelTensor._adopt(E)

@@ -32,10 +32,10 @@ layout (it starts with `{"data":[` and its first "]" is followed by ",")
 has its numbers parsed in numpy straight out of each block (`_blocks`):
 each token `-?0.` followed by 1..20 digits gets a candidate double, which
 is kept only when the writer's digit arithmetic (`_digits`) proves it to be
-what `float` gives the token (`_fraction_tokens`).  The parser reads the 24
-bytes before each token's end: the first block has 24 filler bytes put
-before it, and the token a block ends inside is carried into the next
-block with those 24 bytes before it.  Every other token
+what `float` gives the token (`_fraction_tokens`), which reads the 24
+bytes before each token's end with those before its digits masked.  So
+each pass parses 24 filler bytes, the token the pass before ended inside,
+then the next block; nothing else is carried.  Every other token
 (zeros, |x| < 1e-4, |x| >= 1, integers, other float text, blanks) is kept
 as text and goes to one `json.loads` call, after the fields that follow
 the numbers are parsed by `json.loads`.  So a read holds one block, the
@@ -335,35 +335,34 @@ def _blocks(read) -> tuple[list, list, list, bytes] | None:
     text after "],", read to the end.  None if the document does not start
     with `_HEAD` or its first "]" is not followed by ",".
 
-    A block's complete tokens are parsed at once, each with the 24 bytes
-    before its end, which `_fraction_tokens` reads: 24 filler bytes go
-    before the first block, and the token a block ends inside is carried
-    into the next block with the 24 bytes before it.  A token's last byte
-    is searched for "," again in the next block, so `b[stop + 1]` exists.
+    Each pass parses one buffer: 24 filler bytes, the token the pass before
+    ended inside, then the next block.  `_fraction_tokens` reads the 24
+    bytes before each token's end and masks those before its digits, so
+    the filler stands in for the text before the carried token.  A
+    buffer's last byte is left to the next pass, so `b[stop + 1]` exists.
     Only a non-ASCII block raises here, so that error comes first, as for
     a whole read.
     """
-    buf = _ascii(read(_BLOCK))
-    if not buf.startswith(_HEAD):
+    block = _ascii(read(_BLOCK))
+    if not block.startswith(_HEAD):
         return None
-    buf = b"0" * 24 + buf
-    # the first byte of the first unparsed token, and of the unsearched text
-    start = seen = 24 + len(_HEAD)
-    # n counts the tokens of the blocks before
+    # n counts the tokens of the passes before
     values, slow, pieces, n = [], [], [], 0
+    carry, block = b"", block[len(_HEAD):]
     while True:
-        close = buf.find(b"]", seen)
+        buf = b"0" * 24 + carry + block
+        close = buf.find(b"]", 24)
         last = 0 <= close < len(buf) - 1
         if last and buf[close + 1] != ord(","):
             return None
         edge = close if last else len(buf) - 1
         b = np.frombuffer(buf, np.uint8)
-        stops = np.flatnonzero(b[seen:edge] == ord(","))
-        stops += seen
+        stops = np.flatnonzero(b[24:edge] == ord(","))
+        stops += 24
         if last:
             stops = np.append(stops, close)
         starts = np.empty_like(stops)
-        starts[:1] = start
+        starts[:1] = 24
         starts[1:] = stops[:-1] + 1
         # the 24 bytes at each offset (no copy)
         windows = np.ndarray((len(buf) - 23,), np.dtype((np.void, 24)), buf, strides=(1,))
@@ -378,17 +377,12 @@ def _blocks(read) -> tuple[list, list, list, bytes] | None:
         if last:
             return values, slow, pieces, _ascii(buf[close + 2:] + read())
         n += stops.size
-        if stops.size:
-            start = int(stops[-1]) + 1
+        carry = buf[int(stops[-1]) + 1 if stops.size else 24:]
         # a token longer than a block doubles the next read, so carrying it
         # stays linear in its length
-        keep = start - 24
-        more = _ascii(read(max(_BLOCK, len(buf) - keep)))
-        if not more:
+        block = _ascii(read(max(_BLOCK, len(carry))))
+        if not block:
             return None
-        buf = buf[keep:] + more
-        start -= keep
-        seen = edge - keep
 
 
 def _read(f) -> KernelTensor:

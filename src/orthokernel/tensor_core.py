@@ -38,7 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 class UnsupportedConfigError(ValueError):
-    """A convolution configuration for which no orthogonal kernel exists."""
+    """A valid convolution configuration the library does not handle: one
+    for which no orthogonal kernel exists, or one beyond a size budget (the
+    build's `construct.MAX_ENTRIES`, the check's `verify.ENTRY_BUDGET`)."""
 
 
 def _as_f64(a, name: str) -> np.ndarray:
@@ -289,9 +291,11 @@ def conv2d_transpose_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.n
 def kernel_transpose(K: KernelTensor) -> KernelTensor:
     """Swap channel axes within each group and reverse both spatial axes.
 
-    For odd kernel sizes the transposed kernel realizes exactly the adjoint
-    operator under the centred circular convention; for even sizes the two
-    differ by a one-pixel circular shift (singular values are unaffected).
+    At stride 1 and odd kernel sizes the transposed kernel realizes exactly
+    the adjoint operator under the centred circular convention; for even
+    sizes the two differ by a one-pixel circular shift (singular values are
+    unaffected).  At a stride above 1 it is no adjoint: the adjoint of a
+    strided convolution is `conv2d_transpose_ref`.
     The result has the same group count, with c_out/g inputs per group.
     """
     g = K.groups

@@ -59,6 +59,7 @@ from .orthogonalize import DEFAULT_SCHEME
 from .tensor_core import (
     ConvSpec,
     KernelTensor,
+    UnsupportedConfigError,
     _check_kernel_spec,
     _strided_size,
     _taps,
@@ -210,12 +211,13 @@ def _tap_stack(K: KernelTensor, spec: ConvSpec, h: int, w: int) -> np.ndarray:
     output row -t1 mod h/s, and likewise for columns.  Each tap is added
     in the order in which `conv2d_ref` sums them, so taps that wrap onto
     the same entry give the same bits as the impulse responses.  Refused
-    when the stack, c_out*c_in*h*w/g entries, exceeds `ENTRY_BUDGET`."""
+    (UnsupportedConfigError) when the stack, c_out*c_in*h*w/g entries,
+    exceeds `ENTRY_BUDGET`."""
     _check_kernel_spec(K, spec)
     ho, wo = _strided_size(spec, h, w)
     s, g = spec.stride, spec.groups
     if spec.c_out * spec.c_in * h * w // g > ENTRY_BUDGET:
-        raise ValueError(
+        raise UnsupportedConfigError(
             f"per-group block array {g}x{spec.c_out // g}x{spec.c_in // g * h * w} exceeds "
             f"the entry budget ({ENTRY_BUDGET}); use a smaller image or fewer channels")
     stack = np.zeros((g, ho, wo, spec.c_out // g, spec.c_in // g, s, s))

@@ -17,8 +17,6 @@ from orthokernel import (
     block_conv_fast,
     check_orthogonality,
     conv2d_ref,
-    conv2d_transpose_ref,
-    identity_kernel,
     kernel_transpose,
     rko_kernel,
     roundtrip_check,

@@ -100,8 +100,7 @@ PUBLIC_API = [
     "product_bound", "qr_mgs", "read_kernel", "rko_kernel",
     "robustness_certificate", "roundtrip_check", "run_grid", "sample_params",
     "singular_values", "skew_symmetrize_kernel", "soc_explicit_kernel", "soc_normalized_skew",
-    "spec_for_kernel", "toeplitz_from_kernel", "toeplitz_of_transpose",
-    "transpose_kernel_for", "write_kernel",
+    "spec_for_kernel", "toeplitz_from_kernel", "toeplitz_of_transpose", "write_kernel",
 ]
 
 
@@ -462,17 +461,20 @@ def test_verify_wide_strided_layer(tmp_path, capsys):
     assert (doc["n_rows"], doc["n_cols"]) == (128 * 64, 64 * 256)
 
 
-def test_verify_over_budget_exit_2(tmp_path, capsys):
+def test_verify_over_budget_exit_3(tmp_path, capsys):
     from orthokernel import identity_kernel
 
     out = tmp_path / "id.okt"
     write_kernel(out, identity_kernel(2))
     capsys.readouterr()
-    # a 2x2x4096x2048 impulse stack is twice the entry budget
-    assert main(["verify", str(out), "--size", "4096", "2048"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("invalid input: ") and "budget" in err
-    assert err.count("\n") == 1
+    # a 2x2x4096x2048 impulse stack is twice the entry budget: a valid
+    # kernel that the check does not handle, so exit 3, not 2
+    for command in ("verify", "spectrum"):
+        assert main([command, str(out), "--size", "4096", "2048"]) == 3, command
+        captured = capsys.readouterr()
+        assert captured.err.startswith("unsupported configuration: per-group block array ")
+        assert "entry budget (16777216)" in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_verify_grouped_wide_layer_at_16(tmp_path, capsys):

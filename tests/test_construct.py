@@ -34,7 +34,6 @@ from orthokernel import (
     soc_normalized_skew,
     spec_for_kernel,
     toeplitz_from_kernel,
-    transpose_kernel_for,
 )
 from orthokernel.orthogonalize import SCHEMES
 from conftest import perfbench_module, random_kernel, rng, traced_peak
@@ -348,39 +347,12 @@ def test_aoc_grouped_blockdiag_toeplitz():
 
 # --- transposition ---------------------------------------------------------------
 
-def test_transpose_kernel_identity():
-    K = identity_kernel(3)
-    Kt, spec_t = transpose_kernel_for(K, spec_for_kernel(K))
-    np.testing.assert_array_equal(Kt.data, K.data)
-    assert spec_t.c_in == 3 and spec_t.c_out == 3
-
-
 def test_transpose_roundtrip_row_orthogonal():
     cfg = make_cfg(8, 4, 3, s=2, seed=6)
     K, _ = aoc_kernel(cfg)
     x = rng(7).standard_normal((4, 4, 4))
     back = conv2d_ref(K, conv2d_transpose_ref(K, x, cfg.spec), cfg.spec)
     np.testing.assert_allclose(back, x, atol=1e-8)
-
-
-def test_transpose_kernel_for_rejects_mismatched_spec():
-    K = random_kernel(4, 4, 3, 3)
-    for spec in (ConvSpec(8, 4, 3, 3, groups=2), ConvSpec(4, 8, 3, 3),
-                 ConvSpec(4, 4, 3, 3, groups=2)):
-        with pytest.raises(ValueError, match="does not match spec"):
-            transpose_kernel_for(K, spec)
-
-
-def test_transpose_swaps_channels_and_groups():
-    cfg = make_cfg(8, 4, 3, s=2, g=2, seed=8)
-    K, _ = aoc_kernel(cfg)
-    Kt, spec_t = transpose_kernel_for(K, cfg.spec)
-    assert spec_t.c_in == 4 and spec_t.c_out == 8 and spec_t.groups == 2
-    assert Kt.shape == (8, 2, 3, 3)
-    # per-group content matches the per-group kernel transpose
-    for q in range(2):
-        expected = kernel_transpose(KernelTensor(K.data[q * 2:(q + 1) * 2]))
-        np.testing.assert_array_equal(Kt.data[q * 4:(q + 1) * 4], expected.data)
 
 
 def test_square_operator_invertibility_both_directions():
@@ -610,6 +582,14 @@ def test_soc_normalized_skew_bytes_pinned():
     # the scale is `product_bound`, the Gram-kernel bound
     S = soc_normalized_skew(random_kernel(4, 4, 3, 3, seed=2))
     assert _sha256(S) == SOC_SKEW_SHA256
+
+
+def test_soc_explicit_kernel_bytes_pinned():
+    # an even, rectangular kernel: the identity sits at tap ((L1-1)/2,
+    # (L2-1)/2) and each power in its centred slice of the 6x11 result
+    E = soc_explicit_kernel(random_kernel(3, 3, 2, 3, seed=21), terms=5)
+    assert E.shape == (3, 3, 6, 11)
+    assert _sha256(E) == "9cd16ebe00238b556b9f7e1c992731d466e300be47f67b316262349b88aae69b"
 
 
 def _pinned_digests() -> dict:
