@@ -40,7 +40,6 @@ from .verify import (
     check_orthogonality,
     grid_entries,
     polyphase_spectrum,
-    robustness_certificate,
     roundtrip_check,
     run_grid,
     singular_values,

@@ -71,8 +71,10 @@ EXIT_UNSUPPORTED = 3
 #: 9: `cholesky` factors are the same QR of the transpose, so `cholesky`
 #: kernels change;
 #: 10: each factor is one draw for all groups, so grouped kernels change,
-#: and "branch" loses group_seeds
-SIDECAR_VERSION = 10
+#: and "branch" loses group_seeds;
+#: 11: the default scheme is `qr_mgs`, so kernels built without a "scheme"
+#: key change, and a sidecar's "config" records "scheme": "qr_mgs"
+SIDECAR_VERSION = 11
 
 # every build config key with its default; None marks a required key
 _CONFIG_DEFAULTS = {

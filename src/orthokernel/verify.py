@@ -186,16 +186,19 @@ def _require_block_circulant(K: KernelTensor, spec: ConvSpec, blocks: np.ndarray
     """Raise ValueError unless the operator rebuilt from the frequency
     blocks (shape [g][h/s][w/s][c_out/g][c_in/g*s^2]) maps one fixed random
     input to what `conv2d_ref` gives.  The input's phases X[g][(c, p, q)]
-    hold x[c, s*a + p, s*b + q] at [a][b]."""
+    hold x[c, s*a + p, s*b + q] at [a][b].  A kernel so large that the
+    error's scale overflows cannot be checked and is refused too."""
     s, g, ho, wo = spec.stride, spec.groups, h // spec.stride, w // spec.stride
     x = np.random.Generator(np.random.PCG64(0)).standard_normal((spec.c_in, h, w))
+    scale = float(np.sum(np.abs(K.data))) * float(np.max(np.abs(x)))
+    if not math.isfinite(scale):
+        raise ValueError("kernel entries too large to check: the block-circulant guard's "
+                         "scale sum|K| * max|x| overflows")
     X = x.reshape(g, -1, ho, s, wo, s).transpose(0, 1, 3, 5, 2, 4).reshape(g, -1, ho, wo)
     Y = np.einsum("gijmn,gnij->gmij", blocks, np.fft.fft2(X))
     y = np.fft.ifft2(Y).real.reshape(-1, ho, wo)
-    y_ref = conv2d_ref(K, x, spec)
-    err = float(np.max(np.abs(y - y_ref)))
-    scale = float(np.sum(np.abs(K.data)) * np.max(np.abs(x)))
-    if err > 1e-9 * scale:
+    err = float(np.max(np.abs(y - conv2d_ref(K, x, spec))))
+    if not err <= 1e-9 * scale:
         raise ValueError(
             f"operator is not block-circulant under stride {spec.stride}: the "
             f"impulse responses reproduce conv2d_ref only to {err:.3e}"
@@ -310,19 +313,6 @@ def roundtrip_check(K: KernelTensor, spec: ConvSpec, h: int | None = None,
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return float(np.max(np.abs(back - x)))
-
-
-def robustness_certificate(logits: Sequence[float], label: int) -> float:
-    """Lower bound on the L2 robustness radius of a 1-Lipschitz classifier
-    at one sample: (logit margin over the runner-up) / sqrt(2).  Negative
-    when the sample is misclassified."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size < 2:
-        raise ValueError("need at least two logits")
-    if not 0 <= label < logits.size:
-        raise ValueError(f"label {label} out of range")
-    others = np.delete(logits, label)
-    return float((logits[label] - np.max(others)) / np.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

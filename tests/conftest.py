@@ -1,3 +1,4 @@
+import ctypes
 import importlib.util
 import sys
 import tracemalloc
@@ -21,6 +22,24 @@ def gram_residual(O):
     O = np.asarray(O)
     G = O @ O.T if O.shape[0] <= O.shape[1] else O.T @ O
     return float(np.max(np.abs(G - np.eye(G.shape[0]))))
+
+
+def blas_core() -> str:
+    """The CPU kernel the loaded OpenBLAS runs ("SkylakeX", "Haswell", ...;
+    `OPENBLAS_CORETYPE` forces one when numpy is imported), or "unknown"
+    when the BLAS does not report one."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    lib = ctypes.CDLL(_multiarray_umath.__file__)  # its symbols include its BLAS's
+    for sym in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                "openblas_get_corename64_", "openblas_get_corename"):
+        fn = getattr(lib, sym, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            return fn().decode()
+    return "unknown"
 
 
 def perfbench_module(name):

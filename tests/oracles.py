@@ -54,7 +54,7 @@ from orthokernel import (
 )
 from orthokernel.blockconv import _require_compat
 from orthokernel.construct import BranchTag, _factor_axes, _fold_projector
-from orthokernel.orthogonalize import SCHEMES
+from orthokernel.orthogonalize import DEFAULT_SCHEME, SCHEMES
 
 
 def format_floats_ref(values) -> str:
@@ -194,7 +194,7 @@ def polar_ref(W):
     return U @ Vt
 
 
-def orthogonalize_ref(W, scheme="bjorck"):
+def orthogonalize_ref(W, scheme=DEFAULT_SCHEME):
     """`orthogonalize_stack` on one matrix: rectangular exponential draws
     take the polar factor, as `bjorck` does."""
     W = np.asarray(W, dtype=np.float64)
@@ -243,7 +243,7 @@ def _projector_draws(c_in, c_out, k1, k2, seed, scheme, slab=(1, 0)):
     return c, axes, C, Ms
 
 
-def projector_kernel_ref(c_in, c_out, k1, k2, seed, scheme="bjorck"):
+def projector_kernel_ref(c_in, c_out, k1, k2, seed, scheme=DEFAULT_SCHEME):
     """`bcop_kernel` as the literal chain of dense factors composed by
     `sequential_compose`."""
     c, axes, C, Ms = _projector_draws(c_in, c_out, k1, k2, seed, scheme)

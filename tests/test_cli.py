@@ -98,7 +98,7 @@ PUBLIC_API = [
     "conv2d_transpose_ref", "exp_map", "grid_entries", "identity_kernel", "kernel_from_json",
     "kernel_to_json", "kernel_transpose", "orthogonalize_stack", "polyphase_spectrum",
     "product_bound", "qr_mgs", "read_kernel", "rko_kernel",
-    "robustness_certificate", "roundtrip_check", "run_grid", "sample_params",
+    "roundtrip_check", "run_grid", "sample_params",
     "singular_values", "skew_symmetrize_kernel", "soc_explicit_kernel", "soc_normalized_skew",
     "spec_for_kernel", "toeplitz_from_kernel", "toeplitz_of_transpose", "write_kernel",
 ]
@@ -477,6 +477,21 @@ def test_verify_over_budget_exit_3(tmp_path, capsys):
         assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+def test_verify_overflowing_kernel_exit_2(tmp_path, capsys):
+    # the reader accepts any finite entry; one of 1e308 overflows the
+    # spectrum's block-circulant guard, which refuses it: invalid input
+    out = tmp_path / "big.okt"
+    data = np.zeros((4, 4, 3, 3))
+    data[:, :, 1, 1] = np.eye(4)
+    data[1, 2, 0, 1] = 1e308
+    write_kernel(out, KernelTensor(data))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: kernel entries too large to check")
+    assert captured.out == ""
+
+
 def test_verify_grouped_wide_layer_at_16(tmp_path, capsys):
     # the budget counts the per-group stack, 256x2x512 entries, not the
     # 512x131072 block-diagonal array (four times the budget)
@@ -699,11 +714,11 @@ SIDECAR_MINIMAL = """\
       3,
       3
     ],
-    "scheme": "bjorck",
+    "scheme": "qr_mgs",
     "seed": 0,
     "stride": 1
   },
-  "version": 10
+  "version": 11
 }
 """
 SIDECAR_GROUPED = """\
@@ -725,7 +740,7 @@ SIDECAR_GROUPED = """\
     "seed": 7,
     "stride": 2
   },
-  "version": 10
+  "version": 11
 }
 """
 

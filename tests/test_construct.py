@@ -36,7 +36,7 @@ from orthokernel import (
     toeplitz_from_kernel,
 )
 from orthokernel.orthogonalize import SCHEMES
-from conftest import perfbench_module, random_kernel, rng, traced_peak
+from conftest import blas_core, perfbench_module, random_kernel, rng, traced_peak
 from oracles import aoc_kernel_per_group, block_conv_naive, projector_kernel_ref
 
 
@@ -526,20 +526,56 @@ def test_cholesky_builds_and_verifies_at_every_seed():
 # sha256 of the kernel's dtype, shape, groups and array bytes (`_sha256`),
 # pinned so that a change of kernel bytes is deliberate: a change that moves
 # them updates these and says why.  They hash the array, not the okt-v1 text,
-# so a change to the file's float text leaves them in place
-PINNED_SHA256 = {
-    "a": (ConvSpec(4, 8, 3, 3), "a",
-          "f266c3f0611279f0be0a2ea55850c0f2e6b20f2898566923d9e4ce1594cb10b7"),
-    "b": (ConvSpec(3, 12, 2, 2, stride=2), "b",
-          "dc1e3ca08696bde2736b06c7ac7ee7f059ddc38794709b9733e8a96a74e2586d"),
-    "d": (ConvSpec(4, 8, 3, 3, stride=2), "d",
-          "1746c6b944309d76845816878fd782fad0b8e6c94e4726884d7c90cb28220a6e"),
-    "grouped": (ConvSpec(8, 16, 3, 3, stride=2, groups=2), "d",
-                "08690f73f34fe38ab54a9420e45046dd989c9bf6d08f72213323f243ff2ac4db"),
-    "dilated": (ConvSpec(4, 2, 5, 5, stride=3, dilation=2), "d",
-                "891218bc68d03e75f68dea905ccf956cf1b4f72bf43ee89a003d74856e83fb0d"),
+# so a change to the file's float text leaves them in place.  The bytes are
+# those of one OpenBLAS CPU kernel (`blas_core`; `OPENBLAS_CORETYPE` forces
+# another one), since each core rounds its products in its own order: a
+# core with no row fails the pinned tests by name.  The aoc_kernel layers
+# are built at seed 3 with the default scheme
+PINNED_LAYERS = {
+    "a": (ConvSpec(4, 8, 3, 3), "a"),
+    "b": (ConvSpec(3, 12, 2, 2, stride=2), "b"),
+    "d": (ConvSpec(4, 8, 3, 3, stride=2), "d"),
+    "grouped": (ConvSpec(8, 16, 3, 3, stride=2, groups=2), "d"),
+    "dilated": (ConvSpec(4, 2, 5, 5, stride=3, dilation=2), "d"),
 }
-SOC_SKEW_SHA256 = "d0cec0f679b70747a4e8e273bec595425cb646afe5dfe484f133bfb77115919b"
+PINNED_SHA256 = {
+    "SkylakeX": {
+        "a": "279e3d7b953368ea9707aeacb5a626d2b4c2f719f6c17f425c68c8ea780177d5",
+        "b": "f9c6ebf7ef17f651f6a65c3b05ba637f941c6e40bb66122f3d17c64a0d4952b2",
+        "d": "7b05206108aa83009899fc0a6af6f03ff4053818eae888e6e945c0dc36da74c3",
+        "grouped": "a27947897bde9d91e54c45c29a9190a0e99d5b9e0845ca23aeda96b85ed49ad4",
+        "dilated": "4e9c85c104e0134342b2ca802f68ba73d6de08c5989c8d0a7588950390037294",
+        "soc_normalized_skew": "d0cec0f679b70747a4e8e273bec595425cb646afe5dfe484f133bfb77115919b",
+        "soc_explicit_kernel": "9cd16ebe00238b556b9f7e1c992731d466e300be47f67b316262349b88aae69b",
+    },
+    "Haswell": {
+        "a": "91f3fd50612bf1203fd3afc661729e0a968a7def0b6b5a42cf76a20224958413",
+        "b": "4f7df4a40f48c97605577949fdaa7e09e4d1d6aba3dcce8da561ff02b6617773",
+        "d": "28e51b7c4d40fbe975df774907a0df0d7c07b52b4e32f6dfcb180a3c268b0969",
+        "grouped": "6db18e657650cc85161a0ee2246b301ae80e9008989e3a03a339027697b20974",
+        "dilated": "71255688a8358ac6ce7039b00a2191d6a09dc7e813a8632656a70801b9514baf",
+        "soc_normalized_skew": "d0cec0f679b70747a4e8e273bec595425cb646afe5dfe484f133bfb77115919b",
+        "soc_explicit_kernel": "9cd16ebe00238b556b9f7e1c992731d466e300be47f67b316262349b88aae69b",
+    },
+    "Sandybridge": {
+        "a": "2faf4ffe3a165e7c107682e4e9cc6126361708f969f74e03daa2caef4473cdec",
+        "b": "62c18cb6daf7db9a8a531564bf1ad6693ab23a6ede9316d6fa286421313031ff",
+        "d": "a795b9cb51c1695ebeb5f9e2c70a3b454f2361022b05964fa47c8cd59bb63ba0",
+        "grouped": "ba3224e6614b5ee4b05b45ffb626f8311c97c9ca402fa6f8274d72935ee6d840",
+        "dilated": "2b57d952ea26945f4f1c5ff3c0c8ef41acbb2663168f8077c0da8e580bd6bbd9",
+        "soc_normalized_skew": "d0cec0f679b70747a4e8e273bec595425cb646afe5dfe484f133bfb77115919b",
+        "soc_explicit_kernel": "6744513324fda71f35d3b5a69b47c3154af15578920a232aa739a1af76cc9b12",
+    },
+}
+
+
+def _pins() -> dict:
+    """This BLAS core's row of `PINNED_SHA256`."""
+    core = blas_core()
+    if core not in PINNED_SHA256:
+        pytest.fail(f"no pinned kernel digests for the BLAS core {core!r}: compute its row "
+                    f"of PINNED_SHA256 from `_pinned_digests()` on that core")
+    return PINNED_SHA256[core]
 
 
 def _sha256(K: KernelTensor) -> str:
@@ -570,46 +606,60 @@ def test_aoc_kernel_peak_memory_on_a_wide_strided_layer():
     assert peak <= 2.6 * K.data.nbytes
 
 
-@pytest.mark.parametrize("case", sorted(PINNED_SHA256))
+def _soc_skew() -> KernelTensor:
+    # the scale is `product_bound`, the Gram-kernel bound
+    return soc_normalized_skew(random_kernel(4, 4, 3, 3, seed=2))
+
+
+def _soc_explicit() -> KernelTensor:
+    # an even, rectangular kernel: the identity sits at tap ((L1-1)/2,
+    # (L2-1)/2) and each power in its centred slice of the 6x11 result
+    return soc_explicit_kernel(random_kernel(3, 3, 2, 3, seed=21), terms=5)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_LAYERS))
 def test_aoc_kernel_bytes_pinned(case):
-    spec, branch, digest = PINNED_SHA256[case]
+    spec, branch = PINNED_LAYERS[case]
     K, tag = aoc_kernel(AocConfig(spec=spec, seed=3))
     assert tag.branch == branch
-    assert _sha256(K) == digest
+    assert _sha256(K) == _pins()[case]
 
 
 def test_soc_normalized_skew_bytes_pinned():
-    # the scale is `product_bound`, the Gram-kernel bound
-    S = soc_normalized_skew(random_kernel(4, 4, 3, 3, seed=2))
-    assert _sha256(S) == SOC_SKEW_SHA256
+    assert _sha256(_soc_skew()) == _pins()["soc_normalized_skew"]
 
 
 def test_soc_explicit_kernel_bytes_pinned():
-    # an even, rectangular kernel: the identity sits at tap ((L1-1)/2,
-    # (L2-1)/2) and each power in its centred slice of the 6x11 result
-    E = soc_explicit_kernel(random_kernel(3, 3, 2, 3, seed=21), terms=5)
+    E = _soc_explicit()
     assert E.shape == (3, 3, 6, 11)
-    assert _sha256(E) == "9cd16ebe00238b556b9f7e1c992731d466e300be47f67b316262349b88aae69b"
+    assert _sha256(E) == _pins()["soc_explicit_kernel"]
 
 
 def _pinned_digests() -> dict:
     """Digests of the pinned kernels, computed in this process."""
     digests = {case: _sha256(aoc_kernel(AocConfig(spec=spec, seed=3))[0])
-               for case, (spec, _, _) in PINNED_SHA256.items()}
-    digests["soc_normalized_skew"] = _sha256(soc_normalized_skew(random_kernel(4, 4, 3, 3, seed=2)))
+               for case, (spec, _) in PINNED_LAYERS.items()}
+    digests["soc_normalized_skew"] = _sha256(_soc_skew())
+    digests["soc_explicit_kernel"] = _sha256(_soc_explicit())
     return digests
 
 
 def _wide_digests() -> dict:
     """Digests of kernels too wide to pin by hand, computed in this process:
     `aoc_kernel` of the benchmark's `resnet_wide` and `verify_dense` layers
-    at seed 1, with the default scheme and with `qr_mgs` and `cholesky`
-    (LAPACK's QR), and a 12-term exponential with a 49x49 result."""
+    at seed 1, with `qr_mgs` (the default) and `cholesky` (LAPACK's QR);
+    512->512 k3 with the default scheme at seeds 0 and 1; and a 12-term
+    exponential with a 49x49 result.  `bjorck` is left out: its polar
+    factor is an SVD, whose bytes depend on the thread count (3 of the 14
+    `resnet_wide` layers under OPENBLAS_CORETYPE=Haswell)."""
     workloads = perfbench_module("workloads").WORKLOADS
     digests = {f"{name}/{scheme}": [
         _sha256(aoc_kernel(AocConfig(spec=layer.spec(), scheme=scheme, seed=1))[0])
         for layer in workloads[name]()]
-        for name in ("resnet_wide", "verify_dense") for scheme in ("bjorck", "qr_mgs", "cholesky")}
+        for name in ("resnet_wide", "verify_dense") for scheme in ("qr_mgs", "cholesky")}
+    digests["512x512 k3/default"] = [
+        _sha256(aoc_kernel(AocConfig(spec=ConvSpec(512, 512, 3, 3), seed=seed))[0])
+        for seed in (0, 1)]
     skew = skew_symmetrize_kernel(KernelTensor(0.1 * rng(0).standard_normal((6, 6, 5, 5))))
     digests["soc_explicit_kernel"] = _sha256(soc_explicit_kernel(skew, terms=12))
     return digests
@@ -633,7 +683,5 @@ def test_pinned_bytes_independent_of_blas_threads(threads, wide_digests):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     pinned, wide = json.loads(out)
-    expected = {case: pin[2] for case, pin in PINNED_SHA256.items()}
-    expected["soc_normalized_skew"] = SOC_SKEW_SHA256
-    assert pinned == expected
+    assert pinned == _pins()
     assert wide == wide_digests

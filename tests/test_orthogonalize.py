@@ -25,7 +25,7 @@ WELL_CONDITIONED_GRID = [(8, 4), (4, 8), (16, 8), (3, 27), (12, 6), (6, 12), (9,
 
 def test_bjorck_orthogonal_input_is_fixed_point():
     Q = np.linalg.qr(rng(1).standard_normal((6, 6)))[0]
-    out = orthogonalize_stack(Q[None])[0]
+    out = orthogonalize_stack(Q[None], "bjorck")[0]
     np.testing.assert_allclose(out, Q, atol=1e-12)
 
 
@@ -44,7 +44,7 @@ def test_bjorck_12_iters_reaches_1e4(shape):
         W = rng((seed, *shape)).standard_normal(shape)
         O = bjorck_ref(W, iters=12)[0]
         assert gram_residual(O) <= 1e-4
-        assert np.max(np.abs(O - orthogonalize_stack(W[None])[0])) <= 1e-12
+        assert np.max(np.abs(O - orthogonalize_stack(W[None], "bjorck")[0])) <= 1e-12
 
 
 def test_bjorck_rejects_rank_deficient():
@@ -299,10 +299,10 @@ def _with_singular_values(n_rows, n_cols, sigmas, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_orthogonalize_stack_equals_per_matrix_calls(shape, n):
     Ws = rng((n, *shape)).standard_normal((n, *shape))
-    O = orthogonalize_stack(Ws)
+    O = orthogonalize_stack(Ws, "bjorck")
     assert O.shape == Ws.shape
     assert np.array_equal(O, np.stack([polar_ref(W) for W in Ws]))
-    assert np.array_equal(O, np.stack([orthogonalize_stack(W[None])[0] for W in Ws]))
+    assert np.array_equal(O, np.stack([orthogonalize_stack(W[None], "bjorck")[0] for W in Ws]))
 
 
 @pytest.mark.parametrize("shape", [(8, 5), (6, 6), (5, 8)])
@@ -313,9 +313,9 @@ def test_orthogonalize_stack_gives_each_matrix_its_own_schedule(shape):
     fast = _with_singular_values(*shape, np.linspace(1.0, 0.8, k), seed=5)
     slow = _with_singular_values(*shape, np.logspace(0, -4, k), seed=7)
     for Ws in ([fast, slow], [slow, fast], [fast, slow, fast, slow, fast]):
-        O = orthogonalize_stack(np.stack(Ws))
+        O = orthogonalize_stack(np.stack(Ws), "bjorck")
         assert np.array_equal(O, np.stack([polar_ref(W) for W in Ws]))
-        assert np.array_equal(O, np.stack([orthogonalize_stack(W[None])[0] for W in Ws]))
+        assert np.array_equal(O, np.stack([orthogonalize_stack(W[None], "bjorck")[0] for W in Ws]))
         assert max(gram_residual(Q) for Q in O) <= 1e-13
 
 
@@ -332,7 +332,7 @@ def test_orthogonalize_stack_refusals_match_per_matrix_calls():
     with pytest.raises(ValueError, match="stack of matrices"):
         orthogonalize_stack(W)
     with pytest.raises(ValueError, match="cannot orthogonalize a rank-deficient matrix"):
-        orthogonalize_stack(np.zeros((3, 4))[None])
+        orthogonalize_stack(np.zeros((3, 4))[None], "bjorck")
 
 
 def test_exponential_rectangular_factor_is_polar_factor(caplog):
