@@ -8,7 +8,8 @@ Subcommands:
     selftest                        -> run the verification grid (one thread)
 
 The config file sets every build value, uncoerced: integer keys must be
-JSON integers, and a key outside `_CONFIG_DEFAULTS` is refused by name.
+JSON integers (`ConvSpec` and `AocConfig` refuse any other value), and a
+key outside `_CONFIG_DEFAULTS` is refused by name.
 The build sidecar `out.okt.meta.json` holds "branch" (`BranchTag.to_dict`:
 branch and internal_width), "config" (the resolved build config; its seed
 is the only one: each factor is one draw for all groups from a sub-seed
@@ -55,25 +56,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_UNSUPPORTED = 3
 
-#: 2: Björck factors scaled by their Gram row sums, nonzero sub-seed words
-#: and one GEMM per fused tap (sidecars written before had no version);
-#: 3: rectangular factors of the exponential scheme get Björck's residual
-#: stop, so those that had not converged after 25 sweeps change;
-#: 4: "config" loses iters and beta, "branch" loses the key of the projector
-#: composition order (bytes unchanged);
-#: 5: "config" loses that key too, as the order is now fixed (bytes unchanged);
-#: 6: `bjorck` and rectangular `exponential` factors are the exact polar
-#: factor, `cholesky` whitens without a shift, and `qr_mgs` makes one rank-1
-#: update per column, so kernels of those schemes change by rounding;
-#: 7: projector factors are folded in closed form, so branch "a" and "d"
-#: kernels with a projector factor change by rounding;
-#: 8: `qr_mgs` is LAPACK's Householder QR, so `qr_mgs` kernels change;
-#: 9: `cholesky` factors are the same QR of the transpose, so `cholesky`
-#: kernels change;
-#: 10: each factor is one draw for all groups, so grouped kernels change,
-#: and "branch" loses group_seeds;
-#: 11: the default scheme is `qr_mgs`, so kernels built without a "scheme"
-#: key change, and a sidecar's "config" records "scheme": "qr_mgs"
+#: raised whenever a config and seed stop giving the kernel bytes they gave
+#: before, and whenever the sidecar gains or loses a key; the README's
+#: "Version N" notes say what each version changed
 SIDECAR_VERSION = 11
 
 # every build config key with its default; None marks a required key
@@ -82,7 +67,6 @@ _CONFIG_DEFAULTS = {
     "stride": 1, "groups": 1, "dilation": 1,
     "scheme": DEFAULT_SCHEME, "seed": 0,
 }
-_INT_KEYS = ("c_in", "c_out", "stride", "groups", "dilation", "seed")
 
 
 def _spec_from_config(config: dict) -> ConvSpec:
@@ -114,15 +98,10 @@ def _load_build_config(path) -> AocConfig:
         if default is None and key not in doc:
             raise ValueError(f"config is missing required key {key!r}")
     doc = {**_CONFIG_DEFAULTS, **doc}
-    # `type(v) is int` also refuses JSON true/false, which parse as bool
-    for key in _INT_KEYS:
-        if type(doc[key]) is not int:
-            raise ValueError(f"config key {key!r} must be an integer, got {doc[key]!r}")
-    kernel = doc["kernel"]
-    if type(kernel) is int:
-        kernel = doc["kernel"] = [kernel, kernel]
-    if not (isinstance(kernel, list) and len(kernel) == 2
-            and all(type(k) is int for k in kernel)):
+    # ConvSpec and AocConfig refuse a value that is no integer, bool included
+    if not isinstance(doc["kernel"], list):
+        doc["kernel"] = [doc["kernel"]] * 2
+    if len(doc["kernel"]) != 2:
         raise ValueError("config key 'kernel' must be an integer or a [k1, k2] pair of integers")
     return AocConfig(spec=_spec_from_config(doc), scheme=doc["scheme"], seed=doc["seed"])
 

@@ -34,6 +34,7 @@ from .tensor_core import (
     ConvSpec,
     KernelTensor,
     UnsupportedConfigError,
+    _is_int,
     kernel_transpose,
 )
 
@@ -50,7 +51,7 @@ class AocConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         # numpy splits an integer seed into 32-bit words, so a seed of 2**32
         # or more would draw the stream of a tuple of smaller seed words
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2 ** 32:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 32:
             raise ValueError(f"seed must be an integer in [0, 2**32), got {self.seed!r}")
 
 
@@ -136,9 +137,10 @@ def _fold_projector(K: np.ndarray, M: np.ndarray, axis: int) -> np.ndarray:
 
 def _projector_entries(c_in, c_out, k1, k2) -> int:
     """Entries per group of the largest array `_projector_kernels` holds:
-    the kernel composed at width c, or a c x floor(c/2) projector base."""
+    the kernel composed at width c, or the stack of all k1 + k2 - 2
+    c x floor(c/2) projector bases."""
     c = max(c_in, c_out)
-    return c * max(c_in * k1 * k2, c // 2 if k1 > 1 or k2 > 1 else 0)
+    return c * max(c_in * k1 * k2, (k1 + k2 - 2) * (c // 2))
 
 
 def _projector_kernels(c_in, c_out, k1, k2, g, seed, scheme) -> KernelTensor:
@@ -148,16 +150,15 @@ def _projector_kernels(c_in, c_out, k1, k2, g, seed, scheme) -> KernelTensor:
     channel map sits at the input end (applied first), and each projector
     factor, in `_factor_axes` order, is folded onto it by
     `_fold_projector`, for all groups at once.  The channel map is drawn
-    from the sub-seed (seed, 1) and factor t from (seed, 2 + t), each
-    right before its fold, so a fold holds only its own base.  When
+    from the sub-seed (seed, 1) and the base of factor t from (seed, 2 + t);
+    the bases of all factors and groups are orthogonalized as one stack,
+    since each `orthogonalize_stack` call has a fixed cost that dominates
+    on small layers, and each base is freed after its fold.  When
     c_out < c the composed kernel is truncated to its first c_out output
     channels, which preserves row orthogonality (deleting rows of a
-    row-orthogonal matrix keeps it row orthogonal).
+    row-orthogonal matrix keeps it row orthogonal).  The caller passes
+    validated sizes.
     """
-    if k1 < 1 or k2 < 1:
-        raise ValueError(f"kernel size must be >= 1, got {k1}x{k2}")
-    if c_in < 1 or c_out < 1:
-        raise ValueError("channel counts must be >= 1")
     c = max(c_in, c_out)
     if (k1 > 1 or k2 > 1) and c < 2:
         raise UnsupportedConfigError(
@@ -166,9 +167,15 @@ def _projector_kernels(c_in, c_out, k1, k2, g, seed, scheme) -> KernelTensor:
             f"c_out={c_out}"
         )
     K = _orthogonal_stack(g, (c, c_in), (seed, 1), scheme).reshape(g, c, c_in, 1, 1)
-    for t, axis in enumerate(_factor_axes(k1, k2)):
-        M = _orthogonal_stack(g, (c, c // 2), (seed, 2 + t), scheme)
-        K = _fold_projector(K, M, axis + 1)
+    axes = list(_factor_axes(k1, k2))
+    if axes:
+        stack = orthogonalize_stack(np.concatenate(
+            [sample_params((g, c, c // 2), (seed, 2 + t)) for t in range(len(axes))]), scheme)
+        # each base is a copy, dropped after its fold: no fold holds the stack
+        bases = [M.copy() for M in stack.reshape(len(axes), g, c, c // 2)]
+        del stack
+        for axis in axes:
+            K = _fold_projector(K, bases.pop(0), axis + 1)
     # a truncated kernel is copied, so it does not hold the dropped rows
     return _grouped(K[:, :c_out].copy() if c_out < c else K)
 
@@ -184,7 +191,9 @@ def bcop_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTen
 
     The resulting convolution (stride 1, circular padding) is row
     orthogonal when c_out <= c_in and column orthogonal otherwise.
+    Sizes that `ConvSpec` refuses raise its ValueError.
     """
+    ConvSpec(c_in, c_out, k1, k2)
     return _projector_kernels(c_in, c_out, k1, k2, 1, seed, scheme)
 
 
@@ -193,8 +202,10 @@ def rko_kernel(c_in, c_out, k1, k2, seed=0, scheme=DEFAULT_SCHEME) -> KernelTens
 
     The strided convolution with this kernel is orthogonal precisely when
     k1 == k2 == s (non-overlapping receptive fields); for other strides it
-    is 1-Lipschitz material but carries no orthogonality claim.
+    is 1-Lipschitz material but carries no orthogonality claim.  Sizes
+    that `ConvSpec` refuses raise its ValueError.
     """
+    ConvSpec(c_in, c_out, k1, k2)
     return _rko_kernels(c_in, c_out, k1, k2, 1, seed, scheme)
 
 
@@ -203,8 +214,9 @@ def _choose_branch(spec: ConvSpec) -> tuple[str, int | None]:
     (branch "d" only).  Raises UnsupportedConfigError, before anything is
     allocated, for s > k, a stride sharing a factor with the dilation, and
     a layer whose kernel or largest factor stack over all groups (the
-    projector kernel composed at its full width, a projector base, or the
-    reshaped factor) would hold more than MAX_ENTRIES entries."""
+    projector kernel composed at its full width, the stack of its projector
+    bases, or the reshaped factor) would hold more than MAX_ENTRIES
+    entries."""
     g, s, d = spec.groups, spec.stride, spec.dilation
     k1, k2 = spec.k_h, spec.k_w
     if s > k1 or s > k2:
@@ -242,10 +254,11 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
 
     Groups are a stack axis: every group takes the same branch, and each
     factor is one draw `sample_params((g, *shape), sub_seed)` for all
-    groups, orthogonalized in one `orthogonalize_stack` pass.  Group q is
-    composed from slab q of each draw, so group 0 of a grouped layer is
-    the ungrouped layer of its per-group shape at the same seed, and
-    layers with different seeds share no group.  The sub-seeds are
+    groups, orthogonalized in one `orthogonalize_stack` pass (one pass for
+    all projector bases).  Group q is composed from slab q of each draw,
+    so group 0 of a grouped layer is the ungrouped layer of its per-group
+    shape at the same seed, and layers with different seeds share no
+    group.  The sub-seeds are
     (seed, 1) for the channel map, (seed, 2 + t) for projector factor t,
     (seed, 1 << 20) for branch "d"'s outer factor, and `seed` itself for
     branch "b".

@@ -296,7 +296,7 @@ def _spans(b: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> bytes:
 
 def _fields(doc) -> tuple[list, int]:
     """The shape and groups of an okt-v1 document, with every field but
-    "data" checked."""
+    "data" and "groups" checked."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValueError(
             f"unknown kernel file format {doc.get('format') if isinstance(doc, dict) else None!r}"
@@ -310,10 +310,8 @@ def _fields(doc) -> tuple[list, int]:
     if not (isinstance(shape, list) and len(shape) == 4
             and all(type(n) is int and n >= 1 for n in shape)):
         raise ValueError(f"kernel shape must be a list of 4 positive integers, got {shape!r}")
-    groups = doc.get("groups", 1)
-    if type(groups) is not int:
-        raise ValueError(f"kernel groups must be an integer, got {groups!r}")
-    return shape, groups
+    # `KernelTensor` checks "groups"
+    return shape, doc.get("groups", 1)
 
 
 def _kernel(data: np.ndarray, shape: list, groups: int) -> KernelTensor:

@@ -43,6 +43,12 @@ class UnsupportedConfigError(ValueError):
     build's `construct.MAX_ENTRIES`, the check's `verify.ENTRY_BUDGET`)."""
 
 
+def _is_int(v) -> bool:
+    """Whether v is a Python or numpy integer; bool is refused, though an
+    int subclass, since JSON true/false parse as bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _as_f64(a, name: str) -> np.ndarray:
     out = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(out)):
@@ -80,8 +86,8 @@ class KernelTensor:
             raise ValueError(f"kernel must have 4 axes, got {data.ndim}")
         if min(data.shape) < 1:
             raise ValueError(f"kernel extents must be >= 1, got {data.shape}")
-        if self.groups < 1:
-            raise ValueError("groups must be >= 1")
+        if not _is_int(self.groups) or self.groups < 1:
+            raise ValueError(f"groups must be a positive integer, got {self.groups!r}")
         if data.shape[0] % self.groups != 0:
             raise ValueError(
                 f"c_out={data.shape[0]} not divisible by groups={self.groups}"
@@ -126,22 +132,13 @@ class ConvSpec:
     def __post_init__(self):
         for name in ("c_in", "c_out", "k_h", "k_w", "stride", "groups", "dilation"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.c_in % self.groups != 0 or self.c_out % self.groups != 0:
             raise ValueError(
                 f"c_in={self.c_in}, c_out={self.c_out} must be divisible by "
                 f"groups={self.groups}"
             )
-
-    def matches_kernel(self, K: KernelTensor) -> bool:
-        return (
-            K.c_out == self.c_out
-            and K.groups == self.groups
-            and K.data.shape[1] == self.c_in // self.groups
-            and K.k_h == self.k_h
-            and K.k_w == self.k_w
-        )
 
 
 def spec_for_kernel(K: KernelTensor, stride: int = 1, dilation: int = 1) -> ConvSpec:
@@ -175,7 +172,8 @@ def _check_image(x, c_expected: int, name: str = "x") -> np.ndarray:
 def _check_kernel_spec(K: KernelTensor, spec: ConvSpec):
     if not isinstance(K, KernelTensor):
         raise TypeError("K must be a KernelTensor")
-    if not spec.matches_kernel(K):
+    if K.groups != spec.groups or K.shape != (
+            spec.c_out, spec.c_in // spec.groups, spec.k_h, spec.k_w):
         raise ValueError(
             f"kernel shape {K.shape} x groups={K.groups} does not match spec "
             f"(c_in={spec.c_in}, c_out={spec.c_out}, k={spec.k_h}x{spec.k_w}, "

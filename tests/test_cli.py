@@ -370,11 +370,15 @@ def test_kernel_without_sidecar_takes_stride_from_flags(tmp_path, capsys):
     ("[" * 100000, "unreadable build sidecar"),
     (json.dumps({"config": {"c_in": 4, "c_out": 8, "kernel": [3, 3], "stride": 2.0,
                             "groups": 1, "dilation": 1}}), "unreadable build sidecar"),
+    # JSON true is a bool, which ConvSpec refuses like any non-integer
+    (json.dumps({"config": {"c_in": 4, "c_out": 8, "kernel": [3, 3], "stride": 2,
+                            "groups": True, "dilation": 1}}), "unreadable build sidecar"),
     (json.dumps({"config": {"c_in": 4, "c_out": 16, "kernel": [3, 3], "stride": 2,
                             "groups": 1, "dilation": 1}}), "describes another kernel"),
     (json.dumps({"config": {"c_in": 4, "c_out": 8, "kernel": [3, 3], "stride": 2,
                             "groups": 2, "dilation": 1}}), "describes another kernel"),
-], ids=["malformed", "list", "missing-keys", "deep", "float-stride", "channels", "groups"])
+], ids=["malformed", "list", "missing-keys", "deep", "float-stride", "bool-groups", "channels",
+        "groups"])
 def test_bad_sidecar_exit_2(tmp_path, capsys, command, text, reason):
     out = _build_s2(tmp_path)
     Path(str(out) + ".meta.json").write_text(text)

@@ -80,10 +80,18 @@ def test_bcop_spectrum_various_shapes(ci, co, k1, k2):
 def test_bcop_rejects_width_one_spatial():
     with pytest.raises(UnsupportedConfigError):
         bcop_kernel(1, 1, 3, 3)
-    with pytest.raises(ValueError, match="kernel size must be >= 1, got 0x3"):
+    with pytest.raises(ValueError, match="k_h must be a positive integer, got 0"):
         bcop_kernel(2, 2, 0, 3)
-    with pytest.raises(ValueError, match="channel counts must be >= 1"):
+    with pytest.raises(ValueError, match="c_in must be a positive integer, got 0"):
         bcop_kernel(0, 2, 3, 3)
+
+
+def test_rko_refuses_what_conv_spec_refuses():
+    # c_in = 0 once failed inside numpy ("cannot reshape array of size 0")
+    with pytest.raises(ValueError, match="c_in must be a positive integer, got 0"):
+        rko_kernel(0, 4, 3, 3)
+    with pytest.raises(ValueError, match="k_w must be a positive integer, got True"):
+        rko_kernel(4, 4, 3, True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -303,8 +311,9 @@ def test_size_budget_admits_workload_layers_and_2048_wide_k3():
 @pytest.mark.parametrize("spec, kernel, factor", [
     (ConvSpec(65536, 65536, 3, 3), 65536 * 65536 * 9, 65536 * 65536 * 9),
     (ConvSpec(4, 8, 2 ** 40, 2 ** 40), 8 * 4 * 2 ** 80, 8 * 4 * 2 ** 80),
-    # a small kernel with large projector bases (16384 x 8192)
-    (ConvSpec(1, 16384, 2, 2), 16384 * 4, 16384 * 8192),
+    # a small kernel with large projector bases (two of 16384 x 8192,
+    # orthogonalized as one stack)
+    (ConvSpec(1, 16384, 2, 2), 16384 * 4, 2 * 16384 * 8192),
     # a small kernel composed at its input width before truncation
     (ConvSpec(16384, 1, 3, 3), 16384 * 9, 16384 * 16384 * 9),
     # branch "d": the 16384 x 4096*4 outer factor
@@ -475,6 +484,8 @@ def test_aoc_config_validation():
     # numpy splits larger seeds into 32-bit words: 2**32 draws what (0, 1) draws
     with pytest.raises(ValueError, match="seed"):
         AocConfig(spec=spec, seed=2 ** 32)
+    with pytest.raises(ValueError, match="seed must be an integer in \\[0, 2\\*\\*32\\), got True"):
+        AocConfig(spec=spec, seed=True)
     AocConfig(spec=spec, seed=2 ** 32 - 1)
 
 
@@ -587,10 +598,11 @@ def test_aoc_kernel_peak_memory_on_a_wide_unstrided_layer():
     # 512->512 k3 s1 is branch "a": its peak (40 MiB once warm) is the last
     # projector fold, whose output (18 MiB) becomes the kernel without a
     # copy, beside the kernel it folds (12 MiB), the half-width product
-    # M^T D (9 MiB) and that fold's own base (1 MiB); each base is drawn
-    # right before its fold, and the earlier bases and folds' outputs are
-    # gone by then.  The bound fails the stack of all four bases kept
-    # alive through the last fold, which peaks at 43 MiB (2.39x)
+    # M^T D (9 MiB) and that fold's own base (1 MiB); each base is copied
+    # out of the orthogonalized stack and dropped after its fold, and the
+    # earlier bases and folds' outputs are gone by then.  The bound fails
+    # the stack of all four bases kept alive through the last fold, which
+    # peaks at 43 MiB (2.39x)
     (K, tag), peak = traced_peak(lambda: aoc_kernel(AocConfig(ConvSpec(512, 512, 3, 3))))
     assert tag.branch == "a"
     assert peak <= 2.3 * K.data.nbytes

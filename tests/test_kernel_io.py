@@ -82,6 +82,18 @@ def test_malformed_documents_rejected_in_writer_layout():
                 kernel_from_json(document)
 
 
+@pytest.mark.parametrize("groups", [1.5, True])
+def test_both_read_paths_refuse_bad_groups_alike(groups):
+    # a whole-document read and a streamed one ("data" first, compact)
+    doc = {**json.loads(kernel_to_json(random_kernel(2, 2, 1, 1))), "groups": groups}
+    errors = set()
+    for text in (json.dumps(doc), json.dumps(doc, sort_keys=True, separators=(",", ":"))):
+        with pytest.raises(ValueError, match="groups") as info:
+            kernel_from_json(text)
+        errors.add(str(info.value))
+    assert len(errors) == 1, errors
+
+
 def writer_layout(body: str, n: int) -> str:
     """An okt-v1 document laid out as the writer does, with the data text
     `body` and the shape [n, 1, 1, 1]."""

@@ -29,6 +29,10 @@ def test_kernel_tensor_validation():
         KernelTensor(np.zeros((3, 2, 1, 1)), groups=2)  # c_out not divisible
     K = KernelTensor(np.ones((4, 2, 3, 3)), groups=2)
     assert K.c_out == 4 and K.c_in == 4 and K.k_h == 3
+    # groups=2.0 once gave c_in == 2.0, which broke kernel_transpose
+    for groups in (2.0, True):
+        with pytest.raises(ValueError, match=f"groups must be a positive integer, got {groups}"):
+            KernelTensor(np.ones((4, 2, 3, 3)), groups=groups)
     with pytest.raises(ValueError):
         K.data[0, 0, 0, 0] = 2.0  # immutable
 
@@ -54,6 +58,13 @@ def test_conv_spec_validation():
         ConvSpec(c_in=3, c_out=4, k_h=3, k_w=3, groups=2)
     with pytest.raises(ValueError):
         ConvSpec(c_in=2, c_out=2, k_h=0, k_w=1)
+    # bool is an int subclass, and JSON true parses as one: c_in=True once
+    # gave a 1-channel spec
+    for field in ("c_in", "c_out", "k_h", "k_w", "stride", "groups", "dilation"):
+        for value in (True, 2.0):
+            with pytest.raises(ValueError, match=f"{field} must be a positive integer, got {value}"):
+                ConvSpec(**{"c_in": 2, "c_out": 2, "k_h": 2, "k_w": 2, field: value})
+    assert ConvSpec(*map(np.int64, (2, 2, 2, 2))).c_in == 2
 
 
 def test_identity_kernel_is_identity():
@@ -221,7 +232,7 @@ def test_shape_mismatch_errors():
         conv2d_ref(K.data, np.zeros((3, 8, 8)), spec)  # a bare array
     with pytest.raises(ValueError, match="kernel extents"):
         KernelTensor(np.zeros((2, 3, 0, 3)))
-    with pytest.raises(ValueError, match="groups must be >= 1"):
+    with pytest.raises(ValueError, match="groups must be a positive integer, got 0"):
         KernelTensor(np.zeros((2, 3, 3, 3)), groups=0)
     for shape in ((3, 8), (1, 1, 3, 8, 8)):  # one image or one batch only
         with pytest.raises(ValueError, match="axes"):
