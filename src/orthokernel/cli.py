@@ -37,19 +37,18 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 
 import numpy as np
 
 from . import kernel_io
-from .construct import AocConfig, aoc_kernel
+from .construct import AocConfig, _check_seed, aoc_kernel
 from .orthogonalize import DEFAULT_SCHEME, SCHEMES
 from .tensor_core import (ConvSpec, KernelTensor, UnsupportedConfigError, _check_kernel_spec,
                           spec_for_kernel)
-from .verify import (DEFAULT_TOLERANCE, _image_size, check_orthogonality, grid_entries,
-                     polyphase_spectrum, run_grid)
+from .verify import (DEFAULT_TOLERANCE, _check_tolerance, _image_size, check_orthogonality,
+                     grid_entries, polyphase_spectrum, run_grid)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -196,14 +195,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    if not 0 <= args.seed < 2 ** 32:
-        print(f"invalid input: seed must lie in [0, 2**32), got {args.seed}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    # checked here, not left to check_orthogonality: a ValueError from
-    # run_grid means an unbuildable entry (exit 3)
-    if not 0.0 <= args.tol < math.inf:
-        print(f"invalid input: tolerance must be finite and >= 0, got {args.tol}",
-              file=sys.stderr)
+    # checked by the library's rules before run_grid, whose ValueError
+    # means an unbuildable entry (exit 3)
+    try:
+        _check_seed(args.seed)
+        _check_tolerance(args.tol)
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     categories = args.category if args.category else None
     t0 = time.perf_counter()

@@ -49,10 +49,14 @@ class AocConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        # numpy splits an integer seed into 32-bit words, so a seed of 2**32
-        # or more would draw the stream of a tuple of smaller seed words
-        if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 32:
-            raise ValueError(f"seed must be an integer in [0, 2**32), got {self.seed!r}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> None:
+    # numpy splits an integer seed into 32-bit words, so a seed of 2**32
+    # or more would draw the stream of a tuple of smaller seed words
+    if not _is_int(seed) or not 0 <= seed < 2 ** 32:
+        raise ValueError(f"seed must be an integer in [0, 2**32), got {seed!r}")
 
 
 @dataclass(frozen=True)

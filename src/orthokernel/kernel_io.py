@@ -22,8 +22,13 @@ the same double, the sign of zero included.  The writer always stores
 any JSON numbers (so files with other float text read the same), and
 rejects any unknown "format" value or malformed field with ValueError.
 
-Most entries of an orthogonal kernel lie in [1e-4, 1), where the 17 digits
-are formatted in numpy (`_float_tokens`); the rest go through `format`.
+The writer (`_float_tokens`) makes each token "," and the entry's text, in
+one NUL-padded 24-byte row, and `bytes.translate` deletes the NULs to join
+a pass of `_CHUNK` rows; the document drops the first ",".  For the
+entries in [1e-4, 1), most of an orthogonal kernel, a row is two table
+words: ",", sign, "0.", zeros and first digit (`_LEAD_TEXT`), then the 16
+other digits in groups of four (`_GROUP_TEXT`).  The rest get `format` in
+their row, or between the rows when longer (three-digit exponents).
 
 `read_kernel` reads the file in blocks of `_BLOCK` bytes, and
 `kernel_from_json` runs the same loop (`_read`) over slices of its text or
@@ -64,10 +69,9 @@ _DTYPES = ("f64", "f32")
 # how every document the writer makes starts ("data" sorts first)
 _HEAD = b'{"data":['
 
-# entries formatted or parsed per numpy pass; larger passes wrote slower
-# (590 k entries on 2 vCPUs: 0.14 s at 16 384 per pass, 0.18 s at 65 536),
-# and the reader is as fast at 8 192..32 768 (0.185-0.191 s for the 14
-# resnet_wide files)
+# entries formatted or parsed per numpy pass: the 14 resnet_wide kernels
+# (828 k entries, 2 vCPUs) wrote in 0.055-0.057, 0.057-0.059 and 0.071-0.073 s
+# at 8 192, 16 384 and 65 536 per pass, and read as fast at 8 192..32 768
 _CHUNK = 1 << 14
 # bytes read at a time: a block holds about 12 500 of the writer's tokens,
 # one `_CHUNK` pass; 64 KiB to 1 MiB blocks read the 14 resnet_wide files
@@ -75,21 +79,25 @@ _CHUNK = 1 << 14
 _BLOCK = 1 << 18
 
 
-def _padded(texts, width: int, dtype) -> np.ndarray:
-    """Each ASCII text as one `width`-byte word, padded with NUL bytes,
-    which the formatter drops at the end."""
-    return np.frombuffer(b"".join(t.encode().ljust(width, b"\0") for t in texts), dtype)
+# the first 8 bytes of a row: ",", the sign, "0.", the zeros and the first
+# digit, NUL on the left, by (4 * sign + zeros) * 10 + first digit
+_LEAD_TEXT = np.frombuffer(b"".join(
+    f",{s}0.{'0' * z}{d}".encode().rjust(8, b"\0")
+    for s in ("", "-") for z in range(4) for d in range(10)), np.uint64)
 
 
-_TRIPLES = [f"{g:03d}" for g in range(1000)]
-# the six three-digit groups of the 17 digits: group g as is (index g), with
-# its trailing zeros dropped (1000 + g), and the last group also followed
-# by the entry's "," (2000 + g)
-_GROUP_TEXT = _padded(_TRIPLES + [t.rstrip("0") for t in _TRIPLES]
-                      + [t.rstrip("0") + "," for t in _TRIPLES], 4, np.uint32)
-# "0." and the zeros after it, by 4 * sign (0 or 1) + zeros (0..3)
-_PREFIX_TEXT = _padded([f"{sign}0.{'0' * zeros}" for sign in ("", "-") for zeros in range(4)],
-                       8, np.uint64)
+def _group_text() -> np.ndarray:
+    """Four digits g as 4 bytes (index g), and with their trailing zeros
+    turned to NUL (10 000 + g), built from the two-digit pairs."""
+    two = np.arange(100)[:, None] // [10, 1] % 10 + ord("0")
+    four = np.empty((100, 100, 4), np.uint8)
+    four[..., :2], four[..., 2:] = two[:, None], two
+    text = four.reshape(-1, 4)
+    kept = np.logical_or.accumulate(text[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+    return np.concatenate([text, text * kept]).view(np.uint32).ravel()
+
+
+_GROUP_TEXT = _group_text()
 _VELTKAMP = 2.0 ** 27 + 1
 
 
@@ -136,43 +144,37 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _float_tokens(v: np.ndarray) -> bytes:
-    """`format(x, ".17") + ","` for each entry of the float64 vector `v`.
-
-    For 1e-4 <= |x| < 1 the token is "0.", the zeros and the 17 digits of
-    `_digits` without their trailing zeros.  Each token is one 32-byte
-    row: "-0.000" (8 bytes, NUL where absent), then N as six three-digit
-    groups of 4 bytes, each without its trailing zeros when every group
-    after it is zero.  Every other entry (zero, |x| < 1e-4, |x| >= 1) gets
-    `format` in its row.  Dropping the NUL bytes joins the tokens.
-    """
+    """`"," + format(x, ".17")` for each entry of the float64 vector `v`,
+    joined.  For 1e-4 <= |x| < 1: the 17 digits of `_digits`, each group
+    of four without its trailing zeros when every group after it is zero."""
     a = np.abs(v)
     zeros, n = _digits(a)
     fast = (a >= 1e-4) & (a < 1.0)
     n[~fast] = 10 ** 16
-    hi = n // 10 ** 9
-    lo = n - hi * 10 ** 9
-    g = np.empty((6, len(v)), np.int64)
-    g[0] = hi // 10 ** 6
-    g[1] = hi // 1000 - 1000 * g[0]
-    g[2] = hi % 1000
-    g[3] = lo // 10 ** 6
-    g[4] = lo // 1000 - 1000 * g[3]
-    g[5] = lo % 1000 + 2000
-    trailing = g[5] == 2000
-    for k in range(4, -1, -1):
-        g[k] += 1000 * trailing
-        trailing &= g[k] == 1000
-    rows = np.empty((len(v), 8), np.uint32)
-    rows.view(np.uint64)[:, 0] = _PREFIX_TEXT[4 * np.signbit(v) + zeros]
+    first = n // 10 ** 16
+    n -= first * 10 ** 16
+    hi = n // 10 ** 8
+    halves = np.stack([hi, n - hi * 10 ** 8])
+    g = np.empty((4, len(v)), np.int64)
+    g[::2] = halves // 10 ** 4
+    g[1::2] = halves - 10 ** 4 * g[::2]
+    trailing = np.ones(len(v), bool)
+    for k in range(3, -1, -1):
+        g[k] += 10 ** 4 * trailing
+        trailing &= g[k] == 10 ** 4
+    rows = np.empty((len(v), 6), np.uint32)
+    rows.view(np.uint64)[:, 0] = _LEAD_TEXT[(4 * np.signbit(v) + zeros) * 10 + first]
     rows[:, 2:] = _GROUP_TEXT[g.T]
-    text = rows.view(np.uint8)
-    text[:, 8] = 0  # N has 17 digits: its first group has two
-    for i in np.flatnonzero(~fast):
-        token = format(float(v[i]), ".17").encode() + b","
-        text[i] = 0
-        text[i, :len(token)] = np.frombuffer(token, np.uint8)
-    text = text.ravel()
-    return np.compress(text != 0, text).tobytes()
+    slow = np.flatnonzero(~fast)
+    tokens = [b"," + format(x, ".17").encode() for x in v[slow].tolist()]
+    # NUL-padded; a longer token is cut here and written between the rows
+    rows.view("S24")[slow, 0] = tokens
+    text, pieces, at = rows.tobytes(), [], 0
+    for i, token in zip(slow.tolist(), tokens):
+        if len(token) > 24:
+            pieces += [text[at:24 * i].translate(None, b"\0"), token]
+            at = 24 * i + 24
+    return b"".join(pieces) + text[at:].translate(None, b"\0")
 
 
 def _document(K: KernelTensor) -> Iterator[bytes]:
@@ -189,7 +191,7 @@ def _document(K: KernelTensor) -> Iterator[bytes]:
     flat = K.data.ravel()
     for start in range(0, flat.size, _CHUNK):
         tokens = _float_tokens(flat[start:start + _CHUNK])
-        yield tokens if start + _CHUNK < flat.size else tokens[:-1]
+        yield tokens if start else tokens[1:]
     yield b"]," + meta[1:].encode()
 
 

@@ -57,7 +57,7 @@ def qr_mgs(W: np.ndarray) -> np.ndarray:
     if small.size:
         raise ValueError(f"rank deficiency detected at column {small[0][-1]} "
                          f"(r_jj={abs(r[tuple(small[0])]):.3e})")
-    return Q * np.sign(r)[..., None, :]
+    return np.multiply(Q, np.sign(r)[..., None, :], out=Q)
 
 
 def cayley_rect(W: np.ndarray) -> np.ndarray:

@@ -256,6 +256,11 @@ def polyphase_spectrum(K: KernelTensor, spec: ConvSpec, h: int | None = None,
     return np.concatenate([half, mirror], axis=1)
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+
+
 def check_orthogonality(K: KernelTensor, spec: ConvSpec, h: int | None = None,
                         w: int | None = None,
                         tolerance: float = DEFAULT_TOLERANCE) -> SpectrumReport:
@@ -270,8 +275,7 @@ def check_orthogonality(K: KernelTensor, spec: ConvSpec, h: int | None = None,
     n_cols are the shape of the dense operator, (c_out*h*w/s^2) x
     (c_in*h*w), which is never built.
     """
-    if not 0.0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    _check_tolerance(tolerance)
     sv = polyphase_spectrum(K, spec, h, w)
     top, bottom = sv[..., 0], sv[..., -1]
     f_max = np.unravel_index(np.argmax(top), top.shape)

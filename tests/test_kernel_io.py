@@ -254,6 +254,28 @@ def test_float_text_across_chunk_boundaries(n):
     assert_written_like_oracle(x)
 
 
+# 25 bytes with its ",": longer than a writer row, so written between rows
+_LONG = -1.2345678901234567e-100
+
+
+@pytest.mark.parametrize("n, at", [
+    (5, [0]),  # the document's first entry
+    (_CHUNK + 5, [_CHUNK - 1]),  # the last entry of the first chunk
+    (_CHUNK + 5, [_CHUNK]),  # the first entry of the second chunk
+    (2 * _CHUNK + 3, slice(_CHUNK, 2 * _CHUNK)),  # a chunk of nothing else
+])
+def test_float_text_with_tokens_longer_than_a_row(n, at):
+    assert len("," + format(_LONG, ".17")) > 24
+    x = 0.05 * rng(n).standard_normal(n)
+    x[at] = _LONG
+    assert_written_like_oracle(x)
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0, 1e-05, -1.5, 1e300, 5e-324])
+def test_float_text_with_a_format_fallback_first(first):
+    assert_written_like_oracle([first, 0.25, -0.0123456789])
+
+
 def assert_read_like_oracle(text: str):
     """The document `text` reads to the bits of `json.loads`, as text, as
     bytes and from a file."""
@@ -426,6 +448,16 @@ def test_read_peak_memory_is_bounded_by_the_array(tmp_path):
     back, peak = traced_peak(lambda: read_kernel(path))
     assert back.data.tobytes() == K.data.tobytes()
     assert peak <= 3 * K.data.nbytes + 2 ** 21
+
+
+def test_write_peak_memory_is_bounded(tmp_path):
+    # the writer holds one pass of `_CHUNK` entries' temporaries, whatever
+    # the kernel's size (2.75 MiB here)
+    K = random_kernel(256, 128, 3, 3, seed=5, scale=0.05)
+    path = tmp_path / "k.okt"
+    _, peak = traced_peak(lambda: write_kernel(path, K))
+    assert kernel_from_json(path.read_bytes()).data.tobytes() == K.data.tobytes()
+    assert peak <= 4 * 2 ** 20
 
 
 def _proven(token: str) -> bool:
