@@ -35,19 +35,21 @@ their row, or between the rows when longer (three-digit exponents).
 bytes; a byte outside ASCII is a ValueError.  A document in the writer's
 layout (it starts with `{"data":[` and its first "]" is followed by ",")
 has its numbers parsed in numpy straight out of each block (`_blocks`):
-each token `-?0.` followed by 1..20 digits gets a candidate double, which
-is kept only when the writer's digit arithmetic (`_digits`) proves it to be
-what `float` gives the token (`_fraction_tokens`), which reads the 24
-bytes before each token's end with those before its digits masked.  So
-each pass parses 24 filler bytes, the token the pass before ended inside,
-then the next block; nothing else is carried.  Every other token
-(zeros, |x| < 1e-4, |x| >= 1, integers, other float text, blanks) is kept
-as text and goes to one `json.loads` call, after the fields that follow
-the numbers are parsed by `json.loads`.  So a read holds one block, the
-arrays of its tokens, the values read so far and the text of the other
-tokens, and at the end the array and the kernel's copy of it: about twice
-the array, not the file's text, which is about 2.7 times the array.  Any
-other document, or one with a second "data" key, is read whole by
+each token `-?0.` followed by 1..20 digits, fewer than 18 after the
+leading zeros, gets a candidate double, kept only when one exact residual
+proves it the double nearest the token, which `float` gives
+(`_fraction_tokens`, which reads the 24 bytes before each token's end with
+those before its digits masked): the writer's tokens in [1e-4, 1) and
+their shortest (`repr`) text.  Each pass parses 24 filler bytes, the token
+the pass before ended inside, then the next block; nothing else is
+carried.  Every other token (zeros, exponent forms, |x| >= 1, integers,
+other float text, blanks, and the rare token the residual leaves in doubt)
+is kept as text and goes to one `json.loads` call, after the fields that
+follow the numbers are parsed by `json.loads`.  So a read holds one block,
+the arrays of its tokens, the values read so far and the text of the
+other tokens, and at the end the array, which the kernel adopts: about
+twice the array, not the file's text, which is about 2.7 times the array.
+Any other document, or one with a second "data" key, is read whole by
 `json.loads` (a file is read again from its start).  Either way a document
 reads to the same array, bit for bit, as `json.loads` and `np.asarray`
 give, and the same documents are refused with the same error.
@@ -71,11 +73,12 @@ _HEAD = b'{"data":['
 
 # entries formatted or parsed per numpy pass: the 14 resnet_wide kernels
 # (828 k entries, 2 vCPUs) wrote in 0.055-0.057, 0.057-0.059 and 0.071-0.073 s
-# at 8 192, 16 384 and 65 536 per pass, and read as fast at 8 192..32 768
+# at 8 192, 16 384 and 65 536 per pass, and read in 0.089, 0.084 and 0.081 s
+# (medians) at 4 096, 8 192 and 16 384
 _CHUNK = 1 << 14
 # bytes read at a time: a block holds about 12 500 of the writer's tokens,
-# one `_CHUNK` pass; 64 KiB to 1 MiB blocks read the 14 resnet_wide files
-# in the same time
+# one `_CHUNK` pass; the 14 resnet_wide files read in 0.094, 0.082, 0.078
+# and 0.082 s (medians) in blocks of 64 KiB, 128 KiB, 256 KiB and 1 MiB
 _BLOCK = 1 << 18
 
 
@@ -111,7 +114,6 @@ def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # 10^k for k = 0..20: exact doubles, with their Veltkamp halves
 _POW10 = 10.0 ** np.arange(21)
 _POW10_HI, _POW10_LO = _veltkamp(_POW10)
-_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
 
 
 def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,12 +205,13 @@ def kernel_to_json(K: KernelTensor) -> str:
 _BYTES = np.uint64(0x0101010101010101)
 _HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
 _LOW_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
-# the word with its last n characters (n = 0..8) kept and the others "0"
+_ZEROS = _BYTES * np.uint64(ord("0"))
+# masks of word i (row i) of the 24 bytes before the end of a token of F
+# digits (column F = 0..20): `_KEEP` keeps the word's bytes among the last
+# F, and `_FILL` is "0" in the others
 _KEEP = np.array([~np.uint64(0) << np.uint64(8 * (8 - n)) if n else 0 for n in range(9)],
-                 np.uint64)
-_FILL = (_BYTES * np.uint64(ord("0"))) & ~_KEEP
-# bytes between each of a token's three words and its end
-_WORD_GAP = np.array([[16], [8], [0]])
+                 np.uint64)[np.clip(np.arange(21) - [[16], [8], [0]], 0, 8)]
+_FILL = _ZEROS & ~_KEEP
 
 
 def _eight_digits(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,14 +230,15 @@ def _fraction_tokens(b: np.ndarray, windows: np.ndarray, starts: np.ndarray,
     """The value of each token b[start:stop] of the form -?0.<F digits>, and
     whether it is proven to be the double that `float` gives the token.
 
-    The F digits are D; D < 10^17 and F <= 20, so 10^F is exact and the
-    candidate c = D / 10^F takes one correction from the exact residual
-    D - c * 10^F (D = dh + dl and Dekker's product, both exact).  c is kept
-    when 1e-4 <= c < 1 and `_digits(c)` is D with zeros appended, N = D *
-    10^(q - F): then the 17 digits of c denote the token's value, and 17
-    digits read back to the double they were taken from.  `b[stop + 1]`
-    must exist, and so must the 24 bytes before each stop; their content
-    before the digits does not matter.
+    The digits D, 0 < D < 10^17, and F <= 20 make 10^F exact.  c = D / 10^F
+    (two roundings) is within 1.5 ulps of the token; the residual r = D -
+    c 10^F is exact (D = dh + dl, Dekker's product), and so is one step of
+    k = rint(r / (u 10^F)) ulps u, k in {-1, 0, 1}.  c is kept when |r| <
+    (1/2 - 2^-31) u 10^F, c is normal and in the first candidate's binade
+    (so u is its ulp), and c is not a power of two (its ulp below is u / 2)
+    unless r = 0: then c is the double nearest the token (Clinger's
+    condition).  `b[stop + 1]` must exist, and so must the 24 bytes before
+    each stop; their content before the digits does not matter.
     """
     negative = b[starts] == ord("-")
     zero = starts + negative
@@ -243,29 +247,35 @@ def _fraction_tokens(b: np.ndarray, windows: np.ndarray, starts: np.ndarray,
     f[~proven] = 1
     # the 24 bytes before the stop as three little-endian words, one row
     # per word (row-wise numpy steps ran faster than strided ones), with
-    # the bytes before the F digits set to "0"; the first word must hold
-    # D // 10^16 < 10
-    n = np.clip(f - _WORD_GAP, 0, 8)
+    # the bytes before the F digits set to "0"; the first word must be
+    # seven "0"s and the digit D // 10^16
     w = windows[stops - 24].view("<u8").reshape(-1, 3).T.copy()
-    w &= _KEEP[n]
-    w |= _FILL[n]
-    value, digits = _eight_digits(w)
-    proven &= digits.all(axis=0) & (value[0] < 10)
-    d = (value[0] * np.uint64(10 ** 16) + value[1] * np.uint64(10 ** 8) + value[2]).view(np.int64)
+    w &= np.take(_KEEP, f, axis=1)
+    w |= np.take(_FILL, f, axis=1)
+    lead = w[0] ^ _ZEROS
+    value, digits = _eight_digits(w[1:])
+    proven &= digits.all(axis=0) & (lead << np.uint64(8) == 0) & (lead < np.uint64(10 << 56))
+    lead >>= np.uint64(56)
+    d = (lead * np.uint64(10 ** 16) + value[0] * np.uint64(10 ** 8) + value[1]).view(np.int64)
     d *= proven
     dh = d.astype(np.float64)
     dl = (d - dh.astype(np.int64)).astype(np.float64)
     c = dh / _POW10[f]
     p, e = _times_pow10(c, f)
-    c += (((dh - p) - e) + dl) / _POW10[f]
-    proven &= (c >= 1e-4) & (c < 1.0)
-    zeros, digits17 = _digits(c)
-    k = 17 + zeros - f
-    proven &= (k >= 0) & (k <= 17)
-    k = np.clip(k, 0, 17)
-    # d < 10^(17 - k) keeps d * 10^k from overflowing
-    proven &= (d < _POW10_INT[17 - k]) & (d * _POW10_INT[k] == digits17)
-    np.negative(c, out=c, where=negative)
+    r = ((dh - p) - e) + dl
+    # c's exponent field, at least 53 so that its ulp u is normal
+    field = np.maximum(c.view(np.int64) >> 52, 53)
+    u = ((field - 52) << 52).view(np.float64)
+    h = u * _POW10[f]
+    k = np.rint(r / h)
+    c += k * u
+    r -= k * h
+    bits = c.view(np.int64)
+    # the margin leaves ties, and tokens within 2^-31 ulp of one, to json.loads
+    proven &= ((np.abs(r) < (0.5 - 2.0 ** -31) * h) & (bits >> 52 == field)
+               & ((bits << 12 != 0) | (r == 0)))
+    # c >= 0: set the sign bit (np.negative with `where` took 10 times as long)
+    bits |= negative.astype(np.int64) << 63
     return c, proven
 
 
@@ -319,7 +329,7 @@ def _fields(doc) -> tuple[list, int]:
 def _kernel(data: np.ndarray, shape: list, groups: int) -> KernelTensor:
     if data.size != math.prod(shape):
         raise ValueError("data length does not match shape")
-    return KernelTensor(data.reshape(shape), groups=groups)
+    return KernelTensor._adopt(data.reshape(shape), groups=groups)
 
 
 def _ascii(raw: bytes) -> bytes:
@@ -396,7 +406,7 @@ def _read(f) -> KernelTensor:
         if "data" not in doc:
             shape, groups = _fields(doc)
             data = np.concatenate(values)
-            values.clear()  # copied: free them before the kernel copies `data`
+            values.clear()  # copied into `data`: free them
             if slow:
                 slow = np.concatenate(slow)
                 text = b"".join(pieces)

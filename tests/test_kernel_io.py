@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthokernel import KernelTensor, kernel_from_json, kernel_to_json, read_kernel, write_kernel
-from orthokernel import kernel_io
+from orthokernel import AocConfig, ConvSpec, aoc_kernel, kernel_io
 from orthokernel.kernel_io import _CHUNK
 from conftest import deeply_nested_documents, random_kernel, rng, traced_peak
 from oracles import format_floats_ref, read_floats_ref
@@ -440,8 +440,8 @@ def test_document_shorter_than_a_token_window_is_refused_by_its_fields():
 
 
 def test_read_peak_memory_is_bounded_by_the_array(tmp_path):
-    # the reader holds a block of text, its tokens' arrays, the values read
-    # so far and, at the end, the array and the kernel's copy of it
+    # the reader holds a block of text, its tokens' arrays and the values
+    # read so far, and at the end joins them into the kernel's array
     K = random_kernel(256, 128, 3, 3, seed=5, scale=0.05)
     path = tmp_path / "k.okt"
     write_kernel(path, K)
@@ -461,14 +461,26 @@ def test_write_peak_memory_is_bounded(tmp_path):
 
 
 def _proven(token: str) -> bool:
-    """Whether the numpy parser keeps `token`: it is -?0.<1..20 digits>
-    with fewer than 18 digits after the leading zeros, and its value is
-    the 17-digit text of the double it reads to, in 1e-4 <= |x| < 1."""
+    """Whether the numpy parser keeps `token`, by its rule in exact
+    arithmetic: the token is -?0.<F digits>, 1 <= F <= 20, with digits D,
+    0 < D < 10^17; c0 = D / 10^F by the reader's two IEEE operations, u =
+    ulp(c0), and one step k = round(r / (u 10^F)) of the residual r = D -
+    c0 10^F gives c = c0 + k u.  c is kept when |r - k u 10^F| < (1/2 -
+    2^-31) u 10^F, c is in c0's binade, and c is not a power of two unless
+    its residual is 0."""
     digits = token.removeprefix("-").removeprefix("0.")
-    v = abs(float(token))
-    return (token.removeprefix("-").startswith("0.") and digits.isdigit()
-            and 1 <= len(digits) <= 20 and int(digits) < 10 ** 17 and 1e-4 <= v < 1
-            and Fraction(token) == Fraction(format(float(token), ".17")))
+    if not (token.removeprefix("-").startswith("0.") and digits.isdigit()
+            and 1 <= len(digits) <= 20 and 0 < int(digits) < 10 ** 17):
+        return False
+    d, scale = int(digits), 10 ** len(digits)
+    c0 = float(d) / float(scale)
+    u = math.ulp(c0)
+    h = Fraction(u) * scale
+    k = round((d - Fraction(c0) * scale) / h)
+    c = c0 + k * u
+    r = d - Fraction(c) * scale
+    return (abs(r) < (Fraction(1, 2) - Fraction(1, 2 ** 31)) * h
+            and math.frexp(c)[1] == math.frexp(c0)[1] and (math.frexp(c)[0] != 0.5 or r == 0))
 
 
 def test_reader_proves_exactly_the_17_digit_values(monkeypatch):
@@ -484,6 +496,108 @@ def test_reader_proves_exactly_the_17_digit_values(monkeypatch):
     want = [json.loads(t) for t in tokens if not _proven(t)]
     assert sum(map(_proven, tokens)) > len(tokens) // 3
     assert list(map(repr, slow)) == list(map(repr, want)) * 3
+
+
+def _routed(monkeypatch, tokens: list[str]) -> list:
+    """The values that the reader of a writer-layout document of `tokens`
+    gives `json.loads`, after checking that it reads like the oracle."""
+    slow = []
+    real = kernel_io._numbers
+    monkeypatch.setattr(kernel_io, "_numbers", lambda items: slow.extend(items) or real(items))
+    text = writer_layout(",".join(tokens), len(tokens))
+    assert_read_like_oracle(text)
+    # read three times: as text, as bytes and from a file
+    assert len(slow) % 3 == 0
+    return slow[:len(slow) // 3]
+
+
+def _fixed(v: Fraction, digits: int) -> str:
+    """The fraction digits of 0 <= v < 1, `digits` of them, truncated."""
+    return str(v.numerator * 10 ** digits // v.denominator).zfill(digits)
+
+
+def _midpoint_bank() -> tuple[list[str], list[str]]:
+    """Decimal tokens at and next to the midpoints between adjacent doubles
+    in the binades 2^-1 .. 2^-60: each exact midpoint, and, for 15..22
+    significant digits, its two nearest spellings and one unit beyond each.
+    Returns the exact midpoints and the rest."""
+    exact, near = [], []
+    gen = rng(8)
+    for e in range(-1, -61, -1):
+        for m in [0, 1, 2 ** 52 - 2] + gen.integers(0, 2 ** 52 - 1, 3).tolist():
+            mid = Fraction(2 * (2 ** 52 + m) + 1, 2 ** (53 - e))
+            k = mid.denominator.bit_length() - 1
+            exact.append("0." + _fixed(mid, k))
+            zeros = len(_fixed(mid, k)) - len(str(mid.numerator * 5 ** k))
+            for n in range(15, 23):
+                t = int(_fixed(mid, zeros + n))
+                near += ["0." + str(v).zfill(zeros + n) for v in range(t - 1, t + 3)]
+    return exact, near
+
+
+def _within_the_margin() -> list[str]:
+    """17- and 20-digit tokens 2^-j (in units of their last digit) from a
+    midpoint between adjacent doubles, on both sides: inside the reader's
+    2^-31 ulp margin, so left to `json.loads`, though rounding is not in
+    doubt.  The midpoint m = odd 2^(e - 53) has m 10^F = odd 5^F / 2^j,
+    with j = 53 - e - F <= 53; an odd in [2^53, 2^54) with odd 5^F = +-1
+    mod 2^j puts m 10^F 2^-j from an integer."""
+    tokens = []
+    for f, binades in ((17, range(-1, -18, -1)), (20, range(-10, -21, -1))):
+        for e in binades:
+            j = 53 - e - f
+            inverse = pow(5 ** f, -1, 2 ** j)
+            for t in (1, 2 ** j - 1):
+                odd = t * inverse % 2 ** j
+                odd += 2 ** j * -(-(2 ** 53 - odd) // 2 ** j)
+                d = (odd * 5 ** f + 2 ** j // 2) // 2 ** j
+                assert 2 ** 53 < odd < 2 ** 54 and d < 10 ** 17
+                tokens.append("0." + str(d).zfill(f))
+    return tokens
+
+
+def test_reader_proves_no_midpoint(monkeypatch):
+    # no exact midpoint is proven: each has 54 or more fraction digits;
+    # the tokens next to them, and powers of two and their neighbours, are
+    # proven only by the residual rule
+    exact, near = _midpoint_bank()
+    near += _within_the_margin()
+    powers = []
+    for e in range(-1, -61, -1):
+        # the ulp above 2^e; the one below is half of it
+        p, ulp = 2.0 ** e, math.ulp(2.0 ** e)
+        powers += [p - ulp, p - ulp / 2, p, p + ulp, p + 2 * ulp]
+    near += [_SPELLINGS[name](v) for v in powers for name in sorted(_SPELLINGS)]
+    tokens = exact + near + ["-" + t for t in near[::5]]
+    want = [json.loads(t) for t in tokens if not _proven(t)]
+    assert not any(map(_proven, exact))
+    assert not any(map(_proven, _within_the_margin()))
+    # most of the tokens with 20 fraction digits or fewer are proven
+    short = [t for t in tokens if len(t.removeprefix("-")) <= 22]
+    assert sum(map(_proven, short)) > len(short) // 2
+    assert list(map(repr, _routed(monkeypatch, tokens))) == list(map(repr, want))
+
+
+def test_shortest_repr_document_of_a_built_kernel_is_proven(monkeypatch):
+    # a kernel written by another writer as `repr` text, 1..17 digits long
+    K, _ = aoc_kernel(AocConfig(ConvSpec(c_in=32, c_out=64, k_h=3, k_w=3, stride=2), seed=1))
+    tokens = list(map(repr, K.data.ravel().tolist()))
+    assert len(_routed(monkeypatch, tokens)) <= len(tokens) // 100
+
+
+@pytest.mark.parametrize("bad", "e:/.- E")
+def test_non_digits_among_the_first_four_of_20_digits_read_as_json_does(bad):
+    # of a token's last 24 bytes, the first 8 may hold only "0"s and one
+    # digit before the last 16; a 17..20 digit token with another byte
+    # there reads (or is refused) as `json.loads` decides
+    for f in range(17, 21):
+        for at in range(f - 16):
+            digits = "0" * (f - 17) + "91234567890123456"
+            token = "0." + digits[:at] + bad + digits[at + 1:]
+            text = writer_layout("0.25," + token, 2)
+            want = _outcome(kernel_io._whole_document, text)
+            assert _outcome(kernel_from_json, text) == want
+            assert _outcome(kernel_from_json, text.encode()) == want
 
 
 def _outcome(read, text):
