@@ -5,11 +5,11 @@ validated against the operators in this module, so they stay direct: the
 convolution sums one GEMM per kernel tap over the tap's input pixels, and
 the transposed convolution is its exact adjoint, the same taps added back
 to the pixels they read.  Both walk the taps through one iterator,
-`_taps`, which yields each tap's kernel block, laid out tap-major
-(`_tap_major`, one contiguous copy per call) so a tap's GEMM reads a
-contiguous block, with the tap's stride phase and lag: the convolution
-gathers the tap's input from one stride phase of the image, shifted by
-the lag, and the adjoint adds its product back there.
+`_taps(spec)`, which yields each tap's offset (i', j') with its stride
+phase and lag, and nothing else: the convolution gathers the tap's input
+from one stride phase of the image, shifted by the lag, and the adjoint
+adds its product back there.  Each operator lays the kernel out for its
+own GEMMs (`_tap_major`, one contiguous copy per call).
 
 Index convention, fixed once for the whole package
 --------------------------------------------------
@@ -22,13 +22,13 @@ stride s and dilation d the forward operator reads
                  * x[c, (i*s - (i'-oh)*d) mod h, (j*s - (j'-ow)*d) mod w]
 
 with oh = (k_h-1)//2, ow = (k_w-1)//2.  `_taps` is the one place this
-map is computed, as each tap's stride phase and lag: the reference
-operators and the tap stack of `verify` all take it from there.  The
-centred origin is what makes the kernel-level algebra self-consistent:
-for odd kernel sizes, flipping a kernel spatially and swapping its
-channel axes yields exactly the adjoint operator, and a kernel satisfying
-K = -transpose(K) induces a skew-symmetric operator.  Neither identity
-holds for any uncentred origin.
+map is computed, as each tap's stride phase and size-free lag (the
+polyphase kernel E in sparse form): the reference operators and the tap
+stack of `verify` all take it from there.  The centred origin is what
+makes the kernel-level algebra self-consistent: for odd kernel sizes,
+flipping a kernel spatially and swapping its channel axes yields exactly
+the adjoint operator, and a kernel satisfying K = -transpose(K) induces a
+skew-symmetric operator.  Neither identity holds for any uncentred origin.
 """
 
 from __future__ import annotations
@@ -211,22 +211,21 @@ def _strided_size(spec: ConvSpec, h: int, w: int) -> tuple[int, int]:
     return h // s, w // s
 
 
-def _taps(K: KernelTensor, spec: ConvSpec, h: int, w: int, adjoint: bool = False):
-    """Walk the kernel taps of an h x w image in the order the reference
-    operators sum them, (i', j') row-major.  Each tap yields its GEMM
-    operand (`_tap_major`), its stride phase (p, q) and its lag (t1, t2):
-    with t1, p = divmod(-(i'-oh)*d, s), output row i reads input row
-    i*s - (i'-oh)*d = s*(i + t1) + p, so block row (i + t1) mod h/s of
-    phase p, and likewise t2, q for columns.  The lag does not depend on
-    the image size, which only wraps it modulo h/s and w/s."""
+def _taps(spec: ConvSpec):
+    """Walk the kernel taps in the order the reference operators sum them,
+    (i', j') row-major, with each tap's stride phase (p, q) and lag
+    (t1, t2): with t1, p = divmod(-(i'-oh)*d, s), output row i reads input
+    row i*s - (i'-oh)*d = s*(i + t1) + p, so block row (i + t1) mod h/s of
+    phase p, and likewise t2, q for columns.  Tap (i', j') is the block of
+    the polyphase kernel E at (p, q) and (t1, t2), one slot per tap.  An
+    image size only wraps the lags, in Python ints: a lag may pass int64."""
     s, d = spec.stride, spec.dilation
-    Kt = _tap_major(K, spec, adjoint, n_cols=(h // s) * (w // s))
     oh, ow = (spec.k_h - 1) // 2, (spec.k_w - 1) // 2
     for ip in range(spec.k_h):
         t1, p = divmod(-(ip - oh) * d, s)
         for jp in range(spec.k_w):
             t2, q = divmod(-(jp - ow) * d, s)
-            yield Kt[ip, jp], (p, q), (t1, t2)
+            yield (ip, jp), (p, q), (t1, t2)
 
 
 def conv2d_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -247,10 +246,11 @@ def conv2d_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     # the input as [..., block row, row phase, block column, column phase]
     x_phases = x.reshape(*lead, g, c_in // g, ho, s, wo, s)
     i, j = np.arange(ho)[:, None], np.arange(wo)
+    Kt = _tap_major(K, spec, adjoint=False, n_cols=ho * wo)
     y = np.zeros((*lead, g, spec.c_out // g, ho, wo))
-    for block, (p, q), (t1, t2) in _taps(K, spec, h, w):
-        sub = x_phases[..., (i + t1) % ho, p, (j + t2) % wo, q]
-        y += (block @ sub.reshape(*lead, g, c_in // g, ho * wo)).reshape(y.shape)
+    for tap, (p, q), (t1, t2) in _taps(spec):
+        sub = x_phases[..., (i + t1 % ho) % ho, p, (j + t2 % wo) % wo, q]
+        y += (Kt[tap] @ sub.reshape(*lead, g, c_in // g, ho * wo)).reshape(y.shape)
     return y.reshape(*lead, spec.c_out, ho, wo)
 
 
@@ -280,9 +280,10 @@ def conv2d_transpose_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.n
     y = np.zeros((*lead, g, spec.c_in // g, ho * s, wo * s))
     # the output as [..., block row, row phase, block column, column phase]
     y_phases = y.reshape(*lead, g, spec.c_in // g, ho, s, wo, s)
-    for block, (p, q), lag in _taps(K, spec, ho * s, wo * s, adjoint=True):
-        contrib = (block @ xg).reshape(*lead, g, spec.c_in // g, ho, wo)
-        y_phases[..., p, :, q] += np.roll(contrib, lag, axis=(-2, -1))
+    Kt = _tap_major(K, spec, adjoint=True, n_cols=ho * wo)
+    for tap, (p, q), (t1, t2) in _taps(spec):
+        contrib = (Kt[tap] @ xg).reshape(*lead, g, spec.c_in // g, ho, wo)
+        y_phases[..., p, :, q] += np.roll(contrib, (t1 % ho, t2 % wo), axis=(-2, -1))
     return y.reshape(*lead, spec.c_in, ho * s, wo * s)
 
 

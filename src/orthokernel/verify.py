@@ -12,11 +12,11 @@ per frequency (Sedghi, Gupta & Long, ICLR 2019).  That matrix is
 block-diagonal over groups, so only each group's c_out/g x c_in/g*s^2
 block is stored, the groups a batch axis.  The responses are not computed
 by convolution: each kernel tap is scattered straight onto the output
-grid at the lag and input phase it reads (`_tap_stack`, the polyphase
-kernel of Su et al., ICML 2022, laid out per image size), walking the
-taps with the reference operators' own `tensor_core._taps`.  The kernel
-is real, so the block at (-f1, -f2) is the conjugate of the block at
-(f1, f2); one batched SVD of the blocks with f2 <= (w/s)//2 gives the
+grid at the lag and input phase it reads (`_tap_stack`).  Those slots
+come from `tensor_core._taps`, shared with the reference operators: the
+polyphase kernel E of Su et al. (ICML 2022), sparse and size-free.  The
+kernel is real, so the block at (-f1, -f2) is the conjugate of the block
+at (f1, f2); one batched SVD of the blocks with f2 <= (w/s)//2 gives the
 whole spectrum.  Before the spectrum is trusted, a guard applies the
 operator rebuilt from the blocks to a fixed random input and compares
 the result with the reference convolution `conv2d_ref`, so the phase and
@@ -207,15 +207,15 @@ def _require_block_circulant(K: KernelTensor, spec: ConvSpec, blocks: np.ndarray
 
 def _tap_stack(K: KernelTensor, spec: ConvSpec, h: int, w: int) -> np.ndarray:
     """Responses to the c_in*s^2 unit impulses at (c, p, q), p, q < s, per
-    group as [g][h/s][w/s][c_out/g][(c, p, q)], straight from the taps.
+    group as [g][h/s][w/s][c_out/g][(c, p, q)]: the polyphase kernel E of
+    `_taps` with its lags wrapped to the output grid.
 
-    Output row i of a tap reads block row i + t1 of input phase p
-    (`_taps`), so the tap sees the impulse at phase p, block row 0, from
-    output row -t1 mod h/s, and likewise for columns.  Each tap is added
+    Output row i of a tap reads block row i + t1 of input phase p, so it
+    sees the impulse at phase p, block row 0, from output row -t1 mod h/s,
+    and likewise for columns.  Each tap's kernel slice is added, uncopied,
     in the order in which `conv2d_ref` sums them, so taps that wrap onto
     the same entry give the same bits as the impulse responses.  Refused
-    (UnsupportedConfigError) when the stack, c_out*c_in*h*w/g entries,
-    exceeds `ENTRY_BUDGET`."""
+    (UnsupportedConfigError) above `ENTRY_BUDGET` stack entries."""
     _check_kernel_spec(K, spec)
     ho, wo = _strided_size(spec, h, w)
     s, g = spec.stride, spec.groups
@@ -223,9 +223,10 @@ def _tap_stack(K: KernelTensor, spec: ConvSpec, h: int, w: int) -> np.ndarray:
         raise UnsupportedConfigError(
             f"per-group block array {g}x{spec.c_out // g}x{spec.c_in // g * h * w} exceeds "
             f"the entry budget ({ENTRY_BUDGET}); use a smaller image or fewer channels")
+    Kg = K.data.reshape(g, spec.c_out // g, spec.c_in // g, spec.k_h, spec.k_w)
     stack = np.zeros((g, ho, wo, spec.c_out // g, spec.c_in // g, s, s))
-    for block, (p, q), (t1, t2) in _taps(K, spec, h, w):
-        stack[:, -t1 % ho, -t2 % wo, ..., p, q] += block
+    for (ip, jp), (p, q), (t1, t2) in _taps(spec):
+        stack[:, -t1 % ho, -t2 % wo, ..., p, q] += Kg[..., ip, jp]
     return stack.reshape(g, ho, wo, spec.c_out // g, -1)
 
 

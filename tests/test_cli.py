@@ -321,6 +321,9 @@ def _run_cli(argv) -> tuple[int, str]:
 # both are refused from the config alone, before anything is allocated
 @example({"c_in": 65536, "c_out": 65536, "kernel": 3})
 @example({"c_in": 4, "c_out": 8, "kernel": 1099511627776})
+# lags beyond int64, wrapped to the grid in Python ints
+@example({"c_in": 4, "c_out": 4, "kernel": 3, "dilation": 9223372036854775808})
+@example({"c_in": 4, "c_out": 8, "kernel": 3, "stride": 2, "dilation": 18446744073709551617})
 def test_build_then_verify_at_default_flags(config):
     # every config the build accepts verifies at the default size; every
     # other one is refused with exit 3, and no command ends in a traceback
@@ -360,6 +363,25 @@ def test_kernel_without_sidecar_takes_stride_from_flags(tmp_path, capsys):
     assert main(["verify", str(copy)]) == 1
     assert json.loads(capsys.readouterr().out)["config"]["stride"] == 1
     assert main(["verify", str(copy), "--stride", "2"]) == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_dilation_beyond_int64_from_flags(tmp_path, capsys, command):
+    # a kernel built at d = 2^63, read without its sidecar: its lags pass
+    # int64, and the flag's dilation checks it all the same
+    d = 2 ** 63
+    cfg = write_config(tmp_path / "cfg.json", c_out=4, stride=1, dilation=d)
+    out, copy = tmp_path / "k.okt", tmp_path / "copy.okt"
+    assert main(["build", str(cfg), str(out)]) == 0
+    shutil.copyfile(out, copy)
+    capsys.readouterr()
+    assert main([command, str(copy), "--dilation", str(d)]) == 0
+    text = capsys.readouterr().out
+    if command == "verify":
+        report = json.loads(text)
+        assert report["pass"] is True and report["config"]["dilation"] == d
+    else:
+        assert max(abs(float(v) - 1.0) for v in text.split()) <= 1e-4
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])

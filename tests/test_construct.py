@@ -697,3 +697,69 @@ def test_pinned_bytes_independent_of_blas_threads(threads, wide_digests):
     pinned, wide = json.loads(out)
     assert pinned == _pins()
     assert wide == wide_digests
+
+
+# the ISA each forced OpenBLAS core needs, as /proc/cpuinfo names it
+FORCED_CORE_ISA = {"Haswell": {"avx2", "fma"}, "Sandybridge": {"avx"}}
+
+
+def _cross_core_layers() -> tuple[dict, dict]:
+    """The pinned kernels and 128->256 k3 s2 (seed 3), computed in this
+    process: their arrays, and [branch tag, `check_orthogonality` verdict]
+    of each (no tag for the exponential's kernels)."""
+    layers = {case: spec for case, (spec, _) in PINNED_LAYERS.items()}
+    layers["128x256 k3 s2"] = ConvSpec(128, 256, 3, 3, stride=2)
+    built = {case: (*aoc_kernel(AocConfig(spec=spec, seed=3)), spec)
+             for case, spec in layers.items()}
+    for case, K in (("soc_normalized_skew", _soc_skew()),
+                    ("soc_explicit_kernel", _soc_explicit())):
+        built[case] = (K, None, spec_for_kernel(K))
+    kernels = {case: K.data for case, (K, _, _) in built.items()}
+    verdicts = {case: [tag and tag.branch, check_orthogonality(K, spec).passed]
+                for case, (K, tag, spec) in built.items()}
+    return kernels, verdicts
+
+
+def _cpu_flags() -> set:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in text.splitlines()
+                 if line.startswith("flags")), set())
+
+
+@pytest.fixture(scope="module")
+def cross_core_layers():
+    return _cross_core_layers()
+
+
+@pytest.mark.parametrize("core", sorted(FORCED_CORE_ISA))
+def test_kernels_agree_across_blas_cores(core, cross_core_layers, tmp_path):
+    # OPENBLAS_CORETYPE forces another CPU's kernel in a fresh interpreter:
+    # there the pinned kernels have that core's row of PINNED_SHA256, and
+    # every kernel differs from this process's by rounding only, with the
+    # same branches and verdicts
+    if blas_core() == "unknown":
+        pytest.skip("the BLAS names no core, so OPENBLAS_CORETYPE cannot be forced")
+    if not FORCED_CORE_ISA[core] <= _cpu_flags():
+        pytest.skip(f"this CPU lacks the {core} kernel's ISA {sorted(FORCED_CORE_ISA[core])}")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_CORETYPE=core,
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    code = ("import json, sys, numpy as np, test_construct as t; "
+            "from conftest import blas_core; "
+            "kernels, verdicts = t._cross_core_layers(); np.savez(sys.argv[1], **kernels); "
+            "print(json.dumps([blas_core(), t._pinned_digests(), verdicts]))")
+    path = tmp_path / "kernels.npz"
+    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    child_core, pinned, verdicts = json.loads(out)
+    assert child_core == core
+    assert pinned == PINNED_SHA256[core]
+    kernels, ours = cross_core_layers
+    assert verdicts == ours
+    with np.load(path) as theirs:
+        assert sorted(theirs.files) == sorted(kernels)
+        for case, data in kernels.items():
+            assert np.max(np.abs(theirs[case] - data)) <= 1e-14, case

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from orthokernel import (
     spec_for_kernel,
     toeplitz_from_kernel,
 )
-from orthokernel.tensor_core import _taps
+from orthokernel.tensor_core import _tap_major, _taps
 from conftest import gram_residual, random_kernel, rng
 from oracles import conv2d_scatter, conv2d_transpose_scatter
 
@@ -298,21 +299,52 @@ def test_operators_equal_scatter_oracles(config):
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_taps_yield_the_phase_and_lag_of_each_offset(adjoint):
     # tap (i', j') reads input row i*s + off at output row i, with
-    # off = -(i' - (k_h-1)//2)*d, so off = p + s*t with 0 <= p < s
+    # off = -(i' - (k_h-1)//2)*d, so off = p + s*t with 0 <= p < s; each
+    # operator's GEMM operand for the tap is its tap-major block [i', j']
     r = rng(60)
     for k_h, k_w, s, d in itertools.product((1, 2, 5), (1, 4), (1, 2, 3), (1, 3)):
         K = KernelTensor(r.standard_normal((2, 3, k_h, k_w)))
         spec = spec_for_kernel(K, stride=s, dilation=d)
-        taps = list(_taps(K, spec, 2 * s, 3 * s, adjoint))
-        assert len(taps) == k_h * k_w
-        for (ip, jp), (block, (p, q), (t1, t2)) in zip(np.ndindex(k_h, k_w), taps):
+        taps = list(_taps(spec))
+        assert [tap for tap, _, _ in taps] == list(np.ndindex(k_h, k_w))
+        Kt = _tap_major(K, spec, adjoint, n_cols=6)
+        for (ip, jp), (p, q), (t1, t2) in taps:
             for phase, lag, off in ((p, t1, -(ip - (k_h - 1) // 2) * d),
                                     (q, t2, -(jp - (k_w - 1) // 2) * d)):
                 assert 0 <= phase < s and phase + s * lag == off
             tap = K.data[:, :, ip, jp]
-            np.testing.assert_array_equal(block[0], tap.T if adjoint else tap)
-        # the image size only wraps the lags, it does not change them
-        assert [t[1:] for t in _taps(K, spec, 5 * s, s, adjoint)] == [t[1:] for t in taps]
+            np.testing.assert_array_equal(Kt[ip, jp, 0], tap.T if adjoint else tap)
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 3), st.integers(1, 2 ** 70))
+@example(5, 5, 3, 2 ** 70)
+@example(5, 4, 2, 2 ** 63 + 1)
+@settings(max_examples=200, deadline=None)
+def test_taps_hold_distinct_slots_with_lags_monotone_in_the_tap(k_h, k_w, s, d):
+    # each tap is its own block of the polyphase kernel E, and the lag never
+    # grows along an axis: so wrapping E's slots onto a grid in tap order adds
+    # the taps that collide in the order conv2d_ref sums them
+    taps = list(_taps(ConvSpec(1, 1, k_h, k_w, stride=s, dilation=d)))
+    assert len({(phase, lag) for _, phase, lag in taps}) == k_h * k_w
+    lags = {tap: lag for tap, _, lag in taps}
+    for (ip, jp), (t1, t2) in lags.items():
+        assert ip + 1 == k_h or lags[ip + 1, jp][0] <= t1
+        assert jp + 1 == k_w or lags[ip, jp + 1][1] <= t2
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("d", [2 ** 62 + 1, 2 ** 63 + 1, 2 ** 64 + 5, 2 ** 70 + 7])
+def test_operators_at_dilations_beyond_int64(s, d):
+    # only d mod lcm(h, w) reaches the image: both operators equal, bit for
+    # bit, the ones at that dilation, with no lag overflowing an int64
+    h, w = 4 * s, 3 * s
+    K = KernelTensor(rng(61).standard_normal((4, 3, 3, 5)))
+    reduced = d % math.lcm(h, w) or math.lcm(h, w)
+    spec, small = spec_for_kernel(K, s, d), spec_for_kernel(K, s, reduced)
+    x, z = rng(62).standard_normal((2, 3, h, w)), rng(63).standard_normal((2, 4, h // s, w // s))
+    np.testing.assert_array_equal(conv2d_ref(K, x, spec), conv2d_ref(K, x, small))
+    np.testing.assert_array_equal(conv2d_transpose_ref(K, z, spec),
+                                  conv2d_transpose_ref(K, z, small))
 
 
 def test_grouped_channel_blocks_are_contiguous():

@@ -26,7 +26,7 @@ from orthokernel import (
     toeplitz_of_transpose,
 )
 from orthokernel import verify
-from conftest import random_kernel, rng
+from conftest import random_kernel, rng, traced_peak
 from oracles import sequential_compose
 
 
@@ -296,6 +296,16 @@ def test_grouped_spectrum_is_union_of_group_spectra(config):
         parts.append(polyphase_spectrum(Kq, spec_for_kernel(Kq, stride=s, dilation=d), h, w))
     union = np.sort(np.concatenate(parts, axis=-1), axis=-1)[..., ::-1]
     assert np.array_equal(polyphase_spectrum(K, spec, h, w), union)
+
+
+def test_tap_stack_makes_no_kernel_copy():
+    # 128->256 k3 s2 at 8x8: the stack (16 MiB) is the whole peak, as each
+    # tap is scattered from the kernel's own slice; a tap-major copy of the
+    # kernel (2.25 MiB) would take the peak to 1.14x the stack
+    K = random_kernel(256, 128, 3, 3, seed=5)
+    spec = spec_for_kernel(K, stride=2)
+    stack, peak = traced_peak(lambda: verify._tap_stack(K, spec, 8, 8))
+    assert peak <= 1.01 * stack.nbytes
 
 
 def test_tap_stack_refuses_mismatched_spec():
