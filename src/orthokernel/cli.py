@@ -47,7 +47,7 @@ from .construct import AocConfig, _check_seed, aoc_kernel
 from .orthogonalize import DEFAULT_SCHEME, SCHEMES
 from .tensor_core import (ConvSpec, KernelTensor, UnsupportedConfigError, _check_kernel_spec,
                           spec_for_kernel)
-from .verify import (DEFAULT_TOLERANCE, _check_tolerance, _image_size, check_orthogonality,
+from .verify import (DEFAULT_TOLERANCE, _check_tolerance, _grid, check_orthogonality,
                      grid_entries, polyphase_spectrum, run_grid)
 
 EXIT_OK = 0
@@ -71,6 +71,8 @@ _CONFIG_DEFAULTS = {
 def _spec_from_config(config: dict) -> ConvSpec:
     """The `ConvSpec` of a config dict with the keys `_config_of_spec`
     gives (a build config, a sidecar's "config"); other keys are ignored."""
+    if len(config["kernel"]) != 2:
+        raise ValueError("config key 'kernel' must be an integer or a [k1, k2] pair of integers")
     return ConvSpec(c_in=config["c_in"], c_out=config["c_out"],
                     k_h=config["kernel"][0], k_w=config["kernel"][1],
                     stride=config["stride"], groups=config["groups"],
@@ -100,8 +102,6 @@ def _load_build_config(path) -> AocConfig:
     # ConvSpec and AocConfig refuse a value that is no integer, bool included
     if not isinstance(doc["kernel"], list):
         doc["kernel"] = [doc["kernel"]] * 2
-    if len(doc["kernel"]) != 2:
-        raise ValueError("config key 'kernel' must be an integer or a [k1, k2] pair of integers")
     return AocConfig(spec=_spec_from_config(doc), scheme=doc["scheme"], seed=doc["seed"])
 
 
@@ -138,37 +138,38 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _load_operator(args) -> tuple[KernelTensor, ConvSpec]:
-    """The kernel file `args.kernel` and the spec of its operator: stride
-    and dilation from its build sidecar when there is one, where a flag
-    that contradicts it is refused, else from the flags.  Raises
-    ValueError for a sidecar that cannot be read or describes another
-    kernel."""
+def _load_operator(args) -> tuple[KernelTensor, ConvSpec, int, int]:
+    """The kernel file `args.kernel`, its operator's spec and the image
+    size h, w (`--size`, else the stride's default).  Stride and dilation
+    come from the build sidecar when there is one, where a contradicting
+    flag is refused, else from the flags.  Raises ValueError for a sidecar
+    that cannot be read or describes another kernel, and for a bad size."""
     K = kernel_io.read_kernel(args.kernel)
     meta = str(args.kernel) + ".meta.json"
     try:
         with open(meta, "r", encoding="utf-8") as f:
-            built = _spec_from_config(json.load(f)["config"])
+            spec = _spec_from_config(json.load(f)["config"])
     except FileNotFoundError:
-        return K, spec_for_kernel(K, 1 if args.stride is None else args.stride,
-                                  1 if args.dilation is None else args.dilation)
+        spec = spec_for_kernel(K, 1 if args.stride is None else args.stride,
+                               1 if args.dilation is None else args.dilation)
     except (ValueError, TypeError, KeyError, IndexError, RecursionError) as exc:
         raise ValueError(f"unreadable build sidecar {meta}: {exc!r}") from None
-    for key in ("stride", "dilation"):
-        flag, value = getattr(args, key), getattr(built, key)
-        if flag is not None and flag != value:
-            raise ValueError(f"--{key} {flag} contradicts {key} {value} in {meta}")
-    try:
-        _check_kernel_spec(K, built)
-    except ValueError as exc:
-        raise ValueError(f"build sidecar {meta} describes another kernel: {exc}") from None
-    return K, built
+    else:
+        for key in ("stride", "dilation"):
+            flag, value = getattr(args, key), getattr(spec, key)
+            if flag is not None and flag != value:
+                raise ValueError(f"--{key} {flag} contradicts {key} {value} in {meta}")
+        try:
+            _check_kernel_spec(K, spec)
+        except ValueError as exc:
+            raise ValueError(f"build sidecar {meta} describes another kernel: {exc}") from None
+    h, w, _, _ = _grid(spec, *(args.size or ()))
+    return K, spec, h, w
 
 
 def cmd_verify(args) -> int:
     try:
-        K, spec = _load_operator(args)
-        h, w = _image_size(spec, *(args.size or ()))
+        K, spec, h, w = _load_operator(args)
         report = check_orthogonality(K, spec, h, w, tolerance=args.tol)
     except UnsupportedConfigError as exc:
         return _unsupported(exc)
@@ -181,8 +182,7 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     try:
-        K, spec = _load_operator(args)
-        h, w = _image_size(spec, *(args.size or ()))
+        K, spec, h, w = _load_operator(args)
         sv = np.sort(polyphase_spectrum(K, spec, h, w), axis=None)[::-1]
     except UnsupportedConfigError as exc:
         return _unsupported(exc)
@@ -212,21 +212,15 @@ def cmd_selftest(args) -> int:
         # a grid entry the chosen scheme cannot build, as in cmd_build
         return _unsupported(exc)
     elapsed = time.perf_counter() - t0
-    by_cat: dict[str, list[bool]] = {}
-    for r in results:
-        by_cat.setdefault(r["category"], []).append(bool(r["passed"]))
-    all_ok = True
-    for cat in sorted(by_cat):
-        oks = by_cat[cat]
-        ok = all(oks)
-        all_ok &= ok
+    for cat in sorted({r["category"] for r in results}):
+        oks = [r["passed"] for r in results if r["category"] == cat]
         print(f"{cat:<12s} {sum(oks)}/{len(oks)} passed")
-    for r in results:
-        if not r["passed"]:
-            print(f"FAIL {r['key']}: {r}")
-    print(f"total {sum(len(v) for v in by_cat.values())} configurations "
-          f"in {elapsed:.1f}s: {'all passed' if all_ok else 'FAILURES'}")
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
+    failed = [r for r in results if not r["passed"]]
+    for r in failed:
+        print(f"FAIL {r['key']}: {r}")
+    print(f"total {len(results)} configurations "
+          f"in {elapsed:.1f}s: {'FAILURES' if failed else 'all passed'}")
+    return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
 @functools.cache

@@ -90,15 +90,6 @@ class BranchTag:
 #: 37.7 M
 MAX_ENTRIES = 1 << 26
 
-def _orthogonal_stack(g, shape, seed, scheme) -> np.ndarray:
-    """One draw `sample_params((g, *shape), seed)` for all g groups,
-    orthogonalized as one stack: group q's factor is slab q of the draw.
-    A sub-stream of an integer seed is (seed, word) with a nonzero word:
-    numpy's SeedSequence ignores trailing zero words, so (seed, 0) would
-    draw the stream of `seed` itself."""
-    return orthogonalize_stack(sample_params((g, *shape), seed), scheme)
-
-
 def _grouped(stack: np.ndarray) -> KernelTensor:
     """The grouped kernel of a stack of per-group kernels [g][c_out/g]..."""
     return KernelTensor._adopt(stack.reshape(-1, *stack.shape[2:]), groups=len(stack))
@@ -170,7 +161,8 @@ def _projector_kernels(c_in, c_out, k1, k2, g, seed, scheme) -> KernelTensor:
             f"its half-rank factors need at least 2 channels, got c_in={c_in}, "
             f"c_out={c_out}"
         )
-    K = _orthogonal_stack(g, (c, c_in), (seed, 1), scheme).reshape(g, c, c_in, 1, 1)
+    K = orthogonalize_stack(sample_params((g, c, c_in), (seed, 1)), scheme).reshape(
+        g, c, c_in, 1, 1)
     axes = list(_factor_axes(k1, k2))
     if axes:
         stack = orthogonalize_stack(np.concatenate(
@@ -185,7 +177,7 @@ def _projector_kernels(c_in, c_out, k1, k2, g, seed, scheme) -> KernelTensor:
 
 
 def _rko_kernels(c_in, c_out, k1, k2, g, seed, scheme) -> KernelTensor:
-    Ws = _orthogonal_stack(g, (c_out, c_in * k1 * k2), seed, scheme)
+    Ws = orthogonalize_stack(sample_params((g, c_out, c_in * k1 * k2), seed), scheme)
     return _grouped(Ws.reshape(g, c_out, c_in, k1, k2))
 
 
@@ -265,7 +257,8 @@ def aoc_kernel(cfg: AocConfig) -> tuple[KernelTensor, BranchTag]:
     group.  The sub-seeds are
     (seed, 1) for the channel map, (seed, 2 + t) for projector factor t,
     (seed, 1 << 20) for branch "d"'s outer factor, and `seed` itself for
-    branch "b".
+    branch "b".  No sub-seed word is 0: numpy's SeedSequence ignores
+    trailing zero words, so (seed, 0) would draw the stream of `seed`.
     Dilation returns the same kernel (orthogonality transfers to the
     dilated operator); the spec carries d.  Raises UnsupportedConfigError
     for configurations with no orthogonal kernel: s > k, per-group

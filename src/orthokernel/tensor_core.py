@@ -9,7 +9,8 @@ to the pixels they read.  Both walk the taps through one iterator,
 phase and lag, and nothing else: the convolution gathers the tap's input
 from one stride phase of the image, shifted by the lag, and the adjoint
 adds its product back there.  Each operator lays the kernel out for its
-own GEMMs (`_tap_major`, one contiguous copy per call).
+own GEMMs (`_tap_major`: one contiguous copy per call, or a strided view
+for a matrix-vector product whose sums have more than one term).
 
 Index convention, fixed once for the whole package
 --------------------------------------------------

@@ -410,6 +410,37 @@ def test_bad_sidecar_exit_2(tmp_path, capsys, command, text, reason):
     assert err.startswith("invalid input: ") and reason in err and err.count("\n") == 1
 
 
+KERNEL_RULE = "config key 'kernel' must be an integer or a [k1, k2] pair of integers"
+
+
+@pytest.mark.parametrize("kernel", [[3], [3, 3, 3], []], ids=["one", "three", "empty"])
+def test_build_kernel_not_a_pair_exit_2(tmp_path, capsys, kernel):
+    cfg = write_config(tmp_path / "cfg.json", kernel=kernel)
+    out = tmp_path / "k.okt"
+    assert main(["build", str(cfg), str(out)]) == 2
+    assert capsys.readouterr().err == f"invalid config: {KERNEL_RULE}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_sidecar_kernel_not_a_pair_exit_2(tmp_path, capsys, command):
+    # a sidecar edited to [3, 3, 7] next to a 4->4 k3 kernel once read as 3x3
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"c_in": 4, "c_out": 4, "kernel": 3}))
+    out = tmp_path / "k.okt"
+    assert main(["build", str(path), str(out)]) == 0
+    meta = Path(str(out) + ".meta.json")
+    sidecar = json.loads(meta.read_text())
+    sidecar["config"]["kernel"] = [3, 3, 7]
+    meta.write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert main([command, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: unreadable build sidecar ")
+    assert KERNEL_RULE in captured.err and captured.err.count("\n") == 1
+
+
 def test_verify_missing_file_exit_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.okt")]) == 2
 
@@ -627,6 +658,35 @@ def test_selftest_failures_exit_1(capsys):
     assert main(["selftest", "--category", "common", "--tol", "0"]) == 1
     out = capsys.readouterr().out
     assert "\nFAIL " in out and out.endswith(": FAILURES\n")
+
+
+def test_selftest_stdout_pinned(capsys):
+    assert main(["selftest", "--category", "transposed", "--category", "even_kernel"]) == 0
+    out = re.sub(r"in \d+\.\ds:", "in T:", capsys.readouterr().out)
+    assert out == ("even_kernel  6/6 passed\n"
+                   "transposed   6/6 passed\n"
+                   "total 12 configurations in T: all passed\n")
+
+
+def test_selftest_failures_listed_from_the_results(capsys):
+    # sigmas at tolerance 0 depend on the BLAS core, so only the structure
+    # is pinned: each category's count, then one FAIL line per failing
+    # key in run_grid's order, then the failure tail
+    from orthokernel.verify import run_grid
+
+    categories = ["common", "transposed"]
+    results = run_grid(tolerance=0.0, categories=categories)
+    failed = [r["key"] for r in results if not r["passed"]]
+    assert failed
+    assert main(["selftest", "--tol", "0", "--category", "common",
+                 "--category", "transposed"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for line, cat in zip(lines, categories):
+        oks = [r["passed"] for r in results if r["category"] == cat]
+        assert line == f"{cat:<12s} {sum(oks)}/{len(oks)} passed"
+    fails = lines[len(categories):-1]
+    assert [re.match(r"FAIL (\S+): \{", line).group(1) for line in fails] == failed
+    assert re.fullmatch(r"total 21 configurations in \d+\.\ds: FAILURES", lines[-1])
 
 
 def test_selftest_full_grid(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -576,6 +577,22 @@ def test_grid_fails_an_adjoint_rolled_by_one_pixel(monkeypatch):
         assert (r["sigma_min"], r["sigma_max"]) == (w["sigma_min"], w["sigma_max"])
         assert w["adjoint_err"] <= 1e-12 < 1e-3 < r["adjoint_err"]
         assert not r["passed"]
+
+
+# sha256 of the sorted grid keys, one per line: they name the grid's layers in
+# the benchmark, so a key must not move
+GRID_KEYS_SHA256 = "e7721be00b7457ff3f09f01a66b5047e915400d386b60392e182669fac6e66cc"
+
+
+def test_grid_keys_pinned_and_checks_follow_the_category():
+    entries = verify.grid_entries()
+    keys = "\n".join(sorted(e.key() for e in entries))
+    assert hashlib.sha256(keys.encode()).hexdigest() == GRID_KEYS_SHA256
+    assert len(entries) == 70
+    roundtrip = [e.key() for e in entries if e.check == "roundtrip"]
+    transposed = [e.key() for e in entries if e.category == "transposed"]
+    assert len(roundtrip) == 6 and roundtrip == transposed
+    assert all(e.check == "spectrum" for e in entries if e.category != "transposed")
 
 
 @pytest.mark.parametrize("scheme", ["bjorck", "cholesky"])
