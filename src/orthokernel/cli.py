@@ -167,15 +167,21 @@ def _load_operator(args) -> tuple[KernelTensor, ConvSpec, int, int]:
     return K, spec, h, w
 
 
+def _refused(exc: OSError | ValueError) -> int:
+    """Report a kernel or check that `verify` or `spectrum` refused: an
+    unsupported configuration (exit 3), else invalid input (exit 2)."""
+    if isinstance(exc, UnsupportedConfigError):
+        return _unsupported(exc)
+    print(f"invalid input: {exc}", file=sys.stderr)
+    return EXIT_BAD_INPUT
+
+
 def cmd_verify(args) -> int:
     try:
         K, spec, h, w = _load_operator(args)
         report = check_orthogonality(K, spec, h, w, tolerance=args.tol)
-    except UnsupportedConfigError as exc:
-        return _unsupported(exc)
     except (OSError, ValueError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _refused(exc)
     print(report.to_json({**_config_of_spec(spec), "size": [h, w]}))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
@@ -184,11 +190,8 @@ def cmd_spectrum(args) -> int:
     try:
         K, spec, h, w = _load_operator(args)
         sv = np.sort(polyphase_spectrum(K, spec, h, w), axis=None)[::-1]
-    except UnsupportedConfigError as exc:
-        return _unsupported(exc)
     except (OSError, ValueError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _refused(exc)
     for v in sv:
         print(f"{v:.12f}")
     return EXIT_OK

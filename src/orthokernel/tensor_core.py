@@ -7,10 +7,11 @@ the transposed convolution is its exact adjoint, the same taps added back
 to the pixels they read.  Both walk the taps through one iterator,
 `_taps(spec)`, which yields each tap's offset (i', j') with its stride
 phase and lag, and nothing else: the convolution gathers the tap's input
-from one stride phase of the image, shifted by the lag, and the adjoint
-adds its product back there.  Each operator lays the kernel out for its
-own GEMMs (`_tap_major`: one contiguous copy per call, or a strided view
-for a matrix-vector product whose sums have more than one term).
+from one stride phase of a phase-major copy of the image, shifted by the
+lag (one `take` per axis), and the adjoint adds its product back there.
+Each operator lays the kernel out for its own GEMMs (`_tap_major`: one
+contiguous copy per call, or a strided view for a matrix-vector product
+whose sums have more than one term).
 
 Index convention, fixed once for the whole package
 --------------------------------------------------
@@ -24,9 +25,9 @@ stride s and dilation d the forward operator reads
 
 with oh = (k_h-1)//2, ow = (k_w-1)//2.  `_taps` is the one place this
 map is computed, as each tap's stride phase and size-free lag (the
-polyphase kernel E in sparse form): the reference operators and the tap
-stack of `verify` all take it from there.  The centred origin is what
-makes the kernel-level algebra self-consistent: for odd kernel sizes,
+polyphase kernel E in sparse form): the reference operators and the
+frequency blocks of `verify` all take it from there.  The centred origin
+is what makes the kernel-level algebra self-consistent: for odd kernel sizes,
 flipping a kernel spatially and swapping its channel axes yields exactly
 the adjoint operator, and a kernel satisfying K = -transpose(K) induces a
 skew-symmetric operator.  Neither identity holds for any uncentred origin.
@@ -244,14 +245,19 @@ def conv2d_ref(K: KernelTensor, x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     c_in, h, w = x.shape[-3:]
     ho, wo = _strided_size(spec, h, w)
     s, g = spec.stride, spec.groups
-    # the input as [..., block row, row phase, block column, column phase]
-    x_phases = x.reshape(*lead, g, c_in // g, ho, s, wo, s)
-    i, j = np.arange(ho)[:, None], np.arange(wo)
+    # one copy of the input as [row phase][column phase][block row][block column][...][g][c]
+    n = len(lead)
+    x_phases = np.ascontiguousarray(x.reshape(*lead, g, c_in // g, ho, s, wo, s).transpose(
+        n + 3, n + 5, n + 2, n + 4, *range(n + 2)))
+    i, j = np.arange(ho), np.arange(wo)
     Kt = _tap_major(K, spec, adjoint=False, n_cols=ho * wo)
     y = np.zeros((*lead, g, spec.c_out // g, ho, wo))
     for tap, (p, q), (t1, t2) in _taps(spec):
-        sub = x_phases[..., (i + t1 % ho) % ho, p, (j + t2 % wo) % wo, q]
-        y += (Kt[tap] @ sub.reshape(*lead, g, c_in // g, ho * wo)).reshape(y.shape)
+        # the tap's block rows and columns, gathered pixel-major: each GEMM
+        # reads its [c][h/s * w/s] operand with the pixels as the outer axis
+        sub = x_phases[p, q].take((i + t1 % ho) % ho, axis=0).take((j + t2 % wo) % wo, axis=1)
+        sub = sub.transpose(*range(2, n + 4), 0, 1).reshape(*lead, g, c_in // g, ho * wo)
+        y += (Kt[tap] @ sub).reshape(y.shape)
     return y.reshape(*lead, spec.c_out, ho, wo)
 
 

@@ -6,27 +6,31 @@ commutes with input shifts by s, so its operator is block-circulant over
 the (h/s)x(w/s) output grid: the response to the impulse at (c, s*a + p,
 s*b + q) is the response to the impulse at (c, p, q) shifted by (a, b).
 The c_in*s^2 responses to the impulses with p, q < s therefore determine
-the whole operator, and `fft2` over the output grid block-diagonalizes
+the whole operator, and the DFT over the output grid block-diagonalizes
 it: its singular values are those of one c_out x c_in*s^2 complex matrix
 per frequency (Sedghi, Gupta & Long, ICLR 2019).  That matrix is
 block-diagonal over groups, so only each group's c_out/g x c_in/g*s^2
-block is stored, the groups a batch axis.  The responses are not computed
-by convolution: each kernel tap is scattered straight onto the output
-grid at the lag and input phase it reads (`_tap_stack`).  Those slots
-come from `tensor_core._taps`, shared with the reference operators: the
-polyphase kernel E of Su et al. (ICML 2022), sparse and size-free.  The
-kernel is real, so the block at (-f1, -f2) is the conjugate of the block
-at (f1, f2); one batched SVD of the blocks with f2 <= (w/s)//2 gives the
-whole spectrum.  Before the spectrum is trusted, a guard applies the
-operator rebuilt from the blocks to a fixed random input and compares
-the result with the reference convolution `conv2d_ref`, so the phase and
-lag placement of the taps and the shift structure are checked
-against the operator itself, groups and dilation included, rather than
-assumed.  The index convention the two share through `_taps` is checked
-by the tests, against scatter oracles with their own index arithmetic
-(`tests/oracles.py`).  The route is budgeted at `ENTRY_BUDGET` entries of
-the per-group stack, c_out*c_in*h*w/g.  A convolution passes when its whole
-spectrum lies within `tolerance` of 1 (default 1e-4).
+block is built, the groups a batch axis.  No response is computed: each
+block is the DFT of the polyphase kernel E of Su et al. (ICML 2022) over
+its lags, every kernel tap weighted by its lag's phase factor in the
+column of the input phase it reads (`_frequency_blocks`).  Those slots
+come from `tensor_core._taps`, shared with the reference operators: E in
+sparse, size-free form.  The kernel is real, so the block at (-f1, -f2)
+is the conjugate of the block at (f1, f2): the blocks are built at one
+frequency of each conjugate pair only (`_representatives`), a chunk of
+frequencies at a time, and SVDs batched over groups and a chunk give the
+whole spectrum.  Before a chunk's SVD, a guard compares each block times
+the DFT of a fixed random input with the DFT of the reference
+convolution `conv2d_ref` of that input, at the same frequency, so the
+phase and lag placement of the taps and the shift structure are checked
+against the operator itself, groups and dilation included, on exactly
+the blocks the SVD reads, rather than assumed.  The index convention
+the two share through `_taps` is checked by the tests, against scatter
+oracles with their own index arithmetic (`tests/oracles.py`).  The route
+is budgeted at `ENTRY_BUDGET` entries, c_out*c_in*h*w/g, the size of the
+per-group stack of impulse responses, though a chunk holds far fewer.  A
+convolution passes when its whole spectrum lies within `tolerance` of 1
+(default 1e-4).
 
 The dense operator matrix stays only as the test oracle: column (c, i, j)
 of `toeplitz_from_kernel` is the flattened response of `conv2d_ref` to the
@@ -72,6 +76,10 @@ DEFAULT_TOLERANCE = 1e-4
 # input entries per batch of impulses (2 MB of float64): enough to cut the
 # calls per impulse matrix to a few, small enough to keep peak memory flat
 _IMPULSE_BATCH_ENTRIES = 1 << 18
+# real entries of one group's frequency blocks per chunk (8 MB of float64),
+# built, checked and factored before the next chunk, so that the blocks
+# of a wide layer are never all held at once
+_FREQUENCY_CHUNK_ENTRIES = 1 << 20
 
 
 def default_image_side(stride: int) -> int:
@@ -183,53 +191,72 @@ def singular_values(Mx: np.ndarray) -> np.ndarray:
     return np.linalg.svd(Mx, compute_uv=False)
 
 
-def _require_block_circulant(K: KernelTensor, spec: ConvSpec, blocks: np.ndarray,
-                             h: int, w: int) -> None:
-    """Raise ValueError unless the operator rebuilt from the frequency
-    blocks (shape [g][h/s][w/s][c_out/g][c_in/g*s^2]) maps one fixed random
-    input to what `conv2d_ref` gives.  The input's phases X[g][(c, p, q)]
-    hold x[c, s*a + p, s*b + q] at [a][b].  A kernel so large that the
-    error's scale overflows cannot be checked and is refused too."""
-    s, g, ho, wo = spec.stride, spec.groups, h // spec.stride, w // spec.stride
+def _representatives(ho: int, wo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f1, f2, index): one frequency of each conjugate pair {f, -f} of the
+    ho x wo output grid, the one first in row-major order, and the
+    [ho][wo] position of each frequency's representative in (f1, f2).
+    There are (ho*wo + n)/2 of them, n the self-conjugate frequencies."""
+    f1, f2 = np.divmod(np.arange(ho * wo), wo)
+    conj = (-f1 % ho) * wo + (-f2 % wo)
+    rep = np.flatnonzero(np.arange(ho * wo) <= conj)
+    index = np.empty(ho * wo, dtype=np.intp)
+    index[rep] = index[conj[rep]] = np.arange(rep.size)
+    return f1[rep], f2[rep], index.reshape(ho, wo)
+
+
+def _frequency_blocks(K: KernelTensor, spec: ConvSpec, f1: np.ndarray, f2: np.ndarray,
+                      ho: int, wo: int):
+    """Yield the operator's c_out/g x c_in/g*s^2 complex block of each group
+    at each frequency (f1, f2) of the ho x wo output grid, in order, a
+    chunk of frequencies at a time, each chunk a view
+    [f][g][c_out/g][(c, p, q)]: the DFT of the polyphase kernel E over its
+    lags, sum over taps of K_tap * exp(2 pi i (f1*t1/ho + f2*t2/wo)), each
+    tap in the column of its phase (p, q) (`_taps`).
+
+    A chunk is one real GEMM per group of the kernel, [c_out/g*c_in/g][taps]
+    as it is stored, against the taps' phase factors [taps][(p, q, f,
+    re/im)], so a group gets the bits it gets alone; a tap's factor is 0
+    outside its own phase.  The product's re/im pairs are its complex
+    entries, so no complex copy is made.  The product and the factors of a
+    chunk hold at most `_FREQUENCY_CHUNK_ENTRIES` entries per group.  A
+    factor is the product of one tabulated root of unity per axis, at
+    f1*t1 mod ho and f2*t2 mod wo, each lag reduced modulo the grid in
+    Python ints first, as a lag may pass int64."""
+    s, g = spec.stride, spec.groups
+    p, q, t1, t2 = np.array([(p, q, t1 % ho, t2 % wo) for _, (p, q), (t1, t2) in _taps(spec)]).T
+    Kg = K.data.reshape(g, -1, p.size)
+    roots1 = np.exp(2j * np.pi / ho * np.arange(ho))
+    roots2 = np.exp(2j * np.pi / wo * np.arange(wo))
+    step = max(1, _FREQUENCY_CHUNK_ENTRIES // (2 * s * s * max(Kg.shape[1:])))
+    for at in range(0, f1.size, step):
+        a, b = f1[at:at + step], f2[at:at + step]
+        factors = np.zeros((p.size, s, s, a.size, 2))
+        phase = roots1[np.outer(t1, a) % ho] * roots2[np.outer(t2, b) % wo]
+        factors[np.arange(p.size), p, q] = phase.view(np.float64).reshape(p.size, a.size, 2)
+        E = (Kg @ factors.reshape(p.size, -1)).view(np.complex128)
+        yield E.reshape(g, spec.c_out // g, -1, a.size).transpose(3, 0, 1, 2)
+
+
+def _guard_reference(K: KernelTensor, spec: ConvSpec, h: int, w: int, f1: np.ndarray,
+                     f2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """What the block-circulant guard compares the blocks with: the DFTs at
+    (f1, f2) of one fixed random input x, as its phases [g][(c, p, q)][f],
+    which hold x[c, s*a + p, s*b + q] at [a][b], and of `conv2d_ref(K, x)`,
+    as [g][c_out/g][f]; and the largest error allowed, 1e-9 of the DFT's
+    scale.  A kernel so large that the scale overflows cannot be checked
+    and is refused before any arithmetic on it."""
+    s, g = spec.stride, spec.groups
     x = np.random.Generator(np.random.PCG64(0)).standard_normal((spec.c_in, h, w))
     scale = float(np.sum(np.abs(K.data))) * float(np.max(np.abs(x)))
     if not math.isfinite(scale):
         raise ValueError("kernel entries too large to check: the block-circulant guard's "
                          "scale sum|K| * max|x| overflows")
+    y = conv2d_ref(K, x, spec)
+    ho, wo = y.shape[-2:]
     X = x.reshape(g, -1, ho, s, wo, s).transpose(0, 1, 3, 5, 2, 4).reshape(g, -1, ho, wo)
-    Y = np.einsum("gijmn,gnij->gmij", blocks, np.fft.fft2(X))
-    y = np.fft.ifft2(Y).real.reshape(-1, ho, wo)
-    err = float(np.max(np.abs(y - conv2d_ref(K, x, spec))))
-    if not err <= 1e-9 * scale:
-        raise ValueError(
-            f"operator is not block-circulant under stride {spec.stride}: the "
-            f"impulse responses reproduce conv2d_ref only to {err:.3e}"
-        )
-
-
-def _tap_stack(K: KernelTensor, spec: ConvSpec, h: int, w: int) -> np.ndarray:
-    """Responses to the c_in*s^2 unit impulses at (c, p, q), p, q < s, per
-    group as [g][h/s][w/s][c_out/g][(c, p, q)]: the polyphase kernel E of
-    `_taps` with its lags wrapped to the output grid.
-
-    Output row i of a tap reads block row i + t1 of input phase p, so it
-    sees the impulse at phase p, block row 0, from output row -t1 mod h/s,
-    and likewise for columns.  Each tap's kernel slice is added, uncopied,
-    in the order in which `conv2d_ref` sums them, so taps that wrap onto
-    the same entry give the same bits as the impulse responses.  Refused
-    (UnsupportedConfigError) above `ENTRY_BUDGET` stack entries."""
-    _check_kernel_spec(K, spec)
-    ho, wo = _strided_size(spec, h, w)
-    s, g = spec.stride, spec.groups
-    if spec.c_out * spec.c_in * h * w // g > ENTRY_BUDGET:
-        raise UnsupportedConfigError(
-            f"per-group block array {g}x{spec.c_out // g}x{spec.c_in // g * h * w} exceeds "
-            f"the entry budget ({ENTRY_BUDGET}); use a smaller image or fewer channels")
-    Kg = K.data.reshape(g, spec.c_out // g, spec.c_in // g, spec.k_h, spec.k_w)
-    stack = np.zeros((g, ho, wo, spec.c_out // g, spec.c_in // g, s, s))
-    for (ip, jp), (p, q), (t1, t2) in _taps(spec):
-        stack[:, -t1 % ho, -t2 % wo, ..., p, q] += Kg[..., ip, jp]
-    return stack.reshape(g, ho, wo, spec.c_out // g, -1)
+    Y = y.reshape(g, -1, ho, wo)
+    # a DFT entry sums ho*wo terms of the spatial output, each at most scale
+    return np.fft.fft2(X)[..., f1, f2], np.fft.fft2(Y)[..., f1, f2], 1e-9 * scale * ho * wo
 
 
 def polyphase_spectrum(K: KernelTensor, spec: ConvSpec, h: int | None = None,
@@ -240,22 +267,35 @@ def polyphase_spectrum(K: KernelTensor, spec: ConvSpec, h: int | None = None,
     (h/s)x(w/s) output grid.  Together they are the spectrum of the dense
     `toeplitz_from_kernel` matrix.
 
-    The blocks come from the kernel taps (`_tap_stack`) and are checked by
-    the block-circulant guard before the SVD; a grouped block's singular
-    values are the union of its groups'.  The SVD runs on the columns
-    f2 <= (w/s)//2 only; the kernel is real, so the block at (-f1, -f2) is
-    the conjugate of the block at (f1, f2) and has the same singular
-    values, which fill the other columns.  Refused when the stack,
-    c_out*c_in*h*w/g entries, exceeds `ENTRY_BUDGET`.  A side left None
-    is `default_image_side(spec.stride)`.
+    The blocks come from the taps (`_frequency_blocks`) at one frequency
+    of each conjugate pair (`_representatives`), whose other member has
+    the same singular values, a chunk of frequencies at a time; each chunk
+    passes the block-circulant guard (`_guard_reference`) before its SVD.
+    A grouped block's singular values are the union of its groups'.
+    Refused when the per-group stack, c_out*c_in*h*w/g entries, exceeds
+    `ENTRY_BUDGET`.  A side left None is `default_image_side(spec.stride)`.
     """
     h, w, ho, wo = _grid(spec, h, w)
-    blocks = np.fft.fft2(_tap_stack(K, spec, h, w), axes=(1, 2))
-    _require_block_circulant(K, spec, blocks, h, w)
-    per_group = np.linalg.svd(blocks[:, :, :wo // 2 + 1], compute_uv=False)
-    half = np.sort(np.concatenate(per_group, axis=-1), axis=-1)[..., ::-1]
-    mirror = half[-np.arange(ho) % ho][:, wo - np.arange(wo // 2 + 1, wo)]
-    return np.concatenate([half, mirror], axis=1)
+    _check_kernel_spec(K, spec)
+    g = spec.groups
+    if spec.c_out * spec.c_in * h * w // g > ENTRY_BUDGET:
+        raise UnsupportedConfigError(
+            f"per-group block array {g}x{spec.c_out // g}x{spec.c_in // g * h * w} exceeds "
+            f"the entry budget ({ENTRY_BUDGET}); use a smaller image or fewer channels")
+    f1, f2, index = _representatives(ho, wo)
+    X, Y, bound = _guard_reference(K, spec, h, w, f1, f2)
+    sv, at = [], 0
+    for blocks in _frequency_blocks(K, spec, f1, f2, ho, wo):
+        chunk = slice(at, at + len(blocks))
+        BX = np.einsum("fgmn,gnf->gmf", blocks, X[..., chunk])
+        err = float(np.max(np.abs(BX - Y[..., chunk])))
+        if not err <= bound:
+            raise ValueError(
+                f"operator is not block-circulant under stride {spec.stride}: the "
+                f"frequency blocks reproduce conv2d_ref only to {err:.3e}")
+        sv.append(np.linalg.svd(blocks, compute_uv=False))
+        at += len(blocks)
+    return np.sort(np.concatenate(sv).reshape(f1.size, -1), axis=-1)[index, ::-1]
 
 
 def _check_tolerance(tolerance: float) -> None:

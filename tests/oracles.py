@@ -36,6 +36,13 @@ message.
 `bjorck_ref` is Björck's iteration itself, the independent route to the
 polar factor: run to convergence, it must agree with `polar_ref` to
 rounding.
+
+`impulse_stack` is the polyphase operator as `conv2d_ref` itself gives
+it: its responses to the unit impulses at (c, p, q), p, q < s, which fix
+the whole block-circulant operator, and `diagonal_blocks` splits such a
+stack into its groups.  Their `fft2` over the output grid is what
+`verify._frequency_blocks` computes from the taps, by a DFT over their
+lags, and must agree to rounding.
 """
 
 import json
@@ -48,6 +55,7 @@ from orthokernel import (
     UnsupportedConfigError,
     block_conv_fast,
     cayley_rect,
+    conv2d_ref,
     exp_map,
     qr_mgs,
     sample_params,
@@ -55,6 +63,7 @@ from orthokernel import (
 from orthokernel.blockconv import _require_compat
 from orthokernel.construct import BranchTag, _factor_axes, _fold_projector
 from orthokernel.orthogonalize import DEFAULT_SCHEME, SCHEMES
+from orthokernel.verify import _impulse_matrix
 
 
 def format_floats_ref(values) -> str:
@@ -300,3 +309,24 @@ def aoc_kernel_per_group(cfg):
         kernels.append(K_q.data)
     K = KernelTensor(np.concatenate(kernels, axis=0), groups=g)
     return K, BranchTag(branch=branch, internal_width=width)
+
+
+def impulse_stack(K, spec, h, w):
+    """Responses of `conv2d_ref` to the unit impulses at (c, p, q),
+    p, q < s, as [c_out][h/s][w/s][(c, p, q)]."""
+    s = spec.stride
+    impulses = [c * h * w + p * w + q
+                for c in range(spec.c_in) for p in range(s) for q in range(s)]
+    T = _impulse_matrix(lambda e: conv2d_ref(K, e, spec), (spec.c_in, h, w),
+                        spec.c_out * (h // s) * (w // s), impulses)
+    return T.reshape(spec.c_out, h // s, w // s, -1)
+
+
+def diagonal_blocks(stack, g):
+    """The groups' diagonal blocks [g][h/s][w/s][c_out/g][c_in/g*s^2] of an
+    impulse stack [c_out][h/s][w/s][c_in*s^2]; every off-diagonal block
+    must be zero."""
+    c_out, ho, wo, n = stack.shape
+    blocks = stack.reshape(g, c_out // g, ho, wo, g, n // g).transpose(0, 4, 2, 3, 1, 5)
+    assert not np.any(blocks[~np.eye(g, dtype=bool)])
+    return blocks[np.arange(g), np.arange(g)]

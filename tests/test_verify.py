@@ -28,7 +28,7 @@ from orthokernel import (
 )
 from orthokernel import verify
 from conftest import random_kernel, rng, traced_peak
-from oracles import sequential_compose
+from oracles import diagonal_blocks, impulse_stack, sequential_compose
 
 
 # --- operator matrix -------------------------------------------------------------
@@ -100,12 +100,12 @@ def test_impulse_batches_match_per_impulse_calls(monkeypatch):
         e = e.reshape(9, 8, 8)
         np.testing.assert_array_equal(T[:, col], conv2d_ref(K, e, spec).ravel())
         np.testing.assert_array_equal(Tt[:, col], conv2d_transpose_ref(K, e, spec).ravel())
-    # the tap stack equals the impulse stack built with one impulse per call
+    # the frequency blocks are the DFT of the impulse stack built with one
+    # impulse per call
     K = random_kernel(6, 4, 3, 3, seed=13)
     spec = spec_for_kernel(K, stride=2)
     monkeypatch.setattr(verify, "_IMPULSE_BATCH_ENTRIES", 1)
-    np.testing.assert_array_equal(verify._tap_stack(K, spec, 8, 8),
-                                  diagonal_blocks(impulse_stack(K, spec, 8, 8), 1))
+    assert_blocks_are_impulse_stack_dft(K, spec, 8, 8)
 
 
 def test_transpose_matrix_is_forward_transpose():
@@ -214,27 +214,6 @@ def test_report_locates_the_extremes():
 
 # --- polyphase spectrum ----------------------------------------------------------
 
-def impulse_stack(K, spec, h, w):
-    """Oracle for the tap stack: responses of `conv2d_ref` to the unit
-    impulses at (c, p, q), p, q < s, as [c_out][h/s][w/s][(c, p, q)]."""
-    s = spec.stride
-    impulses = [c * h * w + p * w + q
-                for c in range(spec.c_in) for p in range(s) for q in range(s)]
-    T = verify._impulse_matrix(lambda e: conv2d_ref(K, e, spec), (spec.c_in, h, w),
-                               spec.c_out * (h // s) * (w // s), impulses)
-    return T.reshape(spec.c_out, h // s, w // s, -1)
-
-
-def diagonal_blocks(stack, g):
-    """The groups' diagonal blocks [g][h/s][w/s][c_out/g][c_in/g*s^2] of an
-    impulse stack [c_out][h/s][w/s][c_in*s^2]; every off-diagonal block
-    must be zero."""
-    c_out, ho, wo, n = stack.shape
-    blocks = stack.reshape(g, c_out // g, ho, wo, g, n // g).transpose(0, 4, 2, 3, 1, 5)
-    assert not np.any(blocks[~np.eye(g, dtype=bool)])
-    return blocks[np.arange(g), np.arange(g)]
-
-
 def oracle_blocks(K, spec, h, w):
     """Frequency blocks [h/s][w/s][c_out][c_in*s^2] from the columns of the
     dense oracle at the impulses (c, p, q), p, q < s."""
@@ -244,6 +223,17 @@ def oracle_blocks(K, spec, h, w):
             for c in range(spec.c_in) for p in range(s) for q in range(s)]
     stack = T[:, cols].reshape(spec.c_out, h // s, w // s, len(cols))
     return np.fft.fft2(stack, axes=(1, 2)).transpose(1, 2, 0, 3)
+
+
+def assert_blocks_are_impulse_stack_dft(K, spec, h, w):
+    """`_frequency_blocks` at the representatives equal `fft2` of the
+    groups' impulse stacks there, to 1e-12 of their largest entry."""
+    ho, wo = h // spec.stride, w // spec.stride
+    f1, f2, _ = verify._representatives(ho, wo)
+    dft = np.fft.fft2(diagonal_blocks(impulse_stack(K, spec, h, w), spec.groups), axes=(1, 2))
+    want = dft[:, f1, f2].transpose(1, 0, 2, 3)
+    blocks = np.concatenate(list(verify._frequency_blocks(K, spec, f1, f2, ho, wo)))
+    np.testing.assert_allclose(blocks, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 @st.composite
@@ -274,13 +264,54 @@ def test_polyphase_spectrum_equals_dense_oracle(config):
 
 @given(conv_configs())
 @example((2, 3, 5, 2, 1, 3, 2, 4, 7))  # extent 13 wraps around a 2x4 image
+@example((2, 3, 3, 2, 1, 1, 2, 2, 0))  # a 1x1 grid
+@example((3, 2, 3, 2, 1, 1, 4, 4, 1))  # a 2x2 grid: every frequency is its own conjugate
+@example((2, 3, 3, 2, 1, 2 ** 64 + 1, 4, 6, 3))  # lags past int64
 @settings(max_examples=60, deadline=None)
-def test_tap_stack_equals_impulse_stack(config):
+def test_frequency_blocks_equal_impulse_stack_dft(config):
     c_in, c_out, k, s, g, d, h, w, seed = config
     K = KernelTensor(rng(seed).standard_normal((c_out, c_in // g, k, k)), groups=g)
     spec = spec_for_kernel(K, stride=s, dilation=d)
-    assert np.array_equal(verify._tap_stack(K, spec, h, w),
-                          diagonal_blocks(impulse_stack(K, spec, h, w), g))
+    assert_blocks_are_impulse_stack_dft(K, spec, h, w)
+
+
+@pytest.mark.parametrize("c_in,c_out,k,s,g,h,w", [
+    (2, 3, 3, 1, 1, 6, 5), (4, 6, 3, 2, 2, 8, 6), (2, 9, 5, 3, 1, 9, 9), (3, 3, 2, 1, 3, 4, 4)])
+def test_blocks_in_chunks_of_one_frequency(c_in, c_out, k, s, g, h, w, monkeypatch):
+    # a chunk per frequency gives the same spectrum to rounding, and the
+    # guard checks every chunk: a fault in the last one is caught
+    K = KernelTensor(rng(c_in + c_out).standard_normal((c_out, c_in // g, k, k)), groups=g)
+    spec = spec_for_kernel(K, stride=s)
+    whole = polyphase_spectrum(K, spec, h, w)
+    monkeypatch.setattr(verify, "_FREQUENCY_CHUNK_ENTRIES", 1)
+    f1, f2, _ = verify._representatives(h // s, w // s)
+    assert len(list(verify._frequency_blocks(K, spec, f1, f2, h // s, w // s))) == f1.size
+    assert_blocks_are_impulse_stack_dft(K, spec, h, w)
+    np.testing.assert_allclose(polyphase_spectrum(K, spec, h, w), whole,
+                               rtol=0, atol=1e-12 * whole.max())
+    frequency_blocks = verify._frequency_blocks
+
+    def last_chunk_off(K, spec, f1, f2, ho, wo):
+        chunks = list(frequency_blocks(K, spec, f1, f2, ho, wo))
+        chunks[-1] = chunks[-1] * (1 + 1e-6)
+        return iter(chunks)
+
+    monkeypatch.setattr(verify, "_frequency_blocks", last_chunk_off)
+    with pytest.raises(ValueError, match="block-circulant"):
+        polyphase_spectrum(K, spec, h, w)
+
+
+@pytest.mark.parametrize("ho,wo", [(1, 1), (2, 2), (1, 5), (3, 3), (4, 4), (8, 8),
+                                   (4, 3), (5, 6), (6, 1)])
+def test_representatives_take_one_frequency_of_each_conjugate_pair(ho, wo):
+    f1, f2, index = verify._representatives(ho, wo)
+    a, b = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
+    self_conjugate = np.count_nonzero((-a % ho == a) & (-b % wo == b))
+    assert f1.size == (ho * wo + self_conjugate) // 2
+    assert np.array_equal(index[f1, f2], np.arange(f1.size))
+    # every frequency maps to itself or to its conjugate
+    r1, r2 = f1[index], f2[index]
+    assert np.all(((r1 == a) & (r2 == b)) | ((r1 == -a % ho) & (r2 == -b % wo)))
 
 
 @given(conv_configs())
@@ -299,14 +330,15 @@ def test_grouped_spectrum_is_union_of_group_spectra(config):
     assert np.array_equal(polyphase_spectrum(K, spec, h, w), union)
 
 
-def test_tap_stack_makes_no_kernel_copy():
-    # 128->256 k3 s2 at 8x8: the stack (16 MiB) is the whole peak, as each
-    # tap is scattered from the kernel's own slice; a tap-major copy of the
-    # kernel (2.25 MiB) would take the peak to 1.14x the stack
+def test_check_orthogonality_peak_is_one_chunk_of_blocks():
+    # 128->256 k3 s2 at 8x8: 10 representative blocks of 256x512 complex
+    # entries (20 MiB) in chunks of 4 (8 MiB), each checked and factored
+    # before the next is built; the peak is one chunk and the SVD's work
+    # arrays (16.3 MiB), where the full stack and its fft2 took 80 MiB
     K = random_kernel(256, 128, 3, 3, seed=5)
     spec = spec_for_kernel(K, stride=2)
-    stack, peak = traced_peak(lambda: verify._tap_stack(K, spec, 8, 8))
-    assert peak <= 1.01 * stack.nbytes
+    _, peak = traced_peak(lambda: check_orthogonality(K, spec, 8, 8))
+    assert peak <= 2.5 * 8 * verify._FREQUENCY_CHUNK_ENTRIES
 
 
 def test_tap_stack_refuses_mismatched_spec():
@@ -317,24 +349,30 @@ def test_tap_stack_refuses_mismatched_spec():
 
 
 @pytest.mark.parametrize("fault", ["phase", "lag"])
-def test_guard_rejects_misplaced_tap(fault):
+def test_guard_rejects_misplaced_tap(fault, monkeypatch):
     K = random_kernel(3, 2, 3, 3, seed=11)
     spec = spec_for_kernel(K, stride=2)
     h, w = 8, 6
+    frequency_blocks = verify._frequency_blocks
 
-    def guard(stack):
-        blocks = np.fft.fft2(stack.reshape(1, 4, 3, 3, 8), axes=(1, 2))
-        verify._require_block_circulant(K, spec, blocks, h, w)
+    def misplaced(K, spec, f1, f2, ho, wo):
+        # column (c, p, q) = (1, 0, 0) of row 0: only the centre tap reads
+        # phase (0, 0), at lag (0, 0), so its factor is 1 at every frequency
+        blocks, = frequency_blocks(K, spec, f1, f2, ho, wo)
+        blocks = blocks.copy()
+        tap = K.data[0, 1, 1, 1]
+        assert np.all(blocks[:, 0, 0, 4] == tap)
+        blocks[:, 0, 0, 4] = 0.0
+        if fault == "phase":
+            blocks[:, 0, 0, 6] += tap  # phase (1, 0)
+        else:
+            blocks[:, 0, 0, 4] += tap * np.exp(-2j * np.pi * f1 / ho)  # lag (-1, 0)
+        yield blocks
 
-    stack = verify._tap_stack(K, spec, h, w).reshape(1, 4, 3, 3, 2, 2, 2)
-    guard(stack)
-    # only the centre tap reads phase (0, 0) at lag (0, 0)
-    tap = K.data[0, 1, 1, 1]
-    assert stack[0, 0, 0, 0, 1, 0, 0] == tap
-    stack[0, 0, 0, 0, 1, 0, 0] = 0.0
-    stack[(0, 0, 0, 0, 1, 1, 0) if fault == "phase" else (0, 1, 0, 0, 1, 0, 0)] += tap
+    check_orthogonality(K, spec, h, w)
+    monkeypatch.setattr(verify, "_frequency_blocks", misplaced)
     with pytest.raises(ValueError, match="block-circulant"):
-        guard(stack)
+        check_orthogonality(K, spec, h, w)
 
 
 @pytest.mark.parametrize("c_in,c_out,k,s,h,w", [
@@ -375,16 +413,17 @@ def test_guard_rejects_inconsistent_impulse_stack(monkeypatch):
     K = random_kernel(3, 2, 3, 3, seed=11)
     spec = spec_for_kernel(K, stride=2)
     h, w = 8, 6
-    # the blocks from the dense oracle's columns at (c, p, q), p, q < 2
-    T = toeplitz_from_kernel(K, spec, h, w)
-    cols = [c * h * w + p * w + q for c in range(2) for p in range(2) for q in range(2)]
-    blocks = np.fft.fft2(T[:, cols].reshape(3, h // 2, w // 2, 8), axes=(1, 2))
-    blocks = blocks.transpose(1, 2, 0, 3)[None]
-    verify._require_block_circulant(K, spec, blocks, h, w)
-    blocks = blocks.copy()
-    blocks[0, 1, 2, 0, 5] += 1e-3
-    with pytest.raises(ValueError, match="block-circulant"):
-        verify._require_block_circulant(K, spec, blocks, h, w)
+    # the blocks from the dense oracle's columns at (c, p, q), p, q < 2,
+    # in place of the taps' DFT
+    blocks = oracle_blocks(K, spec, h, w)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_frequency_blocks",
+                  lambda K, spec, f1, f2, ho, wo: iter([blocks[f1, f2][:, None]]))
+        check_orthogonality(K, spec, h, w)
+        # (1, 2) is the representative of its pair on the 4x3 grid
+        blocks[1, 2, 0, 5] += 1e-3
+        with pytest.raises(ValueError, match="block-circulant"):
+            check_orthogonality(K, spec, h, w)
 
     # a reference operator that ignores the last input row is not
     # shift-invariant, so its corner impulses do not describe it
